@@ -17,8 +17,6 @@ from .errors import (
 )
 from .hilbert import (
     SpaceSpec,
-    SpectralField,
-    distance_to_ball,
     inner_h,
     norm_h,
     norm_v,
@@ -85,7 +83,6 @@ __all__ = [
     "ReflectionSummary",
     "SchemeConfig",
     "SpaceSpec",
-    "SpectralField",
     "TamedSpec",
     "UniquenessReport",
     "UnsupportedParameterError",
@@ -96,7 +93,6 @@ __all__ = [
     "build_model",
     "cauchy_study",
     "constant_stability",
-    "distance_to_ball",
     "inequality_study",
     "inner_h",
     "make_allen_cahn",

@@ -15,11 +15,13 @@ Config format — one `key = value` per line, `#` comments, blank lines ignored:
 
 Every run writes the requested CSVs plus ``manifest.json`` recording the
 config hash, effective seed, and per-artifact SHA-256 checksums.  Artifacts
-are byte-identical across reruns and across ``--threads`` settings (threads
-only split path batches; reduction order is fixed).
+are byte-identical across reruns (reduction order is fixed).  ``--threads``
+and ``REFLECTSPDE_THREADS`` are still accepted and validated, but have no
+effect: every study runs in one thread.  ``all`` simulates the estimates
+ensemble once and writes both ``estimates.csv`` and ``cauchy.csv`` from it.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (blow-ups;
-whatever reports were computed are still written).
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a failed
+path in any study; whatever reports were computed are still written).
 """
 
 from __future__ import annotations
@@ -36,12 +38,7 @@ from .errors import BlowUpError, ReflectSPDEError
 from .hypotheses import run_all_audits
 from .localtime import inequality_study
 from .models import REGISTRY, ModelBundle, build_model
-from .montecarlo import (
-    cauchy_study,
-    oracle_compare_1d,
-    run_estimates,
-    write_csv,
-)
+from .montecarlo import oracle_compare_1d, run_estimates, write_csv
 from .penalize import SchemeConfig
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "main"]
@@ -205,9 +202,15 @@ def _build_scheme(config: ExperimentConfig, seed_override, n_grid) -> SchemeConf
     t_final = float(config.require("scheme.t_final"))
     if dt <= 0 or t_final <= 0:
         raise ConfigError("scheme.dt/scheme.t_final: must be positive")
-    steps = int(round(t_final / dt))
+    ratio = t_final / dt
+    steps = int(round(ratio))
     if steps < 1:
         raise ConfigError("scheme.t_final: horizon shorter than one step")
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise ConfigError(
+            f"scheme.t_final: {t_final:g} is not a whole number of steps of "
+            f"scheme.dt = {dt:g} (ratio {ratio:.12g})"
+        )
     method = config.get("scheme.method", "explicit")
     seed = int(seed_override if seed_override is not None else config.get("scheme.seed", 0))
     if method == "explicit":
@@ -224,6 +227,7 @@ def _build_scheme(config: ExperimentConfig, seed_override, n_grid) -> SchemeConf
 
 
 def _threads(cli_value) -> int:
+    """Validated thread count; accepted for compatibility, it changes nothing."""
     if cli_value is not None:
         return max(1, int(cli_value))
     env = os.environ.get("REFLECTSPDE_THREADS", "").strip()
@@ -246,7 +250,7 @@ def _n_grid(config: ExperimentConfig) -> list[float]:
     return grid
 
 
-def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, threads: int = 1, seed=None):
+def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None):
     """Run one subcommand; returns (exit_code, artifact paths)."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
@@ -256,39 +260,31 @@ def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, threads: 
     artifacts: list[Path] = []
     failures = 0
     effective_seed = int(seed if seed is not None else config.get("scheme.seed", 0))
+    if "cauchy" in wanted and len(_n_grid(config)) < 2:
+        raise ConfigError("run.n_grid: the cauchy study needs at least 2 levels")
+    ensemble = None  # one simulated ensemble serves estimates and cauchy
 
     for task in wanted:
-        if task == "estimates":
-            bundle = _build_bundle(config)
-            n_grid = _n_grid(config)
-            cfg = _build_scheme(config, seed, n_grid)
-            report = run_estimates(
-                bundle.model,
-                None,
-                cfg,
-                n_grid,
-                int(config.require("run.paths")),
-                x0=bundle.x0,
-                threads=threads,
-            )
-            path = out / "estimates.csv"
-            report.to_csv(path)
-            artifacts.append(path)
-            failures += int(sum(r.failures for r in report.rows))
-        elif task == "cauchy":
-            bundle = _build_bundle(config)
-            n_grid = _n_grid(config)
-            cfg = _build_scheme(config, seed, n_grid)
-            report = cauchy_study(
-                bundle.model,
-                None,
-                cfg,
-                n_grid,
-                int(config.require("run.paths")),
-                x0=bundle.x0,
-                threads=threads,
-            )
-            path = out / "cauchy.csv"
+        if task in ("estimates", "cauchy"):
+            if ensemble is None:
+                n_grid = _n_grid(config)
+                bundle = _build_bundle(config)
+                cfg = _build_scheme(config, seed, n_grid)
+                ensemble = run_estimates(
+                    bundle.model,
+                    None,
+                    cfg,
+                    n_grid,
+                    int(config.require("run.paths")),
+                    x0=bundle.x0,
+                )
+            if task == "estimates":
+                report = ensemble
+                failures += int(sum(r.failures for r in report.rows))
+            else:
+                report = ensemble.cauchy
+                failures += report.failures
+            path = out / f"{task}.csv"
             report.to_csv(path)
             artifacts.append(path)
         elif task == "inequality":
@@ -333,12 +329,11 @@ def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, threads: 
             else:
                 kappa = float(config.get("oracle.kappa", 1.0))
                 sigma = float(config.get("oracle.sigma", 0.5))
-            report = oracle_compare_1d(
-                kappa, sigma, cfg, n_grid, int(config.require("run.paths")), threads=threads
-            )
+            report = oracle_compare_1d(kappa, sigma, cfg, n_grid, int(config.require("run.paths")))
             path = out / "oracle1d.csv"
             report.to_csv(path)
             artifacts.append(path)
+            failures += report.failures
 
     manifest = {
         "config_sha256": hashlib.sha256(config.raw_bytes).hexdigest(),
@@ -369,17 +364,16 @@ def main(argv=None) -> int:
             "--threads",
             type=int,
             default=None,
-            help="path-batch worker threads (fallback: REFLECTSPDE_THREADS, then 1)",
+            help="accepted and validated for compatibility; has no effect "
+            "(fallback: REFLECTSPDE_THREADS, then 1)",
         )
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
-        threads = _threads(args.threads)
+        _threads(args.threads)
         out_dir = args.out or config.get("run.out", ".")
-        code, _ = run_experiment(
-            config, args.subcommand, out_dir, threads=threads, seed=args.seed
-        )
+        code, _ = run_experiment(config, args.subcommand, out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,13 +17,11 @@ from .errors import ConfigurationError, DimensionMismatchError
 
 __all__ = [
     "SpaceSpec",
-    "SpectralField",
     "inner_h",
     "norm_h",
     "norm_v",
     "project_ball",
     "penalty_gap",
-    "distance_to_ball",
 ]
 
 
@@ -150,29 +148,3 @@ def penalty_gap(space: SpaceSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     excess = np.maximum(r - 1.0, 0.0)
     return lam[..., None] * x, 0.5 * excess * excess
 
-
-def distance_to_ball(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
-    return np.maximum(norm_h(space, x) - 1.0, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """A batch of H elements: coefficients (..., m) tied to their space."""
-
-    coeffs: np.ndarray
-    space: SpaceSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", self.space.check_coeffs(self.coeffs))
-
-    def norm_h(self) -> np.ndarray:
-        return norm_h(self.space, self.coeffs)
-
-    def norm_v(self) -> np.ndarray:
-        return norm_v(self.space, self.coeffs)
-
-    def project(self) -> "SpectralField":
-        return SpectralField(project_ball(self.space, self.coeffs), self.space)
-
-    def gap(self) -> np.ndarray:
-        return penalty_gap(self.space, self.coeffs)[0]

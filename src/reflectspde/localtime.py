@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError
+from .errors import ConfigurationError
 from .hilbert import SpaceSpec, norm_h
-from .penalize import PathRecord
+from .penalize import PathRecord, _brownian_block, _path_record, _penalized_stack
 
 __all__ = [
     "ReflectionSummary",
@@ -162,14 +162,12 @@ def inequality_study(
 ):
     """Variational-gap and boundary-leak table over a penalization grid.
 
-    For every level n and path index, simulates one penalized path (noise
-    coupled across levels by the path index) and reports
+    Simulates every level n and path index in one coupled ensemble (the
+    noise of path i is shared by all levels) and reports
     (n, path_index, total_variation, min over the seeded test-path family of
     the variational gap, boundary_leak at delta).  A path that blows up
     yields a NaN row and counts as a failure.  Returns (rows, failures).
     """
-    from .penalize import brownian_increments, simulate_path
-
     space = model.space
     src_noise = model.noise if noise is None else noise
     n_grid = [float(n) for n in n_grid]
@@ -180,23 +178,26 @@ def inequality_study(
     seed = cfg.seed if test_seed is None else test_seed
     tests = make_test_paths(space, seed, test_count, times)
 
+    dW = _brownian_block(cfg.seed, paths, src_noise.mode_count, cfg.steps, cfg.dt)
+    states = np.empty((cfg.steps + 1, len(n_grid), paths, space.n_coeffs))
+    l_increments = np.empty((cfg.steps,) + states.shape[1:])
+    states[0] = x0
+    kernel = _penalized_stack(model, src_noise, cfg, n_grid, x0, dW)
+    for j, (x, dL, _, alive) in enumerate(kernel):
+        states[j + 1] = x
+        l_increments[j] = dL
+
     rows = []
-    failures = 0
-    increments = [
-        brownian_increments(cfg.seed, i, src_noise.mode_count, cfg.steps, cfg.dt)
-        for i in range(paths)
-    ]
-    for n in n_grid:
-        cfg_n = cfg.with_n(n)
+    for li, n in enumerate(n_grid):
         for i in range(paths):
-            try:
-                rec = simulate_path(model, cfg_n, x0, noise=src_noise, dW=increments[i])
-            except BlowUpError:
-                failures += 1
+            if not alive[li, i]:
                 rows.append((n, i, float("nan"), float("nan"), float("nan")))
                 continue
+            rec = _path_record(
+                space, cfg.with_n(n), states[:, li, i], l_increments[:, li, i]
+            )
             tv = total_variation(space, rec)
             min_gap = min(variational_gap(space, rec, phi) for phi in tests)
             leak = boundary_leak(space, rec, delta)
             rows.append((n, i, tv, min_gap, leak))
-    return rows, failures
+    return rows, int(np.count_nonzero(~alive))

@@ -196,9 +196,6 @@ class ModelSpec:
         """Drift as a state-space increment rate: functional / h_weights."""
         return self.drift(t, u) / self.space.h_weights
 
-    def noise_op(self, t: float, u: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        return apply_noise(self.noise, u, dW)
-
     def rho(self, u: np.ndarray) -> np.ndarray:
         if self.mono_scale == 0.0:
             return np.zeros(np.asarray(u).shape[:-1])

@@ -15,27 +15,36 @@ left-endpoint rule on the scheme grid, matching the stepper's own quadrature.
 
 Coupling: every penalization level consumes the same per-path Brownian matrix
 (common random numbers), which is what makes the Cauchy and oracle studies
-meaningful at modest path counts.
+meaningful at modest path counts.  All levels and paths of a study advance
+together as one (levels, paths, coeffs) stack in `penalize._penalized_stack`;
+each study is a reduction over what that kernel yields.
 
-Determinism: paths are split into at most 10 contiguous batches; batches are
-the unit of (optional) parallelism and are reduced in index order, so results
-are byte-identical for any thread count.  Standard errors are the standard
-deviation of batch means over sqrt(#batches).
+Determinism: every reduction runs in a fixed order, so results are
+byte-identical across reruns.  Standard errors are the standard deviation
+of the means of at most 10 contiguous path slices over sqrt(#slices).
 
-A path whose state turns non-finite or leaves |x|_H <= 1e6 is counted as a
-failure for that level, pinned to zero, and excluded from all statistics.
+A path whose state turns non-finite or leaves |x|_H <= penalize.BLOWUP_NORM
+(1e10) at some level is counted as a failure at that level, pinned to zero,
+and excluded from that level's statistics.  The Cauchy study compares levels
+pathwise, so it drops a path from every gap when it fails at any level, and
+its report counts the dropped paths.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import norm_h, norm_v
 from .models import ModelSpec, NoiseSpec, make_oracle_1d
-from .penalize import SchemeConfig, brownian_increments, simulate_path, step_penalized
+from .penalize import (
+    SchemeConfig,
+    _brownian_block,
+    _penalized_stack,
+    _radial_totals,
+    simulate_path,
+)
 
 __all__ = [
     "EstimateRow",
@@ -57,7 +66,6 @@ __all__ = [
 ]
 
 _MAX_BATCHES = 10
-_FAILURE_NORM = 1e6
 
 
 # --------------------------------------------------------------------------
@@ -144,6 +152,7 @@ ESTIMATES_HEADER = (
 @dataclass(frozen=True)
 class EstimateReport:
     rows: tuple[EstimateRow, ...]
+    cauchy: CauchyReport  # consecutive-level gaps of the same ensemble
 
     header = ESTIMATES_HEADER
 
@@ -168,6 +177,7 @@ class CauchyRow:
 @dataclass(frozen=True)
 class CauchyReport:
     rows: tuple[CauchyRow, ...]
+    failures: int  # paths dropped from every gap for failing at some level
 
     header = CAUCHY_HEADER
 
@@ -214,6 +224,7 @@ class OracleRow:
 @dataclass(frozen=True)
 class OracleReport:
     rows: tuple[OracleRow, ...]
+    failures: int  # failed (level, path) pairs
 
     header = ORACLE_HEADER
 
@@ -232,7 +243,7 @@ class OracleReport:
 
 
 # --------------------------------------------------------------------------
-# batching helpers
+# standard errors
 
 
 def _batches(paths: int) -> list[np.ndarray]:
@@ -242,12 +253,6 @@ def _batches(paths: int) -> list[np.ndarray]:
     return [p for p in parts if p.size]
 
 
-def _brownian_batch(seed: int, indices: np.ndarray, modes: int, steps: int, dt: float):
-    return np.stack(
-        [brownian_increments(seed, int(i), modes, steps, dt) for i in indices]
-    )
-
-
 def _se_from_batch_means(means: list[float]) -> float:
     vals = np.array([m for m in means if np.isfinite(m)])
     if vals.size < 2:
@@ -255,73 +260,16 @@ def _se_from_batch_means(means: list[float]) -> float:
     return float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
-def _run_batched(worker, batches, threads):
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, batches))
-    return [worker(b) for b in batches]
-
-
-def _mean_and_se(per_path: list[np.ndarray], alive: list[np.ndarray]):
-    """Overall mean over surviving paths + batch-mean standard error."""
-    kept = np.concatenate([v[a] for v, a in zip(per_path, alive)])
-    if kept.size == 0:
+def _mean_and_se(values: np.ndarray, alive: np.ndarray, slices: list[np.ndarray]):
+    """Mean over surviving paths + standard error of the path-slice means."""
+    if not np.any(alive):
         return float("nan"), float("nan")
-    means = [float(np.mean(v[a])) for v, a in zip(per_path, alive) if np.any(a)]
-    return float(np.mean(kept)), _se_from_batch_means(means)
+    means = [float(np.mean(values[b][alive[b]])) for b in slices if np.any(alive[b])]
+    return float(np.mean(values[alive])), _se_from_batch_means(means)
 
 
 # --------------------------------------------------------------------------
-# fused penalized ensembles
-
-
-def _step_ensemble(model, noise, cfg, states, t, dW_j, alive):
-    """One explicit/splitting move for a whole batch; returns (states, alive)."""
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        new, _dl = step_penalized(states, t, cfg, model, dW_j, noise=noise, check=False)
-        bad = ~np.all(np.isfinite(new), axis=-1) | (norm_h(model.space, new) > _FAILURE_NORM)
-    alive = alive & ~bad
-    new[~alive] = 0.0
-    return new, alive
-
-
-def _penalized_batch_stats(model, noise, cfg, x0, dW):
-    """Per-path estimator ingredients for one batch at one penalization level."""
-    space = model.space
-    m_b = dW.shape[0]
-    dt = cfg.dt
-    states = np.repeat(x0[None, :], m_b, axis=0)
-    alive = np.ones(m_b, dtype=bool)
-    r0 = norm_h(space, states)
-    sup_r = r0.copy()
-    sup_ex = np.maximum(r0 - 1.0, 0.0)
-    int_pen = np.zeros(m_b)
-    int_pen_sq = np.zeros(m_b)
-    int_weighted = np.zeros(m_b)
-    int_v = np.zeros(m_b)
-    for j in range(cfg.steps):
-        r = norm_h(space, states)
-        ex = np.maximum(r - 1.0, 0.0)
-        sup_r = np.maximum(sup_r, r)
-        sup_ex = np.maximum(sup_ex, ex)
-        int_pen += dt * ex
-        int_pen_sq += dt * ex * ex
-        int_weighted += dt * r**3 * ex
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            int_v += dt * norm_v(space, states) ** model.alpha
-        states, alive = _step_ensemble(model, noise, cfg, states, j * dt, dW[:, j], alive)
-    r = norm_h(space, states)
-    sup_r = np.maximum(sup_r, r)
-    sup_ex = np.maximum(sup_ex, np.maximum(r - 1.0, 0.0))
-    return {
-        "sup4": sup_r**4,
-        "weighted": int_weighted,
-        "var_base": int_pen,
-        "pen_l2": int_pen_sq,
-        "v_energy": int_v,
-        "pen_sup4": sup_ex**4,
-        "alive": alive,
-    }
+# penalized ensembles
 
 
 def run_estimates(
@@ -332,33 +280,41 @@ def run_estimates(
     paths: int,
     *,
     x0: np.ndarray,
-    threads: int | None = None,
 ) -> EstimateReport:
-    """Moment/variation estimators over a penalization grid on coupled noise."""
+    """Moment/variation estimators over a penalization grid on coupled noise,
+    together with the consecutive-level Cauchy gaps of the same ensemble."""
     noise = model.noise if noise is None else noise
     n_grid = [float(n) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
-    x0 = model.space.check_coeffs(x0)
-    batches = _batches(paths)
+    slices = _batches(paths)
+    space = model.space
+    x0 = space.check_coeffs(x0)
+    dW = _brownian_block(cfg.seed, paths, noise.mode_count, cfg.steps, cfg.dt)
 
-    def worker(indices):
-        dW = _brownian_batch(cfg.seed, indices, noise.mode_count, cfg.steps, cfg.dt)
-        return [_penalized_batch_stats(model, noise, cfg.with_n(n), x0, dW) for n in n_grid]
-
-    per_batch = _run_batched(worker, batches, threads)
+    shape = (len(n_grid), paths)
+    radii = np.empty((cfg.steps + 1,) + shape)
+    v_energy = np.empty((cfg.steps + 1,) + shape)
+    radii[0] = norm_h(space, x0)
+    v_energy[0] = norm_v(space, x0) ** model.alpha
+    sup_diff = np.zeros((len(n_grid) - 1, paths))
+    kernel = _penalized_stack(model, noise, cfg, n_grid, x0, dW)
+    for j, (states, _dL, r, alive) in enumerate(kernel, start=1):
+        radii[j] = r
+        v_energy[j] = norm_v(space, states) ** model.alpha
+        sup_diff = np.maximum(sup_diff, norm_h(space, states[:-1] - states[1:]))
+    radii[:, ~alive] = 0.0  # the radius a failed row died at may overflow r^3
+    totals = _radial_totals(radii, v_energy, cfg.dt)
 
     rows = []
     for i, n in enumerate(n_grid):
-        stats = [b[i] for b in per_batch]
-        alive = [s["alive"] for s in stats]
-        failures = int(sum(np.count_nonzero(~a) for a in alive))
-        est_sup4, se_sup4 = _mean_and_se([s["sup4"] for s in stats], alive)
-        w_est, w_se = _mean_and_se([s["weighted"] for s in stats], alive)
-        v2_est, v2_se = _mean_and_se([(n * s["var_base"]) ** 2 for s in stats], alive)
-        l2_est, l2_se = _mean_and_se([s["pen_l2"] for s in stats], alive)
-        ve_est, ve_se = _mean_and_se([s["v_energy"] for s in stats], alive)
-        ps_est, ps_se = _mean_and_se([s["pen_sup4"] for s in stats], alive)
+        ok = alive[i]
+        est_sup4, se_sup4 = _mean_and_se(totals["sup_h"][i] ** 4, ok, slices)
+        w_est, w_se = _mean_and_se(totals["int_weighted_pen"][i], ok, slices)
+        v2_est, v2_se = _mean_and_se((n * totals["int_pen"][i]) ** 2, ok, slices)
+        l2_est, l2_se = _mean_and_se(totals["int_pen_sq"][i], ok, slices)
+        ve_est, ve_se = _mean_and_se(totals["int_v_energy"][i], ok, slices)
+        ps_est, ps_se = _mean_and_se(totals["sup_pen"][i] ** 4, ok, slices)
         rows.append(
             EstimateRow(
                 n=n,
@@ -374,10 +330,17 @@ def run_estimates(
                 se_v_energy=ve_se,
                 est_pen_sup4=ps_est,
                 se_pen_sup4=ps_se,
-                failures=failures,
+                failures=int(np.count_nonzero(~ok)),
             )
         )
-    return EstimateReport(rows=tuple(rows))
+
+    coupled = np.all(alive, axis=0)
+    gaps = []
+    for i in range(len(n_grid) - 1):
+        est, se = _mean_and_se(sup_diff[i] ** 2, coupled, slices)
+        gaps.append(CauchyRow(n_lo=n_grid[i], n_hi=n_grid[i + 1], est_supdiff2=est, se=se))
+    cauchy = CauchyReport(rows=tuple(gaps), failures=int(np.count_nonzero(~coupled)))
+    return EstimateReport(rows=tuple(rows), cauchy=cauchy)
 
 
 def cauchy_study(
@@ -388,42 +351,11 @@ def cauchy_study(
     paths: int,
     *,
     x0: np.ndarray,
-    threads: int | None = None,
 ) -> CauchyReport:
     """E[sup_t |X^n_lo - X^n_hi|_H^2] for consecutive levels on coupled noise."""
-    noise = model.noise if noise is None else noise
-    n_grid = [float(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("cauchy study needs at least 2 penalization levels")
-    x0 = model.space.check_coeffs(x0)
-    batches = _batches(paths)
-    space = model.space
-    cfgs = [cfg.with_n(n) for n in n_grid]
-
-    def worker(indices):
-        dW = _brownian_batch(cfg.seed, indices, noise.mode_count, cfg.steps, cfg.dt)
-        m_b = dW.shape[0]
-        states = [np.repeat(x0[None, :], m_b, axis=0) for _ in n_grid]
-        alive = np.ones(m_b, dtype=bool)
-        sup_diff = np.zeros((len(n_grid) - 1, m_b))
-        for j in range(cfg.steps):
-            for i, cfg_n in enumerate(cfgs):
-                states[i], alive = _step_ensemble(
-                    model, noise, cfg_n, states[i], j * cfg.dt, dW[:, j], alive
-                )
-            for i in range(len(n_grid) - 1):
-                d = norm_h(space, states[i] - states[i + 1])
-                sup_diff[i] = np.maximum(sup_diff[i], d)
-        return sup_diff**2, alive
-
-    per_batch = _run_batched(worker, batches, threads)
-    rows = []
-    for i in range(len(n_grid) - 1):
-        vals = [sd[i] for sd, _ in per_batch]
-        alive = [a for _, a in per_batch]
-        est, se = _mean_and_se(vals, alive)
-        rows.append(CauchyRow(n_lo=n_grid[i], n_hi=n_grid[i + 1], est_supdiff2=est, se=se))
-    return CauchyReport(rows=tuple(rows))
+    return run_estimates(model, noise, cfg, n_grid, paths, x0=x0).cauchy
 
 
 def uniqueness_check(
@@ -463,7 +395,7 @@ def uniqueness_check(
 
 
 # --------------------------------------------------------------------------
-# 1-D oracle: projected (Skorokhod) Euler with clamp displacement as local time
+# 1-D oracle: the projection (clamp) scheme is the splitting step at n = inf
 
 
 def oracle_compare_1d(
@@ -472,63 +404,36 @@ def oracle_compare_1d(
     cfg: SchemeConfig,
     n_grid,
     paths: int,
-    *,
-    threads: int | None = None,
 ) -> OracleReport:
-    """Penalized scalar runs vs the clamped Euler scheme on the same noise."""
+    """Penalized scalar runs vs the projection scheme on the same noise."""
     n_grid = [float(n) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
+    slices = _batches(paths)
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
-    model = bundle.model
-    noise = model.noise
-    x0 = bundle.x0
-    dt = cfg.dt
-    batches = _batches(paths)
-    cfgs = [cfg.with_n(n) for n in n_grid]
+    model, x0 = bundle.model, bundle.x0
+    dW = _brownian_block(cfg.seed, paths, 1, cfg.steps, cfg.dt)
+    projection = SchemeConfig(cfg.dt, cfg.steps, np.inf, "splitting")
 
-    def worker(indices):
-        dW = _brownian_batch(cfg.seed, indices, 1, cfg.steps, dt)
-        m_b = dW.shape[0]
-        # clamp oracle is penalization-free: one pass per batch
-        x_or = np.full(m_b, float(x0[0]))
-        oracle_states = np.empty((cfg.steps + 1, m_b))
-        oracle_states[0] = x_or
-        tv_or = np.zeros(m_b)
-        for j in range(cfg.steps):
-            free = x_or + dt * kappa * x_or + sigma * dW[:, j, 0]
-            x_or = np.clip(free, -1.0, 1.0)
-            tv_or += np.abs(free - x_or)
-            oracle_states[j + 1] = x_or
-        out = []
-        for cfg_n in cfgs:
-            states = np.repeat(x0[None, :], m_b, axis=0)
-            alive = np.ones(m_b, dtype=bool)
-            sup_diff = np.zeros(m_b)
-            tv_pen = np.zeros(m_b)
-            for j in range(cfg.steps):
-                new, dl = step_penalized(states, j * dt, cfg_n, model, dW[:, j], check=False)
-                tv_pen += np.abs(dl[:, 0])
-                states = new
-                sup_diff = np.maximum(sup_diff, np.abs(states[:, 0] - oracle_states[j + 1]))
-            out.append(
-                {
-                    "supdiff": sup_diff,
-                    "tv_diff": np.abs(tv_pen - tv_or),
-                    "terminal": np.abs(states[:, 0] - oracle_states[-1]),
-                    "alive": alive,
-                }
-            )
-        return out
+    sup_diff = np.zeros((len(n_grid), paths))
+    tv_pen = np.zeros((len(n_grid), paths))
+    tv_or = np.zeros((1, paths))
+    for (x, dl, _, alive), (y, dl_or, _, alive_or) in zip(
+        _penalized_stack(model, None, cfg, n_grid, x0, dW),
+        _penalized_stack(model, None, projection, [np.inf], x0, dW),
+    ):
+        tv_pen += np.abs(dl[..., 0])
+        tv_or += np.abs(dl_or[..., 0])
+        sup_diff = np.maximum(sup_diff, np.abs(x[..., 0] - y[..., 0]))
+    alive = alive & alive_or
+    tv_diff = np.abs(tv_pen - tv_or)
+    terminal = np.abs(x[..., 0] - y[..., 0])
 
-    per_batch = _run_batched(worker, batches, threads)
     rows = []
     for i, n in enumerate(n_grid):
-        stats = [b[i] for b in per_batch]
-        alive = [s["alive"] for s in stats]
-        sd_est, sd_se = _mean_and_se([s["supdiff"] for s in stats], alive)
-        tv_est, tv_se = _mean_and_se([s["tv_diff"] for s in stats], alive)
-        term_est, _ = _mean_and_se([s["terminal"] for s in stats], alive)
+        sd_est, sd_se = _mean_and_se(sup_diff[i], alive[i], slices)
+        tv_est, tv_se = _mean_and_se(tv_diff[i], alive[i], slices)
+        term_est, _ = _mean_and_se(terminal[i], alive[i], slices)
         rows.append(
             OracleRow(
                 n=n,
@@ -539,7 +444,7 @@ def oracle_compare_1d(
                 est_terminal_diff=term_est,
             )
         )
-    return OracleReport(rows=tuple(rows))
+    return OracleReport(rows=tuple(rows), failures=int(np.count_nonzero(~alive)))
 
 
 # --------------------------------------------------------------------------

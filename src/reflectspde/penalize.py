@@ -12,11 +12,17 @@ splitting
     Drift+noise move to an intermediate state, then the exact flow of
     r' = -n (r - 1)_+ applied to the H radius; stable for arbitrary n dt.
 
+At n = inf the splitting step is the projection (clamp) scheme: the excess
+factor exp(-n dt) is 0 and x-tilde is mapped onto the ball.
+
 Models with a stiff diagonal linear part declare linear_symbol; the
 drift+noise move then uses the Lawson integrating factor
 exp(symbol dt) * (x + dt * nonstiff(x)), which is exact on the linear flow.
-All stepping code broadcasts over leading axes, so a single path (m,) and an
-ensemble (M, m) share one code path.
+
+Every path is stepped by one kernel, `_penalized_stack`, which advances a
+(levels, paths, coeffs) stack on one Brownian block shared by all levels;
+`simulate_path` is its one-level, one-path case, and the ensemble studies
+are reductions over what it yields.
 """
 
 from __future__ import annotations
@@ -38,12 +44,19 @@ __all__ = [
     "simulate_path",
 ]
 
-# norm beyond which a trajectory is declared divergent
+# H norm beyond which a trajectory is declared divergent, in every study
 BLOWUP_NORM = 1e10
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
+    """Time grid and penalty level.
+
+    n is a level >= 0, or inf (splitting only) for the projection scheme.
+    The ensemble kernel also sets it to a column of levels (L, 1) that
+    broadcasts over an (L, M, m) state stack; validation is elementwise.
+    """
+
     dt: float
     steps: int
     n: float
@@ -55,13 +68,14 @@ class SchemeConfig:
             raise ConfigurationError("dt must be positive and finite")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
-        if not (np.isfinite(self.n) and self.n >= 0):
+        n = np.asarray(self.n, dtype=float)
+        if not np.all(n >= 0):
             raise ConfigurationError("penalization level n must be >= 0")
         if self.method not in ("explicit", "splitting"):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.method == "explicit" and self.n * self.dt > 1.0 + 1e-12:
+        if self.method == "explicit" and np.max(n) * self.dt > 1.0 + 1e-12:
             raise ConfigurationError(
-                f"explicit stepper needs n*dt <= 1 (got {self.n * self.dt:g}); "
+                f"explicit stepper needs n*dt <= 1 (got {np.max(n) * self.dt:g}); "
                 "use method=splitting for large n"
             )
         if self.seed < 0:
@@ -108,6 +122,14 @@ def brownian_increments(
     return np.sqrt(dt) * rng.standard_normal((steps, mode_count))
 
 
+def _brownian_block(seed: int, paths: int, mode_count: int, steps: int, dt: float) -> np.ndarray:
+    """(paths, steps, mode_count) increments of path indices 0..paths-1."""
+    block = np.empty((paths, steps, mode_count))
+    for i in range(paths):
+        block[i] = brownian_increments(seed, i, mode_count, steps, dt)
+    return block
+
+
 def one_step_move(
     model: ModelSpec,
     t: float,
@@ -133,30 +155,86 @@ def step_penalized(
     model: ModelSpec,
     dW: np.ndarray,
     noise: NoiseSpec | None = None,
-    check: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one step; returns (state', dL).
 
-    check=True raises BlowUpError on a non-finite or divergent state';
-    ensemble drivers pass check=False and handle bad rows themselves.
+    cfg.n may be a column of levels broadcasting over the leading axes of
+    state.  No divergence check here: `_penalized_stack` makes it once per
+    step for every row.
     """
     space = model.space
     x_tilde = one_step_move(model, t, cfg.dt, state, dW, noise)
+    rate = np.multiply(cfg.n, cfg.dt)
     if cfg.method == "explicit":
         gap, _ = penalty_gap(space, state)
-        dL = (-cfg.n * cfg.dt) * gap
+        dL = (-rate)[..., None] * gap
         new = x_tilde + dL
     else:
         r = norm_h(space, x_tilde)
         excess = np.maximum(r - 1.0, 0.0)
-        scale = (1.0 + excess * np.exp(-cfg.n * cfg.dt)) / np.maximum(r, 1.0)
+        scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r, 1.0)
         new = x_tilde * scale[..., None]
         dL = new - x_tilde
-    if check:
-        rn = norm_h(space, new)
-        if not np.all(np.isfinite(rn)) or np.any(rn > BLOWUP_NORM):
-            raise BlowUpError(-1, t + cfg.dt, float(np.max(rn)))
     return new, dL
+
+
+def _penalized_stack(model, noise, cfg, levels, x0, dW):
+    """Step an (L, M, m) stack of levels x paths x coefficients from x0.
+
+    Every level reads the same Brownian block dW (M, steps, K), the
+    common-random-numbers coupling.  After each step the generator yields
+    (states, dL, r, alive): the (L, M, m) stack and its penalty increments,
+    the (L, M) H radii the divergence check read, and the (L, M) mask of
+    rows that have stayed finite with radius <= BLOWUP_NORM.  A row that
+    leaves is dead for good; its states and dL are pinned to zero, and its
+    r is the radius that killed it at that step and meaningless after.
+    """
+    space = model.space
+    stack_cfg = cfg.with_n(np.asarray(levels, dtype=float)[:, None])
+    states = np.broadcast_to(x0, (len(levels), dW.shape[0], space.n_coeffs))
+    alive = np.ones(states.shape[:-1], dtype=bool)
+    for j in range(cfg.steps):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            states, dL = step_penalized(states, j * cfg.dt, stack_cfg, model, dW[:, j], noise)
+            r = norm_h(space, states)
+        # a non-finite coefficient makes r inf or NaN, and NaN compares False
+        alive = alive & (r <= BLOWUP_NORM)
+        states[~alive] = 0.0
+        dL[~alive] = 0.0
+        yield states, dL, r, alive
+
+
+def _radial_totals(r: np.ndarray, v_energy: np.ndarray, dt: float) -> dict:
+    """Left-endpoint integrals and sups along the time axis 0.
+
+    r and v_energy hold |X|_H and ||X||_V^alpha at every grid time, shape
+    (steps+1, ...).  The integrands are functions of r alone:
+    |X - pi(X)| = (r-1)^+ and |X|^2 (X, X - pi(X)) = r^3 (r-1)^+.
+    """
+    excess = np.maximum(r - 1.0, 0.0)
+    left_r, left_e = r[:-1], excess[:-1]
+    return {
+        "int_pen": dt * np.sum(left_e, axis=0),
+        "int_pen_sq": dt * np.sum(left_e**2, axis=0),
+        "int_weighted_pen": dt * np.sum(left_r**3 * left_e, axis=0),
+        "int_v_energy": dt * np.sum(v_energy[:-1], axis=0),
+        "sup_h": np.max(r, axis=0),
+        "sup_pen": np.max(excess, axis=0),
+    }
+
+
+def _path_record(space: SpaceSpec, cfg: SchemeConfig, states, l_increments) -> PathRecord:
+    totals = _radial_totals(
+        norm_h(space, states), norm_v(space, states) ** space.alpha, cfg.dt
+    )
+    return PathRecord(
+        times=cfg.dt * np.arange(cfg.steps + 1),
+        states=states,
+        l_increments=l_increments,
+        n=cfg.n,
+        method=cfg.method,
+        **{k: float(v) for k, v in totals.items()},
+    )
 
 
 def simulate_path(
@@ -167,7 +245,7 @@ def simulate_path(
     path_index: int = 0,
     dW: np.ndarray | None = None,
 ) -> PathRecord:
-    """Iterate the stepper over the grid and fill all accumulators.
+    """One trajectory with all accumulators; raises BlowUpError on divergence.
 
     Deterministic given (cfg.seed, path_index); dW may be supplied explicitly
     for coupling experiments and must then have shape (steps, K).
@@ -191,31 +269,10 @@ def simulate_path(
     states = np.empty((cfg.steps + 1, m))
     l_increments = np.empty((cfg.steps, m))
     states[0] = x0
-    x = x0
-    for j in range(cfg.steps):
-        try:
-            x, dL = step_penalized(x, j * cfg.dt, cfg, model, dW[j], noise)
-        except BlowUpError as err:
-            raise BlowUpError(j + 1, (j + 1) * cfg.dt, err.h_norm) from None
-        states[j + 1] = x
-        l_increments[j] = dL
-
-    r = norm_h(space, states)
-    excess = np.maximum(r - 1.0, 0.0)
-    left_r = r[:-1]
-    left_e = excess[:-1]
-    dt = cfg.dt
-    return PathRecord(
-        times=dt * np.arange(cfg.steps + 1),
-        states=states,
-        l_increments=l_increments,
-        int_pen=float(dt * np.sum(left_e)),
-        int_pen_sq=float(dt * np.sum(left_e**2)),
-        # |X|^2 (X, X - pi(X)) = r^3 (r-1)_+ for the radial gap
-        int_weighted_pen=float(dt * np.sum(left_r**3 * left_e)),
-        int_v_energy=float(dt * np.sum(norm_v(space, states[:-1]) ** space.alpha)),
-        sup_h=float(np.max(r)),
-        sup_pen=float(np.max(excess)),
-        n=cfg.n,
-        method=cfg.method,
-    )
+    kernel = _penalized_stack(model, noise, cfg, [cfg.n], x0, dW[None])
+    for j, (x, dL, r, alive) in enumerate(kernel):
+        if not alive[0, 0]:
+            raise BlowUpError(j + 1, (j + 1) * cfg.dt, r[0, 0])
+        states[j + 1] = x[0, 0]
+        l_increments[j] = dL[0, 0]
+    return _path_record(space, cfg, states, l_increments)

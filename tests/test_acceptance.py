@@ -39,7 +39,6 @@ from reflectspde.montecarlo import (
 from reflectspde.penalize import SchemeConfig, simulate_path
 from reflectspde.tamednse import make_tamed_nse
 
-THREADS = 4  # estimator reductions are ordered, so results are thread-count invariant
 DESK_N_GRID = (1.0, 4.0, 16.0, 64.0, 256.0)
 DESK_PATHS = 200
 
@@ -62,17 +61,13 @@ def desk_cfg():
 @pytest.fixture(scope="module")
 def desk_run(ac64, desk_cfg):
     t0 = time.perf_counter()
-    report = run_estimates(
-        ac64.model, None, desk_cfg, DESK_N_GRID, DESK_PATHS, x0=ac64.x0, threads=THREADS
-    )
+    report = run_estimates(ac64.model, None, desk_cfg, DESK_N_GRID, DESK_PATHS, x0=ac64.x0)
     return report, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def desk_cauchy(ac64, desk_cfg):
-    return cauchy_study(
-        ac64.model, None, desk_cfg, DESK_N_GRID, DESK_PATHS, x0=ac64.x0, threads=THREADS
-    )
+    return cauchy_study(ac64.model, None, desk_cfg, DESK_N_GRID, DESK_PATHS, x0=ac64.x0)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +172,6 @@ def test_criterion_03_oracle_equivalence():
         SchemeConfig(dt=1e-4, steps=10_000, n=100.0, seed=3),
         [100.0, 1000.0, 10_000.0],
         500,
-        threads=THREADS,
     )
     sup = sweep.supdiffs()
     elapsed = time.perf_counter() - t0

@@ -191,17 +191,19 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+BLOWUP_CONF = """\
+model.name = oracle_1d
+model.kappa = 1e6
+model.sigma = 0.0
+scheme.dt = 1.0
+scheme.t_final = 3.0
+run.n_grid = 1
+run.paths = 2
+"""
+
+
 def test_exit_code_3_on_blowup_still_writes_reports(tmp_path, capsys):
-    conf = write_conf(
-        tmp_path,
-        "model.name = oracle_1d\n"
-        "model.kappa = 1e6\n"
-        "model.sigma = 0.0\n"
-        "scheme.dt = 1.0\n"
-        "scheme.t_final = 3.0\n"
-        "run.n_grid = 1\n"
-        "run.paths = 2\n",
-    )
+    conf = write_conf(tmp_path, BLOWUP_CONF)
     out = tmp_path / "out"
     assert run_cli(["estimates", "--config", conf, "--out", out]) == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -220,3 +222,34 @@ def test_unknown_subcommand_rejected(tmp_path):
     cfg = load_config(write_conf(tmp_path, ORACLE_CONF))
     with pytest.raises(ConfigError, match="unknown subcommand"):
         run_experiment(cfg, "plot", tmp_path / "out")
+
+
+@pytest.mark.parametrize("subcommand", ["cauchy", "oracle1d"])
+def test_exit_code_3_on_blowup_in_every_study(tmp_path, subcommand):
+    # two levels, because the cauchy study compares consecutive levels
+    conf = write_conf(tmp_path, BLOWUP_CONF.replace("run.n_grid = 1", "run.n_grid = 0.5, 1"))
+    out = tmp_path / "out"
+    assert run_cli([subcommand, "--config", conf, "--out", out]) == 3
+    assert (out / f"{subcommand}.csv").exists()
+
+
+def test_cauchy_needs_two_levels(tmp_path):
+    cfg = load_config(write_conf(tmp_path, BLOWUP_CONF))
+    with pytest.raises(ConfigError, match="run.n_grid"):
+        run_experiment(cfg, "cauchy", tmp_path / "out")
+
+
+def test_ambiguous_horizon_rejected(tmp_path):
+    conf = ORACLE_CONF.replace("scheme.dt      = 0.01", "scheme.dt      = 0.3").replace(
+        "scheme.t_final = 0.5   # 50 steps", "scheme.t_final = 1.0"
+    )
+    cfg = load_config(write_conf(tmp_path, conf))
+    with pytest.raises(ConfigError, match="scheme.t_final"):
+        run_experiment(cfg, "estimates", tmp_path / "out")
+    # 0.2 / 0.001 is 200 up to rounding, and is accepted
+    conf = ORACLE_CONF.replace("scheme.dt      = 0.01", "scheme.dt      = 0.001").replace(
+        "scheme.t_final = 0.5   # 50 steps", "scheme.t_final = 0.2"
+    )
+    cfg = load_config(write_conf(tmp_path, conf, name="ok.conf"))
+    code, _ = run_experiment(cfg, "oracle1d", tmp_path / "ok")
+    assert code == 0

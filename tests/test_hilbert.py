@@ -6,8 +6,6 @@ import pytest
 from reflectspde.errors import ConfigurationError, DimensionMismatchError
 from reflectspde.hilbert import (
     SpaceSpec,
-    SpectralField,
-    distance_to_ball,
     inner_h,
     norm_h,
     norm_v,
@@ -67,7 +65,6 @@ def test_projection_identities_random_batch():
         lhs = r**2 * inner_h(space, x, gap)
         assert np.max(np.abs(lhs - r**3 * excess) / (1.0 + r**3 * excess)) < 1e-12
         assert np.max(np.abs(half_sq - 0.5 * excess**2)) < 1e-12
-        assert np.max(np.abs(distance_to_ball(space, x) - excess)) < 1e-12
 
 
 def test_projection_nonexpansive_and_idempotent():
@@ -133,14 +130,6 @@ def test_v_norm_fn_override():
     x = np.arange(1.0, 6.0)
     assert norm_v(space, x) == pytest.approx(15.0)
     assert np.isnan(space.embedding_const)
-
-
-def test_spectral_field_wrappers():
-    space = unit_space(3)
-    f = SpectralField(np.array([2.0, 0.0, 0.0]), space)
-    assert f.norm_h() == pytest.approx(2.0)
-    assert f.project().norm_h() == pytest.approx(1.0)
-    assert norm_h(space, f.gap()) == pytest.approx(1.0)
 
 
 def test_shape_validation():

@@ -1,0 +1,122 @@
+"""Invariants of the (levels, paths, coeffs) stepping kernel, on generated inputs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reflectspde.errors import ConfigurationError
+from reflectspde.hilbert import norm_h
+from reflectspde.models import make_allen_cahn, make_oracle_1d
+from reflectspde.penalize import (
+    SchemeConfig,
+    _brownian_block,
+    _penalized_stack,
+    brownian_increments,
+    one_step_move,
+    simulate_path,
+    step_penalized,
+)
+
+SETTINGS = settings(max_examples=20, deadline=None)
+
+MODELS = {
+    "oracle": make_oracle_1d(kappa=1.5, sigma=0.6),
+    "allen_cahn": make_allen_cahn(modes=8, mu=1.2),
+}
+
+
+def clamp_reference(kappa, sigma, x0, dW, dt):
+    """Projected Euler for dX = kappa X dt + sigma dW in [-1, 1]."""
+    x = np.empty(dW.shape[0] + 1)
+    x[0] = x0
+    for j, dw in enumerate(dW):
+        x[j + 1] = np.clip(x[j] + dt * kappa * x[j] + sigma * dw, -1.0, 1.0)
+    return x
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(MODELS)),
+    method=st.sampled_from(["explicit", "splitting"]),
+    levels=st.lists(st.sampled_from([0.0, 1.0, 4.0, 16.0, 50.0]), min_size=1, max_size=3),
+    paths=st.integers(1, 3),
+    steps=st.integers(1, 25),
+    seed=st.integers(0, 2**16),
+)
+def test_stack_rows_equal_single_paths(name, method, levels, paths, steps, seed):
+    bundle = MODELS[name]
+    cfg = SchemeConfig(dt=0.02, steps=steps, n=levels[0], method=method, seed=seed)
+    dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
+    kernel = _penalized_stack(bundle.model, None, cfg, levels, bundle.x0, dW)
+    stack = [x for x, _, _, _ in kernel]
+    space = bundle.space
+    for li, n in enumerate(levels):
+        for i in range(paths):
+            rec = simulate_path(bundle.model, cfg.with_n(n), bundle.x0, path_index=i)
+            for j, x in enumerate(stack):
+                ref = rec.states[j + 1]
+                assert norm_h(space, x[li, i] - ref) <= 1e-12 * max(1.0, norm_h(space, ref))
+
+
+@SETTINGS
+@given(
+    radius=st.floats(0.0, 5.0),
+    n=st.one_of(st.floats(0.0, 1e4), st.just(np.inf)),
+    dt=st.floats(1e-4, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_splitting_step_never_overshoots(radius, n, dt, seed):
+    bundle = MODELS["allen_cahn"]
+    space = bundle.space
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal((4, space.n_coeffs))
+    state *= radius / norm_h(space, state)[:, None]
+    dW = np.sqrt(dt) * rng.standard_normal((4, bundle.noise.mode_count))
+    cfg = SchemeConfig(dt=dt, steps=1, n=n, method="splitting")
+    x_tilde = one_step_move(bundle.model, 0.0, dt, state, dW)
+    new, dL = step_penalized(state, 0.0, cfg, bundle.model, dW)
+    r_tilde, r_new = norm_h(space, x_tilde), norm_h(space, new)
+    bound = np.where(r_tilde > 1.0, 1.0 + (r_tilde - 1.0) * np.exp(-n * dt), r_tilde)
+    assert np.all(r_new <= bound * (1.0 + 1e-12))
+    if n == np.inf:
+        assert np.all(r_new <= 1.0 + 1e-12)
+    assert np.allclose(new, x_tilde + dL, rtol=0.0, atol=1e-12 * max(1.0, np.max(r_tilde)))
+
+
+@SETTINGS
+@given(
+    kappa=st.floats(-2.0, 4.0),
+    sigma=st.floats(0.0, 1.5),
+    steps=st.integers(1, 200),
+    seed=st.integers(0, 2**16),
+)
+def test_projection_level_is_the_clamp_scheme(kappa, sigma, steps, seed):
+    bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
+    cfg = SchemeConfig(dt=0.01, steps=steps, n=np.inf, method="splitting", seed=seed)
+    rec = simulate_path(bundle.model, cfg, bundle.x0)
+    dW = brownian_increments(seed, 0, 1, steps, cfg.dt)[:, 0]
+    ref = clamp_reference(kappa, sigma, bundle.x0[0], dW, cfg.dt)
+    assert np.max(np.abs(rec.states[:, 0] - ref)) <= 1e-12
+    free = ref[:-1] + cfg.dt * kappa * ref[:-1] + sigma * dW
+    assert np.max(np.abs(np.abs(rec.l_increments[:, 0]) - np.abs(free - ref[1:]))) <= 1e-12
+
+
+def test_projection_level_needs_splitting():
+    with pytest.raises(ConfigurationError, match="splitting"):
+        SchemeConfig(dt=0.01, steps=10, n=np.inf, method="explicit")
+    assert SchemeConfig(dt=0.01, steps=10, n=np.inf, method="splitting").n == np.inf
+    with pytest.raises(ConfigurationError):
+        SchemeConfig(dt=0.01, steps=10, n=np.nan, method="splitting")
+
+
+def test_dead_rows_are_pinned_per_level():
+    # the outward oracle diverges at the weak level only; the strong level,
+    # on the same noise, keeps its row alive
+    bundle = make_oracle_1d(kappa=1e3, sigma=0.0)
+    cfg = SchemeConfig(dt=1.0, steps=4, n=0.0, method="splitting")
+    dW = np.zeros((2, 4, 1))
+    *_, (x, dL, r, alive) = _penalized_stack(bundle.model, None, cfg, [0.0, 1e3], bundle.x0, dW)
+    assert alive.tolist() == [[False, False], [True, True]]
+    assert np.all(x[0] == 0.0) and np.all(dL[0] == 0.0)
+    assert np.all(np.isfinite(r[1]))

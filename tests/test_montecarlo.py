@@ -1,4 +1,4 @@
-"""Ensemble estimators: frozen degenerate cases, coupling, thread invariance."""
+"""Ensemble estimators: frozen degenerate cases, coupling, failure counting."""
 
 import numpy as np
 import pytest
@@ -154,21 +154,53 @@ def test_ensemble_matches_single_path_statistics():
     )
 
 
-def test_thread_count_does_not_change_results():
+def test_multi_level_run_equals_single_level_runs():
+    # levels share the noise but never each other's state, so stacking them
+    # changes nothing beyond rounding; reruns are bit-identical
     bundle = make_allen_cahn(modes=8, mu=1.2)
     cfg = SchemeConfig(dt=0.01, steps=40, n=4.0, seed=2)
-    kwargs = dict(n_grid=[1.0, 4.0, 16.0], paths=23, x0=bundle.x0)
-    serial = run_estimates(bundle.model, None, cfg, threads=None, **kwargs)
-    threaded = run_estimates(bundle.model, None, cfg, threads=4, **kwargs)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a.as_tuple() == b.as_tuple()
+    grid = [1.0, 4.0, 16.0]
+    stacked = run_estimates(bundle.model, None, cfg, grid, 23, x0=bundle.x0)
+    for row, n in zip(stacked.rows, grid):
+        single = run_estimates(bundle.model, None, cfg, [n], 23, x0=bundle.x0).rows[0]
+        assert np.allclose(row.as_tuple(), single.as_tuple(), rtol=1e-12, atol=0.0)
+    again = run_estimates(bundle.model, None, cfg, grid, 23, x0=bundle.x0)
+    assert [r.as_tuple() for r in again.rows] == [r.as_tuple() for r in stacked.rows]
+    assert np.array_equal(again.cauchy.diffs(), stacked.cauchy.diffs())
+    assert np.array_equal(again.cauchy.ses(), stacked.cauchy.ses())
 
-    c_serial = cauchy_study(bundle.model, None, cfg, [1.0, 4.0, 16.0], 23, x0=bundle.x0)
-    c_threaded = cauchy_study(
-        bundle.model, None, cfg, [1.0, 4.0, 16.0], 23, x0=bundle.x0, threads=3
-    )
-    assert np.array_equal(c_serial.diffs(), c_threaded.diffs())
-    assert np.array_equal(c_serial.ses(), c_threaded.ses())
+    c_study = cauchy_study(bundle.model, None, cfg, grid, 23, x0=bundle.x0)
+    assert np.array_equal(c_study.diffs(), stacked.cauchy.diffs())
+
+
+def test_one_divergence_threshold():
+    # one step to radius ~1e8: below penalize.BLOWUP_NORM = 1e10, so neither
+    # the ensemble nor the single-path stepper counts it as a failure
+    bundle = make_oracle_1d(kappa=2e8, sigma=0.0)
+    cfg = SchemeConfig(dt=1.0, steps=1, n=1.0, seed=0)
+    report = run_estimates(bundle.model, None, cfg, [1.0], paths=2, x0=bundle.x0)
+    assert report.rows[0].failures == 0
+    assert report.rows[0].est_sup4 == pytest.approx((1e8 + 0.5) ** 4, rel=1e-12)
+    rec = simulate_path(bundle.model, cfg, bundle.x0)
+    assert rec.sup_h == pytest.approx(1e8 + 0.5, rel=1e-12)
+
+
+def test_cauchy_drops_a_path_failing_at_any_level():
+    bundle = make_oracle_1d(kappa=1e6, sigma=0.0)
+    cfg = SchemeConfig(dt=1.0, steps=3, n=1.0, seed=0)
+    report = run_estimates(bundle.model, None, cfg, [0.5, 1.0], paths=4, x0=bundle.x0)
+    assert [r.failures for r in report.rows] == [4, 4]
+    assert report.cauchy.failures == 4
+    assert np.isnan(report.cauchy.diffs()[0])
+
+
+def test_oracle_counts_failed_paths():
+    cfg = SchemeConfig(dt=1.0, steps=3, n=1.0, seed=0)
+    report = oracle_compare_1d(1e6, 0.0, cfg, [0.5, 1.0], paths=3)
+    assert report.failures == 6
+    assert np.isnan(report.supdiffs()).all()
+    calm = oracle_compare_1d(1.0, 0.5, SchemeConfig(dt=0.01, steps=20, n=1.0), [1.0], paths=3)
+    assert calm.failures == 0
 
 
 # --------------------------------------------------------------------------
