@@ -44,9 +44,7 @@ from .models import (
     make_p_laplacian,
 )
 from .montecarlo import (
-    CauchyReport,
-    EstimateReport,
-    OracleReport,
+    Report,
     UniquenessReport,
     cauchy_study,
     oracle_compare_1d,
@@ -67,20 +65,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport",
     "BlowUpError",
-    "CauchyReport",
     "ConfigurationError",
     "DimensionMismatchError",
-    "EstimateReport",
     "FieldSampler",
     "ModelBundle",
     "ModelEvaluationError",
     "ModelSpec",
     "NoiseSpec",
-    "OracleReport",
     "PathRecord",
     "REGISTRY",
     "ReflectSPDEError",
     "ReflectionSummary",
+    "Report",
     "SchemeConfig",
     "SpaceSpec",
     "TamedSpec",

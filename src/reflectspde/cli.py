@@ -13,40 +13,44 @@ Config format — one `key = value` per line, `#` comments, blank lines ignored:
     run.n_grid     = 1,4,16,64,256
     run.paths      = 200
 
-Every run writes the requested CSVs plus ``manifest.json`` recording the
-config hash, effective seed, and per-artifact SHA-256 checksums.  Artifacts
-are byte-identical across reruns (reduction order is fixed).  ``--threads``
-and ``REFLECTSPDE_THREADS`` are still accepted and validated, but have no
+Each study returns one `montecarlo.Report`; a run writes ``<study>.csv``
+for each study it ran, plus ``manifest.json`` recording the config hash,
+effective seed, and per-artifact SHA-256 checksums.  Artifacts are
+byte-identical across reruns (reduction order is fixed).  ``--threads`` and
+``REFLECTSPDE_THREADS`` are still accepted and validated, but have no
 effect: every study runs in one thread.  ``all`` simulates the estimates
 ensemble once and writes both ``estimates.csv`` and ``cauchy.csv`` from it.
+Counts are checked before any study starts, and must be usable
+(``run.paths >= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0``
+with 0 meaning ``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a failed
-path in any study; whatever reports were computed are still written).
+path in any study; every report is still written, and each failing study
+gets one stderr line ``numerical failure: <study>: <k> failed paths``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BlowUpError, ReflectSPDEError
 from .hypotheses import run_all_audits
 from .localtime import inequality_study
 from .models import REGISTRY, ModelBundle, build_model
-from .montecarlo import oracle_compare_1d, run_estimates, write_csv
+from .montecarlo import Report, oracle_compare_1d, run_estimates
 from .penalize import SchemeConfig
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "main"]
 
 SUBCOMMANDS = ("estimates", "cauchy", "inequality", "hypotheses", "oracle1d", "all")
-
-INEQUALITY_HEADER = ("n", "path_index", "total_variation", "min_gap", "boundary_leak")
-HYPOTHESES_HEADER = ("hypothesis", "margin", "constant", "seed")
 
 # master schema: dotted key -> (type caster, default); None default = required
 # or builder-defaulted.
@@ -250,90 +254,98 @@ def _n_grid(config: ExperimentConfig) -> list[float]:
     return grid
 
 
+def _count(config: ExperimentConfig, key: str, least: int, default=None) -> int:
+    value = config.require(key) if default is None else config.get(key, default)
+    if value < least:
+        raise ConfigError(f"{key}: must be >= {least}, got {value}")
+    return value
+
+
+class AuditRow(NamedTuple):
+    hypothesis: str
+    margin: float
+    constant: float
+    seed: int
+
+
+def _studies(config: ExperimentConfig, wanted, seed, effective_seed) -> dict:
+    """Each wanted task's study as a call, built after the bundle, the scheme
+    and every count the task reads are checked.
+
+    The bundle and the scheme are built at most once: `hypotheses` reads no
+    scheme.* key and `oracle1d` no model.* key.
+    """
+    stepping = [t for t in wanted if t != "hypotheses"]
+    n_grid = _n_grid(config) if stepping else None
+    if "cauchy" in wanted and len(n_grid) < 2:
+        raise ConfigError("run.n_grid: the cauchy study needs at least 2 levels")
+    bundle = _build_bundle(config) if any(t != "oracle1d" for t in wanted) else None
+    cfg = _build_scheme(config, seed, n_grid) if stepping else None
+
+    studies = {}
+    if "estimates" in wanted or "cauchy" in wanted:
+        paths = _count(config, "run.paths", 2)
+
+        @functools.cache
+        def ensemble():  # one simulated ensemble serves estimates and cauchy
+            return run_estimates(bundle.model, cfg, n_grid, paths, x0=bundle.x0)
+
+        studies["estimates"] = lambda: ensemble()[0]
+        studies["cauchy"] = lambda: ensemble()[1]
+    if "inequality" in wanted:
+        kwargs = dict(
+            paths=_count(config, "run.ineq_paths", 1, 3),
+            test_count=_count(config, "run.test_paths", 1, 200),
+            delta=float(config.get("run.delta", 0.1)),
+        )
+        studies["inequality"] = lambda: inequality_study(
+            bundle.model, cfg, bundle.x0, n_grid, **kwargs
+        )
+    if "hypotheses" in wanted:
+        count = _count(config, "run.samples", 1, 1000)
+        h1_count = _count(config, "run.h1_samples", 0, 0) or None  # 0: use run.samples
+
+        def audits():
+            reports = run_all_audits(
+                bundle.model, seed=effective_seed, count=count, h1_count=h1_count
+            )
+            rows = [AuditRow(r.hypothesis, r.worst_margin, r.constant, int(r.seed)) for r in reports]
+            return Report(tuple(rows), 0)
+
+        studies["hypotheses"] = audits
+    if "oracle1d" in wanted:
+        if config.get("model.name") == "oracle_1d":
+            kappa = float(config.get("model.kappa", 0.5))
+            sigma = float(config.get("model.sigma", 0.5))
+        else:
+            kappa = float(config.get("oracle.kappa", 1.0))
+            sigma = float(config.get("oracle.sigma", 0.5))
+        paths = _count(config, "run.paths", 2)
+        studies["oracle1d"] = lambda: oracle_compare_1d(kappa, sigma, cfg, n_grid, paths)
+    return {task: studies[task] for task in wanted}
+
+
 def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None):
-    """Run one subcommand; returns (exit_code, artifact paths)."""
+    """Run one subcommand; returns (exit_code, artifact paths).
+
+    Every study writes `<study>.csv` and reports its failed paths; each
+    study with failures gets one line on stderr.
+    """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
+    wanted = SUBCOMMANDS[:-1] if subcommand == "all" else (subcommand,)
+    effective_seed = int(seed if seed is not None else config.get("scheme.seed", 0))
+    studies = _studies(config, wanted, seed, effective_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    wanted = SUBCOMMANDS[:-1] if subcommand == "all" else (subcommand,)
     artifacts: list[Path] = []
-    failures = 0
-    effective_seed = int(seed if seed is not None else config.get("scheme.seed", 0))
-    if "cauchy" in wanted and len(_n_grid(config)) < 2:
-        raise ConfigError("run.n_grid: the cauchy study needs at least 2 levels")
-    ensemble = None  # one simulated ensemble serves estimates and cauchy
-
-    for task in wanted:
-        if task in ("estimates", "cauchy"):
-            if ensemble is None:
-                n_grid = _n_grid(config)
-                bundle = _build_bundle(config)
-                cfg = _build_scheme(config, seed, n_grid)
-                ensemble = run_estimates(
-                    bundle.model,
-                    None,
-                    cfg,
-                    n_grid,
-                    int(config.require("run.paths")),
-                    x0=bundle.x0,
-                )
-            if task == "estimates":
-                report = ensemble
-                failures += int(sum(r.failures for r in report.rows))
-            else:
-                report = ensemble.cauchy
-                failures += report.failures
-            path = out / f"{task}.csv"
-            report.to_csv(path)
-            artifacts.append(path)
-        elif task == "inequality":
-            bundle = _build_bundle(config)
-            n_grid = _n_grid(config)
-            cfg = _build_scheme(config, seed, n_grid)
-            rows, failed = inequality_study(
-                bundle.model,
-                None,
-                cfg,
-                bundle.x0,
-                n_grid,
-                paths=int(config.get("run.ineq_paths", 3)),
-                test_count=int(config.get("run.test_paths", 200)),
-                delta=float(config.get("run.delta", 0.1)),
-            )
-            path = out / "inequality.csv"
-            write_csv(path, INEQUALITY_HEADER, [(n, int(i), tv, g, lk) for n, i, tv, g, lk in rows])
-            artifacts.append(path)
-            failures += failed
-        elif task == "hypotheses":
-            bundle = _build_bundle(config)
-            reports = run_all_audits(
-                bundle.model,
-                seed=effective_seed,
-                count=int(config.get("run.samples", 1000)),
-                h1_count=int(config.get("run.h1_samples", 0)) or None,
-            )
-            path = out / "hypotheses.csv"
-            write_csv(
-                path,
-                HYPOTHESES_HEADER,
-                [(r.hypothesis, r.worst_margin, r.constant, int(r.seed)) for r in reports],
-            )
-            artifacts.append(path)
-        elif task == "oracle1d":
-            n_grid = _n_grid(config)
-            cfg = _build_scheme(config, seed, n_grid)
-            if config.get("model.name") == "oracle_1d":
-                kappa = float(config.get("model.kappa", 0.5))
-                sigma = float(config.get("model.sigma", 0.5))
-            else:
-                kappa = float(config.get("oracle.kappa", 1.0))
-                sigma = float(config.get("oracle.sigma", 0.5))
-            report = oracle_compare_1d(kappa, sigma, cfg, n_grid, int(config.require("run.paths")))
-            path = out / "oracle1d.csv"
-            report.to_csv(path)
-            artifacts.append(path)
-            failures += report.failures
+    failures = {}
+    for task, study in studies.items():
+        report = study()
+        path = out / f"{task}.csv"
+        report.to_csv(path)
+        artifacts.append(path)
+        failures[task] = report.failures
 
     manifest = {
         "config_sha256": hashlib.sha256(config.raw_bytes).hexdigest(),
@@ -346,7 +358,10 @@ def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     artifacts.append(manifest_path)
-    return (3 if failures else 0), artifacts
+    for task, k in failures.items():
+        if k:
+            print(f"numerical failure: {task}: {k} failed paths", file=sys.stderr)
+    return (3 if any(failures.values()) else 0), artifacts
 
 
 def main(argv=None) -> int:
@@ -383,9 +398,6 @@ def main(argv=None) -> int:
     except ReflectSPDEError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if code == 3:
-        print("numerical failure: some paths blew up; reports written with failure counts",
-              file=sys.stderr)
     return code
 
 

@@ -10,11 +10,13 @@ sums use left endpoints, matching the stepper's quadrature convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .hilbert import SpaceSpec, norm_h
+from .montecarlo import Report
 from .penalize import PathRecord, _brownian_block, _path_record, _penalized_stack
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "boundary_leak",
     "make_test_paths",
     "summarize",
+    "InequalityRow",
     "inequality_study",
 ]
 
@@ -148,9 +151,16 @@ def summarize(
     )
 
 
+class InequalityRow(NamedTuple):
+    n: float
+    path_index: int
+    total_variation: float
+    min_gap: float
+    boundary_leak: float
+
+
 def inequality_study(
     model,
-    noise,
     cfg,
     x0: np.ndarray,
     n_grid,
@@ -159,31 +169,31 @@ def inequality_study(
     test_count: int = 200,
     delta: float = 0.1,
     test_seed: int | None = None,
-):
+) -> Report:
     """Variational-gap and boundary-leak table over a penalization grid.
 
     Simulates every level n and path index in one coupled ensemble (the
-    noise of path i is shared by all levels) and reports
-    (n, path_index, total_variation, min over the seeded test-path family of
-    the variational gap, boundary_leak at delta).  A path that blows up
-    yields a NaN row and counts as a failure.  Returns (rows, failures).
+    noise of path i is shared by all levels) and reports, per level and
+    path, the total variation of L^n, the minimum over the seeded test-path
+    family of the variational gap, and the boundary leak at delta.  A path
+    that blows up yields a NaN row and counts as a failure.
     """
     space = model.space
-    src_noise = model.noise if noise is None else noise
     n_grid = [float(n) for n in n_grid]
     if not n_grid:
         raise ConfigurationError("n_grid must be nonempty")
+    if paths < 1:
+        raise ConfigurationError("paths must be >= 1")
     x0 = space.check_coeffs(np.asarray(x0, dtype=float))
     times = np.arange(cfg.steps + 1) * cfg.dt
     seed = cfg.seed if test_seed is None else test_seed
     tests = make_test_paths(space, seed, test_count, times)
 
-    dW = _brownian_block(cfg.seed, paths, src_noise.mode_count, cfg.steps, cfg.dt)
+    dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
     states = np.empty((cfg.steps + 1, len(n_grid), paths, space.n_coeffs))
     l_increments = np.empty((cfg.steps,) + states.shape[1:])
     states[0] = x0
-    kernel = _penalized_stack(model, src_noise, cfg, n_grid, x0, dW)
-    for j, (x, dL, _, alive) in enumerate(kernel):
+    for j, (x, dL, _, alive) in enumerate(_penalized_stack(model, cfg, n_grid, x0, dW)):
         states[j + 1] = x
         l_increments[j] = dL
 
@@ -191,7 +201,7 @@ def inequality_study(
     for li, n in enumerate(n_grid):
         for i in range(paths):
             if not alive[li, i]:
-                rows.append((n, i, float("nan"), float("nan"), float("nan")))
+                rows.append(InequalityRow(n, i, float("nan"), float("nan"), float("nan")))
                 continue
             rec = _path_record(
                 space, cfg.with_n(n), states[:, li, i], l_increments[:, li, i]
@@ -199,5 +209,5 @@ def inequality_study(
             tv = total_variation(space, rec)
             min_gap = min(variational_gap(space, rec, phi) for phi in tests)
             leak = boundary_leak(space, rec, delta)
-            rows.append((n, i, tv, min_gap, leak))
-    return rows, int(np.count_nonzero(~alive))
+            rows.append(InequalityRow(n, i, tv, min_gap, leak))
+    return Report(tuple(rows), int(np.count_nonzero(~alive)))

@@ -23,21 +23,28 @@ Determinism: every reduction runs in a fixed order, so results are
 byte-identical across reruns.  Standard errors are the standard deviation
 of the means of at most 10 contiguous path slices over sqrt(#slices).
 
+Reports: every study returns a `Report` (rows, failures).  The rows are
+NamedTuples of one row type, whose field names are the CSV header and whose
+values are the CSV record.  `run_estimates` returns the pair (estimates,
+cauchy) from its one ensemble.
+
 A path whose state turns non-finite or leaves |x|_H <= penalize.BLOWUP_NORM
 (1e10) at some level is counted as a failure at that level, pinned to zero,
-and excluded from that level's statistics.  The Cauchy study compares levels
-pathwise, so it drops a path from every gap when it fails at any level, and
-its report counts the dropped paths.
+and excluded from that level's statistics; a level whose paths all fail gets
+NaN cells.  The Cauchy study compares levels pathwise, so it drops a path
+from every gap when it fails at any level, and its report counts the
+dropped paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .hilbert import norm_h, norm_v
-from .models import ModelSpec, NoiseSpec, make_oracle_1d
+from .models import ModelSpec, make_oracle_1d
 from .penalize import (
     SchemeConfig,
     _brownian_block,
@@ -47,13 +54,11 @@ from .penalize import (
 )
 
 __all__ = [
+    "Report",
     "EstimateRow",
-    "EstimateReport",
     "CauchyRow",
-    "CauchyReport",
-    "UniquenessReport",
     "OracleRow",
-    "OracleReport",
+    "UniquenessReport",
     "run_estimates",
     "cauchy_study",
     "uniqueness_check",
@@ -69,7 +74,7 @@ _MAX_BATCHES = 10
 
 
 # --------------------------------------------------------------------------
-# CSV plumbing (shared by the report types and the CLI)
+# CSV plumbing
 
 
 def format_value(x) -> str:
@@ -92,11 +97,30 @@ def write_csv(path, header, rows) -> None:
 
 
 # --------------------------------------------------------------------------
-# report types
+# report types: each row type's fields are its CSV header, and a row is its
+# own CSV record
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class Report(NamedTuple):
+    """A study's table and its failure count.
+
+    rows holds records of one row type; failures counts the failed paths the
+    study excluded (for a per-level table, the failed (level, path) pairs).
+    """
+
+    rows: tuple
+    failures: int
+
+    def column(self, name: str) -> np.ndarray:
+        return np.array([getattr(r, name) for r in self.rows])
+
+    def to_csv(self, path) -> None:
+        if not self.rows:
+            raise ValueError("an empty table has no row type to take its header from")
+        write_csv(path, self.rows[0]._fields, self.rows)
+
+
+class EstimateRow(NamedTuple):
     n: float
     est_sup4: float
     se_sup4: float
@@ -112,107 +136,15 @@ class EstimateRow:
     se_pen_sup4: float
     failures: int
 
-    def as_tuple(self):
-        return (
-            self.n,
-            self.est_sup4,
-            self.se_sup4,
-            self.est_weighted_pen,
-            self.se_weighted_pen,
-            self.est_var2,
-            self.se_var2,
-            self.est_pen_l2,
-            self.se_pen_l2,
-            self.est_v_energy,
-            self.se_v_energy,
-            self.est_pen_sup4,
-            self.se_pen_sup4,
-            self.failures,
-        )
 
-
-ESTIMATES_HEADER = (
-    "n",
-    "est_sup4",
-    "se_sup4",
-    "est_weighted_pen",
-    "se_weighted_pen",
-    "est_var2",
-    "se_var2",
-    "est_pen_l2",
-    "se_pen_l2",
-    "est_v_energy",
-    "se_v_energy",
-    "est_pen_sup4",
-    "se_pen_sup4",
-    "failures",
-)
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    rows: tuple[EstimateRow, ...]
-    cauchy: CauchyReport  # consecutive-level gaps of the same ensemble
-
-    header = ESTIMATES_HEADER
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.header, [r.as_tuple() for r in self.rows])
-
-
-CAUCHY_HEADER = ("n_lo", "n_hi", "est_supdiff2", "se")
-
-
-@dataclass(frozen=True)
-class CauchyRow:
+class CauchyRow(NamedTuple):
     n_lo: float
     n_hi: float
     est_supdiff2: float
     se: float
 
 
-@dataclass(frozen=True)
-class CauchyReport:
-    rows: tuple[CauchyRow, ...]
-    failures: int  # paths dropped from every gap for failing at some level
-
-    header = CAUCHY_HEADER
-
-    def diffs(self) -> np.ndarray:
-        return np.array([r.est_supdiff2 for r in self.rows])
-
-    def ses(self) -> np.ndarray:
-        return np.array([r.se for r in self.rows])
-
-    def to_csv(self, path) -> None:
-        write_csv(
-            path, self.header, [(r.n_lo, r.n_hi, r.est_supdiff2, r.se) for r in self.rows]
-        )
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    perturbation: float
-    sup_diff: float
-    terminal_diff: float
-    stability_factor: float  # sup_diff / perturbation (0 when perturbation is 0)
-
-
-ORACLE_HEADER = (
-    "n",
-    "est_supdiff",
-    "se_supdiff",
-    "est_tv_diff",
-    "se_tv_diff",
-    "est_terminal_diff",
-)
-
-
-@dataclass(frozen=True)
-class OracleRow:
+class OracleRow(NamedTuple):
     n: float
     est_supdiff: float
     se_supdiff: float
@@ -222,24 +154,11 @@ class OracleRow:
 
 
 @dataclass(frozen=True)
-class OracleReport:
-    rows: tuple[OracleRow, ...]
-    failures: int  # failed (level, path) pairs
-
-    header = ORACLE_HEADER
-
-    def supdiffs(self) -> np.ndarray:
-        return np.array([r.est_supdiff for r in self.rows])
-
-    def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            self.header,
-            [
-                (r.n, r.est_supdiff, r.se_supdiff, r.est_tv_diff, r.se_tv_diff, r.est_terminal_diff)
-                for r in self.rows
-            ],
-        )
+class UniquenessReport:
+    perturbation: float
+    sup_diff: float
+    terminal_diff: float
+    stability_factor: float  # sup_diff / perturbation (0 when perturbation is 0)
 
 
 # --------------------------------------------------------------------------
@@ -274,23 +193,22 @@ def _mean_and_se(values: np.ndarray, alive: np.ndarray, slices: list[np.ndarray]
 
 def run_estimates(
     model: ModelSpec,
-    noise: NoiseSpec | None,
     cfg: SchemeConfig,
     n_grid,
     paths: int,
     *,
     x0: np.ndarray,
-) -> EstimateReport:
+) -> tuple[Report, Report]:
     """Moment/variation estimators over a penalization grid on coupled noise,
-    together with the consecutive-level Cauchy gaps of the same ensemble."""
-    noise = model.noise if noise is None else noise
+    and the consecutive-level Cauchy gaps of the same ensemble: returns the
+    pair (estimates, cauchy)."""
     n_grid = [float(n) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
     slices = _batches(paths)
     space = model.space
     x0 = space.check_coeffs(x0)
-    dW = _brownian_block(cfg.seed, paths, noise.mode_count, cfg.steps, cfg.dt)
+    dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
 
     shape = (len(n_grid), paths)
     radii = np.empty((cfg.steps + 1,) + shape)
@@ -298,8 +216,9 @@ def run_estimates(
     radii[0] = norm_h(space, x0)
     v_energy[0] = norm_v(space, x0) ** model.alpha
     sup_diff = np.zeros((len(n_grid) - 1, paths))
-    kernel = _penalized_stack(model, noise, cfg, n_grid, x0, dW)
-    for j, (states, _dL, r, alive) in enumerate(kernel, start=1):
+    for j, (states, _dL, r, alive) in enumerate(
+        _penalized_stack(model, cfg, n_grid, x0, dW), start=1
+    ):
         radii[j] = r
         v_energy[j] = norm_v(space, states) ** model.alpha
         sup_diff = np.maximum(sup_diff, norm_h(space, states[:-1] - states[1:]))
@@ -309,58 +228,47 @@ def run_estimates(
     rows = []
     for i, n in enumerate(n_grid):
         ok = alive[i]
-        est_sup4, se_sup4 = _mean_and_se(totals["sup_h"][i] ** 4, ok, slices)
-        w_est, w_se = _mean_and_se(totals["int_weighted_pen"][i], ok, slices)
-        v2_est, v2_se = _mean_and_se((n * totals["int_pen"][i]) ** 2, ok, slices)
-        l2_est, l2_se = _mean_and_se(totals["int_pen_sq"][i], ok, slices)
-        ve_est, ve_se = _mean_and_se(totals["int_v_energy"][i], ok, slices)
-        ps_est, ps_se = _mean_and_se(totals["sup_pen"][i] ** 4, ok, slices)
-        rows.append(
-            EstimateRow(
-                n=n,
-                est_sup4=est_sup4,
-                se_sup4=se_sup4,
-                est_weighted_pen=n * w_est,
-                se_weighted_pen=n * w_se,
-                est_var2=v2_est,
-                se_var2=v2_se,
-                est_pen_l2=n * l2_est,
-                se_pen_l2=n * l2_se,
-                est_v_energy=ve_est,
-                se_v_energy=ve_se,
-                est_pen_sup4=ps_est,
-                se_pen_sup4=ps_se,
-                failures=int(np.count_nonzero(~ok)),
-            )
-        )
+        cells = {"n": n, "failures": int(np.count_nonzero(~ok))}
+        for column, values, scale in (
+            ("sup4", totals["sup_h"][i] ** 4, 1.0),
+            ("weighted_pen", totals["int_weighted_pen"][i], n),
+            ("var2", (n * totals["int_pen"][i]) ** 2, 1.0),
+            ("pen_l2", totals["int_pen_sq"][i], n),
+            ("v_energy", totals["int_v_energy"][i], 1.0),
+            ("pen_sup4", totals["sup_pen"][i] ** 4, 1.0),
+        ):
+            est, se = _mean_and_se(values, ok, slices)
+            cells[f"est_{column}"], cells[f"se_{column}"] = scale * est, scale * se
+        rows.append(EstimateRow(**cells))
+    estimates = Report(tuple(rows), int(np.count_nonzero(~alive)))
 
     coupled = np.all(alive, axis=0)
     gaps = []
     for i in range(len(n_grid) - 1):
         est, se = _mean_and_se(sup_diff[i] ** 2, coupled, slices)
-        gaps.append(CauchyRow(n_lo=n_grid[i], n_hi=n_grid[i + 1], est_supdiff2=est, se=se))
-    cauchy = CauchyReport(rows=tuple(gaps), failures=int(np.count_nonzero(~coupled)))
-    return EstimateReport(rows=tuple(rows), cauchy=cauchy)
+        gaps.append(CauchyRow(n_grid[i], n_grid[i + 1], est, se))
+    return estimates, Report(tuple(gaps), int(np.count_nonzero(~coupled)))
 
 
 def cauchy_study(
     model: ModelSpec,
-    noise: NoiseSpec | None,
     cfg: SchemeConfig,
     n_grid,
     paths: int,
     *,
     x0: np.ndarray,
-) -> CauchyReport:
-    """E[sup_t |X^n_lo - X^n_hi|_H^2] for consecutive levels on coupled noise."""
+) -> Report:
+    """E[sup_t |X^n_lo - X^n_hi|_H^2] for consecutive levels on coupled noise.
+
+    Its failures are the paths dropped from every gap for failing at some
+    level."""
     if len(n_grid) < 2:
         raise ValueError("cauchy study needs at least 2 penalization levels")
-    return run_estimates(model, noise, cfg, n_grid, paths, x0=x0).cauchy
+    return run_estimates(model, cfg, n_grid, paths, x0=x0)[1]
 
 
 def uniqueness_check(
     model: ModelSpec,
-    noise: NoiseSpec | None,
     cfg: SchemeConfig,
     x0: np.ndarray,
     perturbation: float,
@@ -368,7 +276,6 @@ def uniqueness_check(
     """Two runs on identical noise, initial states `perturbation` apart in H."""
     if perturbation < 0:
         raise ValueError("perturbation must be nonnegative")
-    noise = model.noise if noise is None else noise
     space = model.space
     x0 = space.check_coeffs(x0)
     r0 = float(norm_h(space, x0))
@@ -380,8 +287,8 @@ def uniqueness_check(
         e0 = np.zeros_like(x0)
         e0[0] = perturbation / np.sqrt(space.h_weights[0])
         x0_other = e0
-    first = simulate_path(model, cfg, x0, noise=noise, path_index=0)
-    second = simulate_path(model, cfg, x0_other, noise=noise, path_index=0)
+    first = simulate_path(model, cfg, x0, path_index=0)
+    second = simulate_path(model, cfg, x0_other, path_index=0)
     diff = norm_h(space, first.states - second.states)
     sup_diff = float(np.max(diff))
     terminal = float(diff[-1])
@@ -404,8 +311,10 @@ def oracle_compare_1d(
     cfg: SchemeConfig,
     n_grid,
     paths: int,
-) -> OracleReport:
-    """Penalized scalar runs vs the projection scheme on the same noise."""
+) -> Report:
+    """Penalized scalar runs vs the projection scheme on the same noise.
+
+    Its failures are the failed (level, path) pairs."""
     n_grid = [float(n) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
@@ -419,8 +328,8 @@ def oracle_compare_1d(
     tv_pen = np.zeros((len(n_grid), paths))
     tv_or = np.zeros((1, paths))
     for (x, dl, _, alive), (y, dl_or, _, alive_or) in zip(
-        _penalized_stack(model, None, cfg, n_grid, x0, dW),
-        _penalized_stack(model, None, projection, [np.inf], x0, dW),
+        _penalized_stack(model, cfg, n_grid, x0, dW),
+        _penalized_stack(model, projection, [np.inf], x0, dW),
     ):
         tv_pen += np.abs(dl[..., 0])
         tv_or += np.abs(dl_or[..., 0])
@@ -434,17 +343,8 @@ def oracle_compare_1d(
         sd_est, sd_se = _mean_and_se(sup_diff[i], alive[i], slices)
         tv_est, tv_se = _mean_and_se(tv_diff[i], alive[i], slices)
         term_est, _ = _mean_and_se(terminal[i], alive[i], slices)
-        rows.append(
-            OracleRow(
-                n=n,
-                est_supdiff=sd_est,
-                se_supdiff=sd_se,
-                est_tv_diff=tv_est,
-                se_tv_diff=tv_se,
-                est_terminal_diff=term_est,
-            )
-        )
-    return OracleReport(rows=tuple(rows), failures=int(np.count_nonzero(~alive)))
+        rows.append(OracleRow(n, sd_est, sd_se, tv_est, tv_se, term_est))
+    return Report(tuple(rows), int(np.count_nonzero(~alive)))
 
 
 # --------------------------------------------------------------------------

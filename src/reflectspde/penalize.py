@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
 from .hilbert import SpaceSpec, norm_h, norm_v, penalty_gap
-from .models import ModelSpec, NoiseSpec, apply_noise
+from .models import ModelSpec, apply_noise
 
 __all__ = [
     "SchemeConfig",
@@ -136,7 +136,6 @@ def one_step_move(
     dt: float,
     state: np.ndarray,
     dW: np.ndarray,
-    noise: NoiseSpec | None = None,
 ) -> np.ndarray:
     """Drift+noise move (no penalty): the x-tilde of the splitting stepper."""
     state = np.asarray(state, dtype=float)
@@ -145,7 +144,7 @@ def one_step_move(
         drift_incr = damp * (state + dt * model.nonstiff_drift(t, state)) - state
     else:
         drift_incr = dt * model.state_rhs(t, state)
-    return state + drift_incr + apply_noise(noise or model.noise, state, dW)
+    return state + drift_incr + apply_noise(model.noise, state, dW)
 
 
 def step_penalized(
@@ -154,7 +153,6 @@ def step_penalized(
     cfg: SchemeConfig,
     model: ModelSpec,
     dW: np.ndarray,
-    noise: NoiseSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one step; returns (state', dL).
 
@@ -163,7 +161,7 @@ def step_penalized(
     step for every row.
     """
     space = model.space
-    x_tilde = one_step_move(model, t, cfg.dt, state, dW, noise)
+    x_tilde = one_step_move(model, t, cfg.dt, state, dW)
     rate = np.multiply(cfg.n, cfg.dt)
     if cfg.method == "explicit":
         gap, _ = penalty_gap(space, state)
@@ -178,7 +176,7 @@ def step_penalized(
     return new, dL
 
 
-def _penalized_stack(model, noise, cfg, levels, x0, dW):
+def _penalized_stack(model, cfg, levels, x0, dW):
     """Step an (L, M, m) stack of levels x paths x coefficients from x0.
 
     Every level reads the same Brownian block dW (M, steps, K), the
@@ -195,7 +193,7 @@ def _penalized_stack(model, noise, cfg, levels, x0, dW):
     alive = np.ones(states.shape[:-1], dtype=bool)
     for j in range(cfg.steps):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            states, dL = step_penalized(states, j * cfg.dt, stack_cfg, model, dW[:, j], noise)
+            states, dL = step_penalized(states, j * cfg.dt, stack_cfg, model, dW[:, j])
             r = norm_h(space, states)
         # a non-finite coefficient makes r inf or NaN, and NaN compares False
         alive = alive & (r <= BLOWUP_NORM)
@@ -241,7 +239,6 @@ def simulate_path(
     model: ModelSpec,
     cfg: SchemeConfig,
     x0: np.ndarray,
-    noise: NoiseSpec | None = None,
     path_index: int = 0,
     dW: np.ndarray | None = None,
 ) -> PathRecord:
@@ -251,25 +248,23 @@ def simulate_path(
     for coupling experiments and must then have shape (steps, K).
     """
     space = model.space
-    noise = noise or model.noise
+    k = model.noise.mode_count
     x0 = space.check_coeffs(np.asarray(x0, dtype=float))
     if x0.ndim != 1:
         raise ConfigurationError("simulate_path takes a single initial state")
     if norm_h(space, x0) > 1.0 + 1e-12:
         raise ConfigurationError("initial state must lie in the closed unit ball")
     if dW is None:
-        dW = brownian_increments(cfg.seed, path_index, noise.mode_count, cfg.steps, cfg.dt)
+        dW = brownian_increments(cfg.seed, path_index, k, cfg.steps, cfg.dt)
     dW = np.asarray(dW, dtype=float)
-    if dW.shape != (cfg.steps, noise.mode_count):
-        raise ConfigurationError(
-            f"dW must have shape {(cfg.steps, noise.mode_count)}, got {dW.shape}"
-        )
+    if dW.shape != (cfg.steps, k):
+        raise ConfigurationError(f"dW must have shape {(cfg.steps, k)}, got {dW.shape}")
 
     m = space.n_coeffs
     states = np.empty((cfg.steps + 1, m))
     l_increments = np.empty((cfg.steps, m))
     states[0] = x0
-    kernel = _penalized_stack(model, noise, cfg, [cfg.n], x0, dW[None])
+    kernel = _penalized_stack(model, cfg, [cfg.n], x0, dW[None])
     for j, (x, dL, r, alive) in enumerate(kernel):
         if not alive[0, 0]:
             raise BlowUpError(j + 1, (j + 1) * cfg.dt, r[0, 0])

@@ -28,7 +28,6 @@ from reflectspde.hypotheses import constant_stability, run_all_audits
 from reflectspde.localtime import inequality_study, variational_gap
 from reflectspde.models import make_allen_cahn, make_oracle_1d, make_p_laplacian
 from reflectspde.montecarlo import (
-    cauchy_study,
     count_inversions,
     max_min_ratio,
     oracle_compare_1d,
@@ -59,21 +58,29 @@ def desk_cfg():
 
 
 @pytest.fixture(scope="module")
-def desk_run(ac64, desk_cfg):
+def desk_ensemble(ac64, desk_cfg):
+    # one simulated ensemble gives both the estimates and the Cauchy gaps
     t0 = time.perf_counter()
-    report = run_estimates(ac64.model, None, desk_cfg, DESK_N_GRID, DESK_PATHS, x0=ac64.x0)
-    return report, time.perf_counter() - t0
+    reports = run_estimates(ac64.model, desk_cfg, DESK_N_GRID, DESK_PATHS, x0=ac64.x0)
+    return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def desk_cauchy(ac64, desk_cfg):
-    return cauchy_study(ac64.model, None, desk_cfg, DESK_N_GRID, DESK_PATHS, x0=ac64.x0)
+def desk_run(desk_ensemble):
+    (estimates, _), elapsed = desk_ensemble
+    return estimates, elapsed
+
+
+@pytest.fixture(scope="module")
+def desk_cauchy(desk_ensemble):
+    (_, cauchy), _ = desk_ensemble
+    return cauchy
 
 
 @pytest.fixture(scope="module")
 def desk_inequality(ac64, desk_cfg):
     return inequality_study(
-        ac64.model, None, desk_cfg, ac64.x0, DESK_N_GRID, paths=3, test_count=200, delta=0.1
+        ac64.model, desk_cfg, ac64.x0, DESK_N_GRID, paths=3, test_count=200, delta=0.1
     )
 
 
@@ -173,7 +180,7 @@ def test_criterion_03_oracle_equivalence():
         [100.0, 1000.0, 10_000.0],
         500,
     )
-    sup = sweep.supdiffs()
+    sup = sweep.column("est_supdiff")
     elapsed = time.perf_counter() - t0
     ok = terminal_err <= 2e-3 and sup[0] > sup[1] > sup[2] and elapsed < 120.0
     verdict(
@@ -245,8 +252,8 @@ def test_criterion_06_penetration_decay(desk_run):
 
 
 def test_criterion_07_cauchy_contraction(desk_cauchy):
-    diffs = desk_cauchy.diffs()
-    ses = desk_cauchy.ses()
+    diffs = desk_cauchy.column("est_supdiff2")
+    ses = desk_cauchy.column("se")
     decreasing = trend_decreasing(diffs, ses, allowed_inversions=1)
     ok = decreasing and diffs[-1] < diffs[0] / 4.0
     verdict(
@@ -309,14 +316,14 @@ def test_criterion_09_boundary_support(desk_inequality):
 
 def test_criterion_10_uniqueness(ac64):
     cfg = SchemeConfig(dt=1e-3, steps=500, n=64.0, seed=5)
-    twin = uniqueness_check(ac64.model, None, cfg, ac64.x0, 0.0)
+    twin = uniqueness_check(ac64.model, cfg, ac64.x0, 0.0)
 
     # contracting scalar drift, no boundary contact: difference obeys the
     # exact linear recursion diff_{j+1} = (1 - 0.5*dt) * diff_j
     orc = make_oracle_1d(kappa=-0.5, sigma=0.0)
     cfg1 = SchemeConfig(dt=1e-3, steps=1000, n=100.0, seed=5)
     pert = 1e-3
-    rep = uniqueness_check(orc.model, None, cfg1, orc.x0, pert)
+    rep = uniqueness_check(orc.model, cfg1, orc.x0, pert)
     exact_terminal = pert * (1.0 - 0.5 * cfg1.dt) ** cfg1.steps
     term_err = abs(rep.terminal_diff - exact_terminal)
     sup_err = abs(rep.sup_diff - pert)

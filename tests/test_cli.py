@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectspde.cli import (
+    _INT,
+    _SCHEMA,
     ConfigError,
     load_config,
     main,
@@ -54,6 +59,98 @@ def test_parse_config_text_diagnostics():
         parse_config_text("a.b = 1\nno equals sign here\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("a.b = 1\na.b = 2\n")
+
+
+# generated configs: dotted keys, and values free of '#' and line breaks
+KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,6}(\.[a-z0-9_]{1,6}){0,2}", fullmatch=True)
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"), max_size=12)
+PAD = st.sampled_from(["", " ", "   ", "\t"])
+PARSER_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+def entry_line(draw, key, value):
+    """`key = value` with random padding and, sometimes, an inline comment."""
+    comment = draw(st.one_of(st.just(""), TEXT.map(lambda t: " # " + t)))
+    return f"{draw(PAD)}{key}{draw(PAD)}={draw(PAD)}{value}{draw(PAD)}{comment}"
+
+
+VALUES = st.dictionaries(KEYS, TEXT.map(str.strip), max_size=8)
+FILLER = st.one_of(PAD, TEXT.map(lambda t: "# " + t), PAD.map(lambda p: p + "#"))
+
+
+@st.composite
+def config_lines(draw, values):
+    """One entry line per key, each after up to two blank or whole-line
+    comment lines; returns (lines, index of each key's line)."""
+    lines, where = [], {}
+    for key, value in values.items():
+        lines += draw(st.lists(FILLER, max_size=2))
+        where[key] = len(lines)
+        lines.append(entry_line(draw, key, value))
+    return lines, where
+
+
+@PARSER_SETTINGS
+@given(data=st.data(), values=VALUES)
+def test_parse_config_text_round_trips(data, values):
+    lines, _ = data.draw(config_lines(values))
+    assert parse_config_text("\n".join(lines)) == values
+
+
+@PARSER_SETTINGS
+@given(data=st.data(), values=VALUES.filter(bool))
+def test_duplicate_key_named_with_its_line(data, values):
+    lines, where = data.draw(config_lines(values))
+    key = data.draw(st.sampled_from(sorted(values)))
+    at = data.draw(st.integers(where[key] + 1, len(lines)))
+    lines.insert(at, entry_line(data.draw, key, "1"))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: duplicate key \(line {at + 1}\)$"):
+        parse_config_text("\n".join(lines))
+
+
+@PARSER_SETTINGS
+@given(
+    data=st.data(),
+    values=VALUES,
+    bad=st.text(
+        st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="="), min_size=1
+    ).filter(lambda t: t.strip() and not t.strip().startswith("#")),
+)
+def test_line_without_equals_named(data, values, bad):
+    lines, _ = data.draw(config_lines(values))
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    with pytest.raises(ConfigError, match=rf"^line {at + 1}: expected 'key = value'"):
+        parse_config_text("\n".join(lines))
+
+
+@PARSER_SETTINGS
+@given(key=KEYS.filter(lambda k: k not in _SCHEMA))
+def test_load_config_rejects_every_unknown_key(tmp_path_factory, key):
+    path = tmp_path_factory.getbasetemp() / "unknown.conf"
+    path.write_text(f"{key} = 1\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: unknown key$"):
+        load_config(path)
+
+
+def parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(k for k, cast in _SCHEMA.items() if cast is _INT))
+@settings(max_examples=20, deadline=None)
+@given(
+    text=st.one_of(TEXT, st.floats().map(repr)).map(str.strip).filter(lambda t: not parses_as_int(t))
+)
+def test_load_config_rejects_non_integer_counts(tmp_path_factory, key, text):
+    path = tmp_path_factory.getbasetemp() / f"{key}.conf"
+    path.write_text(f"{key} = {text}\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: cannot parse"):
+        load_config(path)
 
 
 def test_load_config_typed_values(tmp_path):
@@ -163,6 +260,14 @@ def test_all_subcommand_writes_every_artifact(tmp_path):
         "manifest.json",
         "oracle1d.csv",
     ]
+    headers = {
+        "estimates.csv": "n,est_sup4,se_sup4,est_weighted_pen,se_weighted_pen,est_var2,se_var2,"
+        "est_pen_l2,se_pen_l2,est_v_energy,se_v_energy,est_pen_sup4,se_pen_sup4,failures",
+        "cauchy.csv": "n_lo,n_hi,est_supdiff2,se",
+        "oracle1d.csv": "n,est_supdiff,se_supdiff,est_tv_diff,se_tv_diff,est_terminal_diff",
+    }
+    for name, header in headers.items():
+        assert (out / name).read_text().splitlines()[0] == header
     hyp = (out / "hypotheses.csv").read_text().splitlines()
     assert hyp[0] == "hypothesis,margin,constant,seed"
     assert [row.split(",")[0] for row in hyp[1:]] == ["H1", "H2", "H3", "H4", "H5"]
@@ -206,7 +311,9 @@ def test_exit_code_3_on_blowup_still_writes_reports(tmp_path, capsys):
     conf = write_conf(tmp_path, BLOWUP_CONF)
     out = tmp_path / "out"
     assert run_cli(["estimates", "--config", conf, "--out", out]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert err.splitlines() == ["numerical failure: estimates: 2 failed paths"]
     lines = (out / "estimates.csv").read_text().splitlines()
     assert lines[1].split(",")[-1] == "2"  # both paths failed, and it is recorded
 
@@ -225,12 +332,38 @@ def test_unknown_subcommand_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("subcommand", ["cauchy", "oracle1d"])
-def test_exit_code_3_on_blowup_in_every_study(tmp_path, subcommand):
+def test_exit_code_3_on_blowup_in_every_study(tmp_path, capsys, subcommand):
     # two levels, because the cauchy study compares consecutive levels
     conf = write_conf(tmp_path, BLOWUP_CONF.replace("run.n_grid = 1", "run.n_grid = 0.5, 1"))
     out = tmp_path / "out"
     assert run_cli([subcommand, "--config", conf, "--out", out]) == 3
     assert (out / f"{subcommand}.csv").exists()
+    # cauchy counts paths dropped from every gap, oracle1d failed (level, path) pairs
+    failed = {"cauchy": 2, "oracle1d": 4}[subcommand]
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical failure: {subcommand}: {failed} failed paths"
+    ]
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value",
+    [
+        ("estimates", "run.paths", 1),
+        ("cauchy", "run.paths", 1),
+        ("oracle1d", "run.paths", 1),
+        ("hypotheses", "run.samples", 0),
+        ("hypotheses", "run.h1_samples", -3),
+        ("inequality", "run.ineq_paths", 0),
+        ("inequality", "run.test_paths", 0),
+    ],
+)
+def test_exit_code_2_on_unusable_count(tmp_path, capsys, subcommand, key, value):
+    lines = [ln for ln in ORACLE_CONF.splitlines() if ln.partition("=")[0].strip() != key]
+    conf = write_conf(tmp_path, "\n".join(lines + [f"{key} = {value}", ""]))
+    out = tmp_path / "out"
+    assert run_cli([subcommand, "--config", conf, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: must be >= ")
+    assert not out.exists()  # rejected before any study ran
 
 
 def test_cauchy_needs_two_levels(tmp_path):

@@ -48,7 +48,7 @@ def test_stack_rows_equal_single_paths(name, method, levels, paths, steps, seed)
     bundle = MODELS[name]
     cfg = SchemeConfig(dt=0.02, steps=steps, n=levels[0], method=method, seed=seed)
     dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
-    kernel = _penalized_stack(bundle.model, None, cfg, levels, bundle.x0, dW)
+    kernel = _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)
     stack = [x for x, _, _, _ in kernel]
     space = bundle.space
     for li, n in enumerate(levels):
@@ -116,7 +116,7 @@ def test_dead_rows_are_pinned_per_level():
     bundle = make_oracle_1d(kappa=1e3, sigma=0.0)
     cfg = SchemeConfig(dt=1.0, steps=4, n=0.0, method="splitting")
     dW = np.zeros((2, 4, 1))
-    *_, (x, dL, r, alive) = _penalized_stack(bundle.model, None, cfg, [0.0, 1e3], bundle.x0, dW)
+    *_, (x, dL, r, alive) = _penalized_stack(bundle.model, cfg, [0.0, 1e3], bundle.x0, dW)
     assert alive.tolist() == [[False, False], [True, True]]
     assert np.all(x[0] == 0.0) and np.all(dL[0] == 0.0)
     assert np.all(np.isfinite(r[1]))

@@ -175,7 +175,7 @@ def test_inequality_study_rows():
     bundle = make_oracle_1d(kappa=1.0, sigma=0.3)
     cfg = SchemeConfig(dt=0.01, steps=100, n=1.0, seed=5)
     rows, failures = inequality_study(
-        bundle.model, None, cfg, bundle.x0, [10.0, 100.0], paths=2, test_count=8
+        bundle.model, cfg, bundle.x0, [10.0, 100.0], paths=2, test_count=8
     )
     assert failures == 0
     assert len(rows) == 4
@@ -185,4 +185,6 @@ def test_inequality_study_rows():
         assert min_gap >= 0.0  # explicit stepper is exact here
         assert leak >= 0.0
     with pytest.raises(ConfigurationError):
-        inequality_study(bundle.model, None, cfg, bundle.x0, [])
+        inequality_study(bundle.model, cfg, bundle.x0, [])
+    with pytest.raises(ConfigurationError):
+        inequality_study(bundle.model, cfg, bundle.x0, [10.0], paths=0)

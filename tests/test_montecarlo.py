@@ -6,6 +6,7 @@ import pytest
 from reflectspde.hilbert import norm_h
 from reflectspde.models import make_allen_cahn, make_oracle_1d
 from reflectspde.montecarlo import (
+    Report,
     cauchy_study,
     count_inversions,
     format_value,
@@ -75,8 +76,8 @@ def silent_cfg(steps=10, n=4.0):
 
 def test_run_estimates_frozen_for_constant_dynamics():
     bundle = make_oracle_1d(kappa=0.0, sigma=0.0)
-    report = run_estimates(
-        bundle.model, None, silent_cfg(), [1.0, 4.0], paths=6, x0=np.array([0.5])
+    report, _ = run_estimates(
+        bundle.model, silent_cfg(), [1.0, 4.0], paths=6, x0=np.array([0.5])
     )
     assert len(report.rows) == 2
     for row in report.rows:
@@ -93,7 +94,7 @@ def test_run_estimates_frozen_for_constant_dynamics():
 def test_cauchy_zero_for_duplicate_levels():
     bundle = make_oracle_1d(kappa=1.0, sigma=0.5)
     cfg = SchemeConfig(dt=0.01, steps=50, n=1.0, seed=4)
-    report = cauchy_study(bundle.model, None, cfg, [8.0, 8.0], paths=5, x0=bundle.x0)
+    report = cauchy_study(bundle.model, cfg, [8.0, 8.0], paths=5, x0=bundle.x0)
     assert len(report.rows) == 1
     assert report.rows[0].est_supdiff2 == 0.0
     assert report.rows[0].se == 0.0
@@ -103,19 +104,19 @@ def test_input_validation():
     bundle = make_oracle_1d()
     cfg = silent_cfg()
     with pytest.raises(ValueError):
-        run_estimates(bundle.model, None, cfg, [], paths=4, x0=bundle.x0)
+        run_estimates(bundle.model, cfg, [], paths=4, x0=bundle.x0)
     with pytest.raises(ValueError):
-        run_estimates(bundle.model, None, cfg, [1.0], paths=1, x0=bundle.x0)
+        run_estimates(bundle.model, cfg, [1.0], paths=1, x0=bundle.x0)
     with pytest.raises(ValueError):
-        cauchy_study(bundle.model, None, cfg, [1.0], paths=4, x0=bundle.x0)
+        cauchy_study(bundle.model, cfg, [1.0], paths=4, x0=bundle.x0)
     with pytest.raises(ValueError):
-        uniqueness_check(bundle.model, None, cfg, bundle.x0, -0.1)
+        uniqueness_check(bundle.model, cfg, bundle.x0, -0.1)
 
 
 def test_failures_are_counted_and_pinned():
     bundle = make_oracle_1d(kappa=1e6, sigma=0.0)
     cfg = SchemeConfig(dt=1.0, steps=3, n=1.0, seed=0)
-    report = run_estimates(bundle.model, None, cfg, [1.0], paths=4, x0=np.array([0.5]))
+    report, _ = run_estimates(bundle.model, cfg, [1.0], paths=4, x0=np.array([0.5]))
     row = report.rows[0]
     assert row.failures == 4
     assert np.isnan(row.est_sup4)
@@ -129,9 +130,7 @@ def test_ensemble_matches_single_path_statistics():
     bundle = make_allen_cahn(modes=8, mu=1.5)
     cfg = SchemeConfig(dt=0.005, steps=60, n=16.0, seed=6)
     paths = 8
-    report = run_estimates(
-        bundle.model, None, cfg, [16.0], paths=paths, x0=bundle.x0
-    )
+    report, _ = run_estimates(bundle.model, cfg, [16.0], paths=paths, x0=bundle.x0)
     recs = [
         simulate_path(bundle.model, cfg, bundle.x0, path_index=i) for i in range(paths)
     ]
@@ -160,17 +159,13 @@ def test_multi_level_run_equals_single_level_runs():
     bundle = make_allen_cahn(modes=8, mu=1.2)
     cfg = SchemeConfig(dt=0.01, steps=40, n=4.0, seed=2)
     grid = [1.0, 4.0, 16.0]
-    stacked = run_estimates(bundle.model, None, cfg, grid, 23, x0=bundle.x0)
+    stacked, stacked_cauchy = run_estimates(bundle.model, cfg, grid, 23, x0=bundle.x0)
     for row, n in zip(stacked.rows, grid):
-        single = run_estimates(bundle.model, None, cfg, [n], 23, x0=bundle.x0).rows[0]
-        assert np.allclose(row.as_tuple(), single.as_tuple(), rtol=1e-12, atol=0.0)
-    again = run_estimates(bundle.model, None, cfg, grid, 23, x0=bundle.x0)
-    assert [r.as_tuple() for r in again.rows] == [r.as_tuple() for r in stacked.rows]
-    assert np.array_equal(again.cauchy.diffs(), stacked.cauchy.diffs())
-    assert np.array_equal(again.cauchy.ses(), stacked.cauchy.ses())
-
-    c_study = cauchy_study(bundle.model, None, cfg, grid, 23, x0=bundle.x0)
-    assert np.array_equal(c_study.diffs(), stacked.cauchy.diffs())
+        single = run_estimates(bundle.model, cfg, [n], 23, x0=bundle.x0)[0].rows[0]
+        assert np.allclose(row, single, rtol=1e-12, atol=0.0)
+    again = run_estimates(bundle.model, cfg, grid, 23, x0=bundle.x0)
+    assert again == (stacked, stacked_cauchy)
+    assert cauchy_study(bundle.model, cfg, grid, 23, x0=bundle.x0) == stacked_cauchy
 
 
 def test_one_divergence_threshold():
@@ -178,7 +173,7 @@ def test_one_divergence_threshold():
     # the ensemble nor the single-path stepper counts it as a failure
     bundle = make_oracle_1d(kappa=2e8, sigma=0.0)
     cfg = SchemeConfig(dt=1.0, steps=1, n=1.0, seed=0)
-    report = run_estimates(bundle.model, None, cfg, [1.0], paths=2, x0=bundle.x0)
+    report, _ = run_estimates(bundle.model, cfg, [1.0], paths=2, x0=bundle.x0)
     assert report.rows[0].failures == 0
     assert report.rows[0].est_sup4 == pytest.approx((1e8 + 0.5) ** 4, rel=1e-12)
     rec = simulate_path(bundle.model, cfg, bundle.x0)
@@ -188,17 +183,17 @@ def test_one_divergence_threshold():
 def test_cauchy_drops_a_path_failing_at_any_level():
     bundle = make_oracle_1d(kappa=1e6, sigma=0.0)
     cfg = SchemeConfig(dt=1.0, steps=3, n=1.0, seed=0)
-    report = run_estimates(bundle.model, None, cfg, [0.5, 1.0], paths=4, x0=bundle.x0)
+    report, cauchy = run_estimates(bundle.model, cfg, [0.5, 1.0], paths=4, x0=bundle.x0)
     assert [r.failures for r in report.rows] == [4, 4]
-    assert report.cauchy.failures == 4
-    assert np.isnan(report.cauchy.diffs()[0])
+    assert cauchy.failures == 4
+    assert np.isnan(cauchy.column("est_supdiff2")[0])
 
 
 def test_oracle_counts_failed_paths():
     cfg = SchemeConfig(dt=1.0, steps=3, n=1.0, seed=0)
     report = oracle_compare_1d(1e6, 0.0, cfg, [0.5, 1.0], paths=3)
     assert report.failures == 6
-    assert np.isnan(report.supdiffs()).all()
+    assert np.isnan(report.column("est_supdiff")).all()
     calm = oracle_compare_1d(1.0, 0.5, SchemeConfig(dt=0.01, steps=20, n=1.0), [1.0], paths=3)
     assert calm.failures == 0
 
@@ -210,7 +205,7 @@ def test_oracle_counts_failed_paths():
 def test_uniqueness_zero_perturbation_is_bitwise():
     bundle = make_allen_cahn(modes=8)
     cfg = SchemeConfig(dt=0.01, steps=50, n=16.0, seed=3)
-    rep = uniqueness_check(bundle.model, None, cfg, bundle.x0, 0.0)
+    rep = uniqueness_check(bundle.model, cfg, bundle.x0, 0.0)
     assert rep.sup_diff == 0.0
     assert rep.terminal_diff == 0.0
     assert rep.stability_factor == 0.0
@@ -219,7 +214,7 @@ def test_uniqueness_zero_perturbation_is_bitwise():
 def test_uniqueness_small_perturbation_stays_small():
     bundle = make_allen_cahn(modes=8)
     cfg = SchemeConfig(dt=0.01, steps=50, n=16.0, seed=3)
-    rep = uniqueness_check(bundle.model, None, cfg, bundle.x0, 1e-6)
+    rep = uniqueness_check(bundle.model, cfg, bundle.x0, 1e-6)
     assert rep.perturbation == 1e-6
     assert rep.sup_diff < 1e-2  # regression envelope, far above observed ~1e-6
     assert rep.stability_factor == rep.sup_diff / 1e-6
@@ -253,7 +248,7 @@ def test_outward_oracle_var2_is_n_insensitive():
     for n in (100.0, 400.0):
         cfg = SchemeConfig(dt=1e-3, steps=2000, n=n, seed=0)
         bundle = make_oracle_1d(kappa=1.0, sigma=0.0)
-        rep = run_estimates(bundle.model, None, cfg, [n], paths=2, x0=bundle.x0)
+        rep, _ = run_estimates(bundle.model, cfg, [n], paths=2, x0=bundle.x0)
         var2.append(rep.rows[0].est_var2)
     assert var2[0] == pytest.approx(var2[1], rel=0.05)
 
@@ -261,7 +256,7 @@ def test_outward_oracle_var2_is_n_insensitive():
 def test_report_column_access_and_csv(tmp_path):
     bundle = make_oracle_1d(kappa=0.5, sigma=0.5)
     cfg = SchemeConfig(dt=0.01, steps=30, n=1.0, seed=1)
-    report = run_estimates(bundle.model, None, cfg, [1.0, 4.0], paths=6, x0=bundle.x0)
+    report, _ = run_estimates(bundle.model, cfg, [1.0, 4.0], paths=6, x0=bundle.x0)
     col = report.column("est_sup4")
     assert col.shape == (2,)
     f = tmp_path / "est.csv"
@@ -269,3 +264,5 @@ def test_report_column_access_and_csv(tmp_path):
     lines = f.read_text().splitlines()
     assert lines[0].startswith("n,est_sup4,se_sup4,")
     assert len(lines) == 3
+    with pytest.raises(ValueError, match="empty table"):
+        Report((), 0).to_csv(tmp_path / "empty.csv")

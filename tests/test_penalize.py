@@ -1,5 +1,7 @@
 """Penalized steppers: frozen one-step values, coupling, guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,5 +224,5 @@ def test_splitting_never_overshoots():
     assert rec.sup_h <= 1.0 + 1e-6
 
     noise = NoiseSpec(q=np.ones(1), mu=0.8, lam=0.0)
-    rec2 = simulate_path(bundle.model, cfg, np.array([0.9]), noise=noise)
+    rec2 = simulate_path(dataclasses.replace(bundle.model, noise=noise), cfg, np.array([0.9]))
     assert rec2.sup_h <= 1.0 + 1e-6
