@@ -293,10 +293,13 @@ def _studies(config: ExperimentConfig, wanted, seed, effective_seed) -> dict:
         studies["estimates"] = lambda: ensemble()[0]
         studies["cauchy"] = lambda: ensemble()[1]
     if "inequality" in wanted:
+        delta = float(config.get("run.delta", 0.1))
+        if not 0.0 < delta < 1.0:
+            raise ConfigError(f"run.delta: must lie in (0, 1), got {delta}")
         kwargs = dict(
             paths=_count(config, "run.ineq_paths", 1, 3),
             test_count=_count(config, "run.test_paths", 1, 200),
-            delta=float(config.get("run.delta", 0.1)),
+            delta=delta,
         )
         studies["inequality"] = lambda: inequality_study(
             bundle.model, cfg, bundle.x0, n_grid, **kwargs

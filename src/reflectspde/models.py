@@ -247,7 +247,7 @@ def decay_profile_x0(space: SpaceSpec, radius: float = 0.8, decay: float = 2.0) 
 def allen_cahn_drift(basis: TrigBasis1D, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     vals = basis.to_grid(u)
-    cubic = basis.to_coeffs(vals**3)
+    cubic = basis.to_coeffs(vals * vals * vals)  # a product: libm pow is ~20x slower
     ksq = basis.wavenumbers.astype(float) ** 2
     return -ksq * u + u - cubic
 
@@ -284,7 +284,8 @@ def make_allen_cahn(
 
     def nonstiff(t, u, _basis=basis):
         u = np.asarray(u, dtype=float)
-        return u - _basis.to_coeffs(_basis.to_grid(u) ** 3)
+        vals = _basis.to_grid(u)
+        return u - _basis.to_coeffs(vals * vals * vals)
 
     model = ModelSpec(
         name="allen_cahn",

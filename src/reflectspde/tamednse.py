@@ -16,7 +16,10 @@ Drift (viscosity on the Stokes term as in the momentum equation):
 
 with nonlinear terms evaluated pseudo-spectrally on a 2(2*modes+1)^3 grid —
 wider than 2/3-rule dealiasing needs, so quadratic products are exactly
-alias-free on the retained modes.
+alias-free on the retained modes.  Grid fields are real, so the transforms
+work on the half spectrum kx >= 0: u and its three derivatives i k_d u go to
+the grid in one batched inverse real FFT, and the nonlinear products come
+back in one forward real FFT.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ __all__ = [
     "make_tamed_nse",
 ]
 
-# FFT batches are processed in row chunks so scratch cubes stay ~64 MB
-_CHUNK_BYTES = 64 * 2**20
+# The drift runs in row chunks whose transform scratch (_row_scratch_bytes
+# per row, at least one row) fits in this budget.  On a 2-core x86 host,
+# budgets of 2-16 MB ran equally fast and 64 MB about 20 % slower.
+_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,9 @@ class TamedLattice:
     pol1: np.ndarray  # (L, 3) unit, perpendicular to k
     pol2: np.ndarray  # (L, 3) unit, perpendicular to k and pol1
     grid_size: int  # points per dimension
-    pos_idx: np.ndarray  # (L,) flat cube index of k
-    neg_idx: np.ndarray  # (L,) flat cube index of -k
-    freqs: np.ndarray  # (3, G, G, G) per-axis integer frequencies
+    half_idx: np.ndarray  # (L,) flat index of k in the (kz, ky, kx >= 0) half cube
+    plane_rows: np.ndarray  # rows of the kx = 0 modes
+    plane_neg_idx: np.ndarray  # flat half-cube index of -k for those rows
 
     @property
     def n_half(self) -> int:
@@ -121,10 +126,11 @@ def build_lattice(modes: int = 4) -> TamedLattice:
     p2 /= np.linalg.norm(p2, axis=1, keepdims=True)
 
     grid = 2 * (2 * kmax + 1)
-    flat = (kvecs % grid) @ np.array([grid * grid, grid, 1])
-    neg = ((-kvecs) % grid) @ np.array([grid * grid, grid, 1])
-    axis = (np.fft.fftfreq(grid) * grid).astype(float)
-    fx, fy, fz = np.meshgrid(axis, axis, axis, indexing="ij")
+    # stored k have kx >= 0, so each sits in the half cube; the kx = 0 plane
+    # also needs the conjugate at -k, which no stored row supplies
+    hx = grid // 2 + 1
+    strides = np.array([1, hx, grid * hx])  # (kx, ky, kz)
+    plane = np.flatnonzero(kvecs[:, 0] == 0)
     return TamedLattice(
         modes=modes,
         kvecs=kvecs,
@@ -132,9 +138,9 @@ def build_lattice(modes: int = 4) -> TamedLattice:
         pol1=p1,
         pol2=p2,
         grid_size=grid,
-        pos_idx=flat,
-        neg_idx=neg,
-        freqs=np.stack([fx, fy, fz]),
+        half_idx=(kvecs % grid) @ strides,
+        plane_rows=plane,
+        plane_neg_idx=((-kvecs[plane]) % grid) @ strides,
     )
 
 
@@ -173,7 +179,7 @@ def taming_g(r: np.ndarray | float, spec: TamedSpec) -> np.ndarray | float:
     if np.any(arr < 0):
         raise ModelEvaluationError("taming function argument must be nonnegative")
     s = arr - spec.taming_n
-    bridge = (-(s**3) + 2.0 * s**2) / spec.nu
+    bridge = (2.0 - s) * s * s / spec.nu  # products: libm pow is far slower
     out = np.where(s <= 0.0, 0.0, np.where(s >= 1.0, s / spec.nu, bridge))
     return float(out) if np.isscalar(r) else out
 
@@ -201,38 +207,35 @@ def state_from_uhat(lattice: TamedLattice, uhat: np.ndarray) -> np.ndarray:
     return s4.reshape(*s4.shape[:-2], lattice.n_coeffs)
 
 
-def _to_cube(lattice: TamedLattice, uhat: np.ndarray) -> np.ndarray:
-    g = lattice.grid_size
-    lead = uhat.shape[:-2]
-    cube = np.zeros(lead + (g**3, 3), dtype=complex)
-    cube[..., lattice.pos_idx, :] = uhat
-    cube[..., lattice.neg_idx, :] = np.conj(uhat)
-    return cube.reshape(lead + (g, g, g, 3))
-
-
-def _grid_values(cube: np.ndarray) -> np.ndarray:
-    g = cube.shape[-2]
-    return np.fft.ifftn(cube, axes=(-4, -3, -2)).real * g**3
-
-
-def _from_grid(lattice: TamedLattice, vals: np.ndarray) -> np.ndarray:
-    g = lattice.grid_size
-    coeffs = np.fft.fftn(vals, axes=(-4, -3, -2)) / g**3
-    flat = coeffs.reshape(*vals.shape[:-4], g**3, 3)
-    return flat[..., lattice.pos_idx, :]
-
-
 def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np.ndarray:
-    """Leray-projected coefficients of (u.grad)u + g_N(|u|^2)u, pseudo-spectral."""
-    cube = _to_cube(lattice, uh)
-    u = _grid_values(cube)
-    conv = np.zeros_like(u)
-    for d in range(3):
-        du_d = _grid_values(cube * (1j * lattice.freqs[d])[..., None])
-        conv += u[..., d : d + 1] * du_d
-    speed_sq = np.sum(u * u, axis=-1)
-    tame = taming_g(speed_sq, spec)[..., None] * u
-    return leray_project(lattice, _from_grid(lattice, conv + tame))
+    """Leray-projected coefficients of (u.grad)u + g_N(|u|^2)u, pseudo-spectral.
+
+    uh (rows, L, 3) is scattered with its three derivatives i k_d uh into one
+    component-first half cube (rows, 4, 3, G, G, G//2+1) indexed (kz, ky, kx);
+    one inverse real FFT gives u and grad u on the grid.
+    """
+    g = lattice.grid_size
+    half = (g, g, g // 2 + 1)
+    rows = uh.shape[0]
+    coef = np.moveaxis(uh, -1, -2)  # (rows, 3, L)
+    ik = 1j * lattice.kvecs.T.astype(float)  # (3, L)
+    stack = np.stack([coef] + [ik[d] * coef for d in range(3)], axis=1)  # (rows, 4, 3, L)
+    cube = np.zeros((rows, 4, 3, half[0] * half[1] * half[2]), dtype=complex)
+    cube[..., lattice.half_idx] = stack
+    cube[..., lattice.plane_neg_idx] = np.conj(stack[..., lattice.plane_rows])
+    grid = np.fft.irfftn(
+        cube.reshape((rows, 4, 3) + half), s=(g, g, g), axes=(-3, -2, -1), norm="forward"
+    )
+    del cube
+    u = grid[:, 0]
+    conv = u[:, 0:1] * grid[:, 1]
+    conv += u[:, 1:2] * grid[:, 2]
+    conv += u[:, 2:3] * grid[:, 3]
+    speed_sq = np.sum(u * u, axis=1)
+    conv += taming_g(speed_sq, spec)[:, None] * u
+    out = np.fft.rfftn(conv, axes=(-3, -2, -1), norm="forward")
+    out = out.reshape(rows, 3, -1)[..., lattice.half_idx]
+    return leray_project(lattice, np.moveaxis(out, -2, -1))
 
 
 def _drift_state_block(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
@@ -248,9 +251,18 @@ def _nonstiff_block(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -
     return state_from_uhat(lattice, -_nonlinear_hat(lattice, spec, uh))
 
 
+def _row_scratch_bytes(lattice: TamedLattice) -> int:
+    """Peak scratch per row of _nonlinear_hat, for 12 stacked fields (u and
+    its three derivatives, three components each): their half-lattice
+    coefficients, their half cube, and the two complex axis passes of the
+    inverse FFT, which are alive together.  What follows holds less."""
+    g = lattice.grid_size
+    half_cube = g * g * (g // 2 + 1) * 16
+    return 12 * (lattice.n_half * 16 + 3 * half_cube)
+
+
 def _chunk_rows(lattice: TamedLattice) -> int:
-    cube_bytes = lattice.grid_size**3 * 3 * 16
-    return max(8, _CHUNK_BYTES // cube_bytes)
+    return max(1, _CHUNK_BYTES // _row_scratch_bytes(lattice))
 
 
 def _chunked(fn, lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:

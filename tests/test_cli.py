@@ -366,6 +366,15 @@ def test_exit_code_2_on_unusable_count(tmp_path, capsys, subcommand, key, value)
     assert not out.exists()  # rejected before any study ran
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5])
+def test_exit_code_2_on_delta_outside_unit_interval(tmp_path, capsys, delta):
+    conf = write_conf(tmp_path, ORACLE_CONF + f"run.delta = {delta}\n")
+    out = tmp_path / "out"
+    assert run_cli(["all", "--config", conf, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: run.delta: must lie in (0, 1)")
+    assert not out.exists()  # rejected before any study ran
+
+
 def test_cauchy_needs_two_levels(tmp_path):
     cfg = load_config(write_conf(tmp_path, BLOWUP_CONF))
     with pytest.raises(ConfigError, match="run.n_grid"):

@@ -25,6 +25,7 @@ from reflectspde.models import (
     make_oracle_1d,
     make_p_laplacian,
 )
+from reflectspde.tamednse import make_tamed_nse
 
 
 def rigged_model(drift, c0=1.0, growth_c=10.0, lam=0.0, noise_lip_sq=0.0):
@@ -121,19 +122,36 @@ def test_h4_witness_replay_with_probes():
 # rigged models are caught
 
 
-def test_h1_catches_discontinuous_drift():
+def sign_jump_model():
     def drift(t, u):
         out = np.zeros_like(np.asarray(u, dtype=float))
         out[..., 0] = np.sign(u[..., 0] + 0.3)
         return out
 
-    model = rigged_model(drift)
+    return rigged_model(drift)
+
+
+def test_h1_catches_discontinuous_drift():
+    model = sign_jump_model()
     report = check_hemicontinuity(model, FieldSampler(model.space, 0), count=32)
     assert report.worst_margin < 0.0
     assert report.constant > 0.1  # a genuine O(1) jump was measured
     # and the witness replays to a violation
     _, _, margin = h1_jump_and_margin(model, *report.witness)
     assert margin == pytest.approx(report.worst_margin, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_allen_cahn(modes=8).model, sign_jump_model], ids=["allen_cahn", "rigged"]
+)
+def test_h1_check_is_a_loop_over_the_replay_evaluator(build):
+    model = build()
+    report = check_hemicontinuity(model, FieldSampler(model.space, (4, 1)), count=12)
+    draw = FieldSampler(model.space, (4, 1))
+    u, v, x = draw.sample(12), draw.sample(12), draw.sample(12)
+    results = [h1_jump_and_margin(model, u[i], v[i], x[i]) for i in range(12)]
+    assert report.worst_margin == min(margin for _, _, margin in results)
+    assert report.constant == max(jump for jump, _, _ in results)
 
 
 def test_h2_catches_understated_monotonicity_constant():
@@ -197,3 +215,32 @@ def test_constant_stability_structure():
     assert table["H3"][1] >= table["H3"][0] - 1e-12
     again = constant_stability(model, seed=0, counts=(50, 100), hypotheses=("H2", "H3", "H5"))
     assert table == again
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_tamed_nse(modes=4).model,
+        lambda: make_allen_cahn(modes=8).model,
+        lambda: make_p_laplacian(modes=8).model,  # probes: H4 is not nested
+    ],
+    ids=["tamed_nse", "allen_cahn", "p_laplacian"],
+)
+def test_constant_stability_equals_per_count_checks(build):
+    model = build()
+    counts = (6, 13)  # neither a multiple of the 4-radius cycle
+    table = constant_stability(model, seed=5, counts=counts)
+
+    def sampler(tag):
+        return FieldSampler(model.space, (5, tag))
+
+    # the nesting premise: a sampler's first c rows are its c-row draw
+    assert np.array_equal(sampler(3).sample(13)[:6], sampler(3).sample(6))
+    expected = {"H2": [], "H3": [], "H4": [], "H5": []}
+    for c in counts:
+        expected["H2"].append(check_local_monotonicity(model, sampler(2), c).constant)
+        expected["H3"].append(check_coercivity(model, sampler(3), c).constant)
+        h4, h5 = check_growth_and_lipschitz(model, sampler(4), c)
+        expected["H4"].append(h4.constant)
+        expected["H5"].append(h5.constant)
+    assert table == expected

@@ -3,7 +3,10 @@ taming profile, drift identities, penalized reflection behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reflectspde import tamednse
 from reflectspde.errors import (
     ConfigurationError,
     ModelEvaluationError,
@@ -22,7 +25,7 @@ from reflectspde.tamednse import (
     taming_g,
     tamed_drift,
 )
-from reflectspde.tamednse import state_from_uhat, uhat_from_state
+from reflectspde.tamednse import _nonlinear_hat, state_from_uhat, uhat_from_state
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +256,81 @@ def test_drift_batched_rows_match(lattice):
     together = tamed_drift(lattice, spec, batch)
     for i in range(3):
         assert np.max(np.abs(together[i] - tamed_drift(lattice, spec, batch[i]))) < 1e-12
+
+
+def full_complex_nonlinear_hat(lattice, spec, uh):
+    """Reference: the full-spectrum pseudo-spectral nonlinearity, one complex
+    (G, G, G, 3) cube per row indexed (kx, ky, kz), one inverse FFT for u and
+    one per derivative."""
+    g = lattice.grid_size
+    flat = lambda k: (k % g) @ np.array([g * g, g, 1])
+    cube = np.zeros(uh.shape[:-2] + (g**3, 3), dtype=complex)
+    cube[..., flat(lattice.kvecs), :] = uh
+    cube[..., flat(-lattice.kvecs), :] = np.conj(uh)
+    cube = cube.reshape(uh.shape[:-2] + (g, g, g, 3))
+    axis = np.fft.fftfreq(g) * g
+    freqs = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"))
+
+    def grid_values(c):
+        return np.fft.ifftn(c, axes=(-4, -3, -2)).real * g**3
+
+    u = grid_values(cube)
+    conv = sum(u[..., d : d + 1] * grid_values(cube * (1j * freqs[d])[..., None]) for d in range(3))
+    tame = taming_g(np.sum(u * u, axis=-1), spec)[..., None] * u
+    coeffs = np.fft.fftn(conv + tame, axes=(-4, -3, -2)) / g**3
+    flat_coeffs = coeffs.reshape(uh.shape[:-2] + (g**3, 3))
+    return leray_project(lattice, flat_coeffs[..., flat(lattice.kvecs), :])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 3),
+    support=st.sampled_from(["all", "kx0_plane", "one_mode"]),
+    scale=st.floats(0.0, 2.0),
+    taming_n=st.sampled_from([0.05, 1.0, 1e6]),
+)
+def test_half_spectrum_nonlinearity_matches_full_complex_reference(
+    lattice, seed, rows, support, scale, taming_n
+):
+    # the kx = 0 plane is the one place the half cube needs conjugate
+    # partners scattered explicitly; fields living only there exercise it
+    rng = np.random.default_rng(seed)
+    keep = {
+        "all": np.ones(lattice.n_half, dtype=bool),
+        "kx0_plane": lattice.kvecs[:, 0] == 0,
+        "one_mode": np.arange(lattice.n_half) == rng.integers(lattice.n_half),
+    }[support]
+    raw = rng.standard_normal((rows, lattice.n_half, 3)) + 1j * rng.standard_normal(
+        (rows, lattice.n_half, 3)
+    )
+    uh = scale * leray_project(lattice, raw * keep[:, None]) / np.sqrt(lattice.n_half)
+    spec = TamedSpec(nu=1.0, taming_n=taming_n, modes=4)
+    got = _nonlinear_hat(lattice, spec, uh)
+    want = full_complex_nonlinear_hat(lattice, spec, uh)
+    # relative to the size of the grid products, which can cancel to rounding
+    # (a single shear mode has no convection)
+    kmag = np.sqrt(lattice.ksq)[:, None]
+    products = np.sum(np.abs(uh)) * np.sum(kmag * np.abs(uh))
+    assert np.max(np.abs(got - want)) <= 1e-12 * (np.max(np.abs(want)) + products)
+
+
+def test_drift_bit_equal_across_chunkings(lattice, monkeypatch):
+    spec = TamedSpec(nu=1.0, taming_n=0.5, modes=4)
+    batch = np.stack(
+        [
+            state_from_uhat(lattice, random_divfree_uhat(lattice, seed=s, scale=0.2))
+            for s in range(7)
+        ]
+    )
+    per_row = tamednse._row_scratch_bytes(lattice)
+    results = []
+    for rows_per_chunk in (7, 3, 1):
+        monkeypatch.setattr(tamednse, "_CHUNK_BYTES", rows_per_chunk * per_row)
+        assert tamednse._chunk_rows(lattice) == rows_per_chunk
+        results.append(tamed_drift(lattice, spec, batch))
+    assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0], results[2])
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,39 @@
+"""Traced working sets of the audit and tamed-drift hot paths stay bounded.
+
+numpy reports its array allocations to tracemalloc, so the traced peak of a
+call is the numpy scratch it holds at once.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from reflectspde import tamednse
+from reflectspde.hypotheses import FieldSampler, check_hemicontinuity
+from reflectspde.models import make_allen_cahn
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_h1_holds_one_profile_at_a_time():
+    model = make_allen_cahn(modes=64).model
+    sampler = FieldSampler(model.space, (0, 1))
+    peak = traced_peak(lambda: check_hemicontinuity(model, sampler, count=8))
+    # one 2049-point profile needs about 6 MB; eight stacked need about 48 MB
+    assert peak <= 16 * 2**20, peak
+
+
+def test_tamed_drift_scratch_follows_the_chunk_budget():
+    model = tamednse.make_tamed_nse(modes=4).model
+    lattice = model.space.transform
+    rows = 3 * tamednse._chunk_rows(lattice) + 1
+    states = FieldSampler(model.space, (0, 4)).sample(rows)
+    peak = traced_peak(lambda: model.drift(0.0, states))
+    assert peak <= 2 * tamednse._CHUNK_BYTES, peak
