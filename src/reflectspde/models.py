@@ -10,6 +10,11 @@ right-hand side; on weighted spaces the stepper divides by h_weights once.
 All implemented operators are autonomous — t is carried for signature
 fidelity and ignored.
 
+The 1-D drifts are each declared once as a GridForm A(u) = s*u + D^T Pi
+phi(Sigma D u): Allen-Cahn with s = -k^2, D = I, phi(g) = g - g^3, and the
+p-Laplacian with D = d/dx, phi(g) = -|g|^(p-2) g and no s.  Drift, Lawson split,
+V norm and H1 line profile read it; the oracle and tamed NSE declare none.
+
 Noise is diagonal-affine on the first K storage coordinates:
 
     B(u) e_k = sqrt(q_k) * (mu + lam * s(u_k)),    s = clamp to [-1, 1],
@@ -42,9 +47,7 @@ __all__ = [
     "dual_pairing",
     "vstar_norm",
     "decay_profile_x0",
-    "allen_cahn_drift",
-    "p_laplacian_drift",
-    "oracle_drift_1d",
+    "GridForm",
     "make_allen_cahn",
     "make_p_laplacian",
     "make_oracle_1d",
@@ -154,6 +157,64 @@ def vstar_norm(space: SpaceSpec, a: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# grid form of the 1-D drifts
+
+
+@dataclass(frozen=True, eq=False)
+class GridForm:
+    """The drift A(u) = s*u + D^T Pi phi(Sigma D u) on a 1-D trig basis.
+
+    Sigma = to_grid, Pi = to_coeffs, D = basis.deriv if derivative else I,
+    phi acts pointwise, and s = symbol (None: no stiff diagonal).
+    """
+
+    basis: TrigBasis1D
+    phi: Callable[[np.ndarray], np.ndarray]
+    symbol: np.ndarray | None = None
+    derivative: bool = False
+
+    def space(self, label: str, alpha: float, v_weights=None, v_norm_fn=None) -> SpaceSpec:
+        """The unit-weight coefficient space on the form's basis."""
+        b = self.basis
+        return SpaceSpec(
+            label, 1, b.modes, np.ones(b.modes), v_weights, alpha,
+            v_norm_fn=v_norm_fn, wavenumbers=b.wavenumbers, transform=b,
+        )
+
+    def grid_values(self, u: np.ndarray) -> np.ndarray:
+        """Sigma D u, the point values phi acts on."""
+        u = np.asarray(u, dtype=float)
+        return self.basis.to_grid(self.basis.differentiate(u) if self.derivative else u)
+
+    def nonstiff(self, t: float, u: np.ndarray) -> np.ndarray:
+        """D^T Pi phi(Sigma D u): the drift less its stiff diagonal."""
+        a = self.basis.to_coeffs(self.phi(self.grid_values(u)))
+        return a @ self.basis.deriv if self.derivative else a
+
+    def drift(self, t: float, u: np.ndarray) -> np.ndarray:
+        lin = 0.0 if self.symbol is None else self.symbol * np.asarray(u, dtype=float)
+        return lin + self.nonstiff(t, u)
+
+    def line_profile(
+        self, u: np.ndarray, v: np.ndarray, x: np.ndarray, lam: np.ndarray
+    ) -> np.ndarray:
+        """<A(u + lam v), x> at each lam, without forming the states.
+
+        Sigma D (u + lam v) = gu + lam gv, and <Pi F, y> = F . (Sigma y) / G
+        on the G-point grid, so phi pairs with gx = Sigma D x.
+        """
+        gu, gv, gx = self.grid_values(np.stack([u, v, x]))
+        f = np.empty(lam.shape)
+        rows = max(1, 2**14 // gx.size)  # ~128 KB blocks; all 2049 rows at once ran 3x slower
+        for i in range(0, lam.size, rows):
+            f[i : i + rows] = self.phi(gu + lam[i : i + rows, None] * gv) @ gx
+        f /= self.basis.grid_size
+        if self.symbol is not None:
+            f += dual_pairing(self.symbol * u, x) + lam * dual_pairing(self.symbol * v, x)
+        return f
+
+
+# --------------------------------------------------------------------------
 # model container
 
 
@@ -164,9 +225,10 @@ class ModelSpec:
     alpha / beta / gamma are the coercivity, growth, and local-monotonicity
     exponents; c and c0 the declared energy-inequality constants; growth_c
     the declared dual-norm growth constant; mono_scale scales the weight
-    functions rho = eta (zero for globally monotone drifts).  linear_symbol,
-    when present, is the diagonal of the stiff linear part in state
-    coordinates and nonstiff_drift the remaining state-space right-hand side.
+    function rho (zero for globally monotone drifts).  linear_symbol, when
+    present, is the diagonal of the stiff linear part in state coordinates and
+    nonstiff_drift the remaining state-space right-hand side.  grid_form, when
+    present, is the declaration the drift was built from.
     """
 
     name: str
@@ -183,6 +245,7 @@ class ModelSpec:
     mono_scale: float = 0.0
     linear_symbol: np.ndarray | None = None
     nonstiff_drift: Callable[[float, np.ndarray], np.ndarray] | None = None
+    grid_form: GridForm | None = None
 
     def __post_init__(self):
         if not (self.alpha > 1 and self.beta >= 0 and self.gamma >= 0):
@@ -202,14 +265,6 @@ class ModelSpec:
         nv2 = norm_v(self.space, u) ** 2
         nh = norm_h(self.space, u)
         return self.mono_scale * (1.0 + nv2) * (1.0 + nh**4)
-
-    eta = rho
-
-    def hs_norm_sq(self, u: np.ndarray) -> np.ndarray:
-        return hs_norm_sq(self.space, self.noise, u)
-
-    def hs_diff_sq(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return hs_diff_sq(self.space, self.noise, u, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,14 +299,6 @@ def decay_profile_x0(space: SpaceSpec, radius: float = 0.8, decay: float = 2.0) 
 # Allen-Cahn: du = (Laplacian u + u - u^3) dt + B(u) dW on the torus
 
 
-def allen_cahn_drift(basis: TrigBasis1D, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    vals = basis.to_grid(u)
-    cubic = basis.to_coeffs(vals * vals * vals)  # a product: libm pow is ~20x slower
-    ksq = basis.wavenumbers.astype(float) ** 2
-    return -ksq * u + u - cubic
-
-
 def make_allen_cahn(
     modes: int = 64,
     mu: float = 0.5,
@@ -264,34 +311,19 @@ def make_allen_cahn(
         raise ConfigurationError("allen_cahn needs at least 8 modes for the cubic term")
     basis = trig_basis(modes, include_zero=True)
     k = basis.wavenumbers.astype(float)
-    space = SpaceSpec(
-        label=f"allen_cahn_{modes}",
-        dimension=1,
-        modes=modes,
-        h_weights=np.ones(modes),
-        v_weights=1.0 + k**2,
-        alpha=2.0,
-        wavenumbers=basis.wavenumbers,
-        transform=basis,
-    )
+    # the +u term rides in phi: Pi Sigma u = u on the alias-free grid;
+    # g*g*g is a product because libm pow is ~20x slower
+    form = GridForm(basis, phi=lambda g: g - g * g * g, symbol=-(k**2))
+    space = form.space(f"allen_cahn_{modes}", 2.0, v_weights=1.0 + k**2)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
     hsg = noise_growth_sq(space, noise)
-
-    def drift(t, u, _basis=basis):
-        return allen_cahn_drift(_basis, u)
-
-    def nonstiff(t, u, _basis=basis):
-        u = np.asarray(u, dtype=float)
-        vals = _basis.to_grid(u)
-        return u - _basis.to_coeffs(vals * vals * vals)
-
     model = ModelSpec(
         name="allen_cahn",
         space=space,
         noise=noise,
-        drift=drift,
+        drift=form.drift,
         alpha=2.0,
         beta=2.0,
         gamma=4.0,
@@ -302,25 +334,15 @@ def make_allen_cahn(
         # coarsest resolution; frozen with ~2x headroom
         growth_c=100.0,
         noise_lip_sq=noise_lip_sq(noise),
-        linear_symbol=-(k**2),
-        nonstiff_drift=nonstiff,
+        linear_symbol=form.symbol,
+        nonstiff_drift=form.nonstiff,
+        grid_form=form,
     )
     return ModelBundle(model=model, x0=decay_profile_x0(space, x0_radius))
 
 
 # --------------------------------------------------------------------------
 # p-Laplacian: du = div(|grad u|^{p-2} grad u) dt + B(u) dW, zero-mean torus
-
-
-def p_laplacian_drift(basis: TrigBasis1D, p: float, u: np.ndarray) -> np.ndarray:
-    if p < 2.0:
-        raise UnsupportedParameterError("p-Laplacian requires p >= 2")
-    du = basis.differentiate(np.asarray(u, dtype=float))
-    g = basis.to_grid(du)
-    flux = np.abs(g) ** (p - 2.0) * g
-    fhat = basis.to_coeffs(flux)
-    # <A(u), psi_i> = -int |u'|^{p-2} u' psi_i'
-    return -(fhat @ basis.deriv)
 
 
 def make_p_laplacian(
@@ -337,35 +359,22 @@ def make_p_laplacian(
     if modes < 8 or modes % 2 != 0:
         raise ConfigurationError("p_laplacian needs an even mode count >= 8")
     basis = trig_basis(modes, include_zero=False)
+    # <A(u), psi_i> = -int |u'|^{p-2} u' psi_i'
+    form = GridForm(basis, phi=lambda g: -(np.abs(g) ** (p - 2.0) * g), derivative=True)
 
-    def v_norm(u, _basis=basis, _p=p):
-        g = _basis.to_grid(_basis.differentiate(np.asarray(u, dtype=float)))
-        return np.mean(np.abs(g) ** _p, axis=-1) ** (1.0 / _p)
+    def v_norm(u):
+        return np.mean(np.abs(form.grid_values(u)) ** p, axis=-1) ** (1.0 / p)
 
-    space = SpaceSpec(
-        label=f"p_laplacian_{modes}_p{p:g}",
-        dimension=1,
-        modes=modes,
-        h_weights=np.ones(modes),
-        v_weights=None,
-        alpha=float(p),
-        v_norm_fn=v_norm,
-        wavenumbers=basis.wavenumbers,
-        transform=basis,
-    )
+    space = form.space(f"p_laplacian_{modes}_p{p:g}", float(p), v_norm_fn=v_norm)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
     hsg = noise_growth_sq(space, noise)
-
-    def drift(t, u, _basis=basis, _p=p):
-        return p_laplacian_drift(_basis, _p, u)
-
     model = ModelSpec(
         name="p_laplacian",
         space=space,
         noise=noise,
-        drift=drift,
+        drift=form.drift,
         alpha=float(p),
         beta=0.0,
         gamma=0.0,
@@ -373,17 +382,13 @@ def make_p_laplacian(
         c0=1.0 + hsg,
         growth_c=2.0,
         noise_lip_sq=noise_lip_sq(noise),
+        grid_form=form,
     )
     return ModelBundle(model=model, x0=decay_profile_x0(space, x0_radius))
 
 
 # --------------------------------------------------------------------------
 # scalar linear model with a closed-form penalized equilibrium
-
-
-def oracle_drift_1d(u: float, kappa: float) -> float:
-    """kappa*u: outward-pushing for kappa > 0, contracting for kappa < 0."""
-    return kappa * u
 
 
 def make_oracle_1d(kappa: float = 0.5, sigma: float = 0.5) -> ModelBundle:
@@ -398,15 +403,11 @@ def make_oracle_1d(kappa: float = 0.5, sigma: float = 0.5) -> ModelBundle:
     )
     noise = NoiseSpec(q=np.ones(1), mu=float(sigma), lam=0.0)
     hsg = noise_growth_sq(space, noise)
-
-    def drift(t, u, _k=float(kappa)):
-        return _k * np.asarray(u, dtype=float)
-
     model = ModelSpec(
         name="oracle_1d",
         space=space,
         noise=noise,
-        drift=drift,
+        drift=lambda t, u: float(kappa) * np.asarray(u, dtype=float),
         alpha=2.0,
         beta=0.0,
         gamma=0.0,

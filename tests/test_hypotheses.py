@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectspde.errors import ModelEvaluationError
 from reflectspde.hypotheses import (
+    _LAM_GRID,
     FieldSampler,
     check_coercivity,
     check_growth_and_lipschitz,
@@ -116,6 +119,36 @@ def test_h4_witness_replay_with_probes():
     assert "probe" in h4.note
     lhs, envelope = h4_values(model, *h4.witness)
     assert model.growth_c * envelope - lhs == pytest.approx(h4.worst_margin, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# the grid-form H1 profile is the profile of the drift that is stepped
+
+GRID_FORM_MODELS = {
+    "allen_cahn": lambda modes: make_allen_cahn(modes=modes).model,
+    "p_laplacian_p2": lambda modes: make_p_laplacian(modes=modes, p=2.0).model,
+    "p_laplacian_p4": lambda modes: make_p_laplacian(modes=modes, p=4.0).model,
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(GRID_FORM_MODELS)),
+    modes=st.sampled_from([8, 16, 64]),
+    seed=st.integers(0, 2**16),
+    decay=st.floats(0.0, 2.0),
+    radii=st.tuples(*[st.floats(0.1, 4.0)] * 3),
+)
+def test_grid_form_profile_matches_einsum_of_the_drift(name, modes, seed, decay, radii):
+    model = GRID_FORM_MODELS[name](modes)
+    form = model.grid_form
+    u, v, x = FieldSampler(model.space, seed, decay).sample(3) * np.asarray(radii)[:, None]
+    states = u + _LAM_GRID[:, None] * v
+    reference = np.einsum("gm,m->g", model.drift(0.0, states), x)
+    profile = form.line_profile(u, v, x, _LAM_GRID)
+    assert np.max(np.abs(profile - reference)) <= 1e-13 * np.max(np.abs(reference))
+    linear = 0.0 if form.symbol is None else form.symbol * states
+    assert np.array_equal(form.drift(0.0, states), linear + form.nonstiff(0.0, states))
 
 
 # --------------------------------------------------------------------------

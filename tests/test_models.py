@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from reflectspde.errors import ConfigurationError, UnsupportedParameterError
-from reflectspde.fourier import trig_basis
 from reflectspde.hilbert import norm_h
 from reflectspde.models import (
     ModelSpec,
     NoiseSpec,
     REGISTRY,
-    allen_cahn_drift,
     apply_noise,
     build_model,
     decay_profile_x0,
@@ -23,8 +21,6 @@ from reflectspde.models import (
     make_p_laplacian,
     noise_growth_sq,
     noise_lip_sq,
-    oracle_drift_1d,
-    p_laplacian_drift,
     vstar_norm,
 )
 
@@ -35,42 +31,46 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # drifts
 
 
+def allen_cahn_drift(u):
+    return make_allen_cahn(modes=8).model.drift(0.0, u)
+
+
+def p_laplacian_drift(p, u):
+    return make_p_laplacian(modes=8, p=p).model.drift(0.0, u)
+
+
 def test_allen_cahn_drift_constant_state():
     # u = 2: Laplacian vanishes, 2 - 8 = -6 on the constant slot
-    basis = trig_basis(8, include_zero=True)
     u = np.zeros(8)
     u[0] = 2.0
     expected = np.zeros(8)
     expected[0] = -6.0
-    assert np.max(np.abs(allen_cahn_drift(basis, u) - expected)) < 1e-12
+    assert np.max(np.abs(allen_cahn_drift(u) - expected)) < 1e-12
 
 
 def test_allen_cahn_drift_single_sine():
     # u = sin x: Laplacian and linear term cancel; -sin^3 x leaves
     # -(3/4) sin x + (1/4) sin 3x
-    basis = trig_basis(8, include_zero=True)
     u = np.zeros(8)
     u[2] = INV_SQRT2  # sin-1 slot
     expected = np.zeros(8)
     expected[2] = -0.75 * INV_SQRT2
     expected[6] = 0.25 * INV_SQRT2  # sin-3 slot
-    assert np.max(np.abs(allen_cahn_drift(basis, u) - expected)) < 1e-12
+    assert np.max(np.abs(allen_cahn_drift(u) - expected)) < 1e-12
 
 
 def test_allen_cahn_drift_batched():
-    basis = trig_basis(8, include_zero=True)
     rng = np.random.default_rng(4)
     batch = rng.standard_normal((6, 8))
-    rows = np.stack([allen_cahn_drift(basis, row) for row in batch])
-    assert np.max(np.abs(allen_cahn_drift(basis, batch) - rows)) < 1e-12
+    rows = np.stack([allen_cahn_drift(row) for row in batch])
+    assert np.max(np.abs(allen_cahn_drift(batch) - rows)) < 1e-12
 
 
 def test_p_laplacian_drift_single_sine_p4():
     # u = sin x, p = 4: (|u'|^2 u')' = -(3/4)(sin x + sin 3x)
-    basis = trig_basis(8, include_zero=False)
     u = np.zeros(8)
     u[1] = INV_SQRT2  # sin-1 slot
-    out = p_laplacian_drift(basis, 4.0, u)
+    out = p_laplacian_drift(4.0, u)
     expected = np.zeros(8)
     expected[1] = -0.75 * INV_SQRT2
     expected[5] = -0.75 * INV_SQRT2  # sin-3 slot
@@ -78,10 +78,9 @@ def test_p_laplacian_drift_single_sine_p4():
 
 
 def test_p_laplacian_drift_reduces_to_laplacian_at_p2():
-    basis = trig_basis(8, include_zero=False)
     u = np.zeros(8)
     u[1] = INV_SQRT2
-    out = p_laplacian_drift(basis, 2.0, u)
+    out = p_laplacian_drift(2.0, u)
     expected = np.zeros(8)
     expected[1] = -INV_SQRT2
     assert np.max(np.abs(out - expected)) < 1e-12
@@ -89,26 +88,20 @@ def test_p_laplacian_drift_reduces_to_laplacian_at_p2():
 
 def test_p_laplacian_monotone_decreasing():
     # <A(u) - A(v), u - v> <= 0 for the monotone p-Laplacian
-    basis = trig_basis(12, include_zero=False)
+    drift = make_p_laplacian(modes=12, p=4.0).model.drift
     rng = np.random.default_rng(8)
     for _ in range(20):
         u = rng.standard_normal(12)
         v = rng.standard_normal(12)
-        pair = dual_pairing(p_laplacian_drift(basis, 4.0, u) - p_laplacian_drift(basis, 4.0, v), u - v)
+        pair = dual_pairing(drift(0.0, u) - drift(0.0, v), u - v)
         assert pair <= 1e-10
 
 
 def test_p_laplacian_rejects_small_p():
-    basis = trig_basis(8, include_zero=False)
     with pytest.raises(UnsupportedParameterError):
-        p_laplacian_drift(basis, 1.5, np.zeros(8))
+        make_p_laplacian(modes=8, p=1.5)
     with pytest.raises(UnsupportedParameterError):
         make_p_laplacian(modes=8, p=1.0)
-
-
-def test_oracle_drift_is_linear():
-    assert oracle_drift_1d(2.0, 0.5) == pytest.approx(1.0)
-    assert oracle_drift_1d(3.0, -1.0) == pytest.approx(-3.0)
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +246,6 @@ def test_rho_weight_formula():
     )
     u = np.array([1.0])
     assert scaled.rho(u) == pytest.approx(8.0)
-    assert scaled.eta(u) == pytest.approx(scaled.rho(u))
 
 
 def test_model_spec_rejects_understated_c0():
@@ -314,3 +306,15 @@ def test_registry_dispatch():
     assert bundle.model.drift(0.0, np.array([4.0])) == pytest.approx([1.0])
     with pytest.raises(ConfigurationError):
         build_model("heat_equation")
+
+
+SUBMODULES = "cli fourier hilbert hypotheses localtime models montecarlo penalize tamednse".split()
+
+
+@pytest.mark.parametrize("module", ["reflectspde"] + [f"reflectspde.{m}" for m in SUBMODULES])
+def test_public_names_are_unique_and_defined(module):
+    import importlib
+
+    mod = importlib.import_module(module)
+    assert len(mod.__all__) == len(set(mod.__all__))
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
