@@ -14,12 +14,26 @@ Drift (viscosity on the Stokes term as in the momentum equation):
 
     A(u) = nu * P Laplace(u) - P((u . grad) u) - P(g_N(|u|^2) u)
 
-with nonlinear terms evaluated pseudo-spectrally on a 2(2*modes+1)^3 grid —
-wider than 2/3-rule dealiasing needs, so quadratic products are exactly
-alias-free on the retained modes.  Grid fields are real, so the transforms
-work on the half spectrum kx >= 0: u and its three derivatives i k_d u go to
-the grid in one batched inverse real FFT, and the nonlinear products come
-back in one forward real FFT.
+with the nonlinear terms evaluated pseudo-spectrally on a 2(2*modes+1)^3
+grid.  The convection is taken in rotational form: (u . grad) u =
+omega x u + grad(|u|^2 / 2) with omega = curl u, and the Leray projection P
+removes the gradient, whose coefficients i k (|u|^2/2)^_k are parallel to k.
+So only u and omega (6 fields) go to the grid, not u and its 9 derivatives.
+The grid is wider than 2/3-rule dealiasing needs: |u|^2 and omega x u have
+modes up to 2*modes, and none of them aliases onto a retained mode, so the
+identity and the gradient's removal hold exactly at the retained modes, up to
+rounding.  The taming term g_N(|u|^2) u is formed from the same grid values
+of u.
+
+Grid fields are real and every stored wavevector has kx >= 0, so a field is
+held on the retained box kx in [0, modes], ky, kz in [-modes, modes] (the
+kx = 0 plane also carries the conjugate partners) and reaches the grid by
+three dense 1-D passes, the trigonometric matrices of fourier.TrigBasis1D
+applied along each axis: complex e^{i k y} along z and y, and a real cos/sin
+pair along x that weights kx > 0 twice for its absent -kx.  The products come
+back by the conjugate passes, keeping only the box.  These O(G * modes)
+matrices touch only the box, where full-grid FFTs would transform a cube that
+is mostly zero.
 """
 
 from __future__ import annotations
@@ -52,9 +66,13 @@ __all__ = [
 ]
 
 # The drift runs in row chunks whose transform scratch (_row_scratch_bytes
-# per row, at least one row) fits in this budget.  On a 2-core x86 host,
-# budgets of 2-16 MB ran equally fast and 64 MB about 20 % slower.
-_CHUNK_BYTES = 8 * 2**20
+# per row, at least one row) fits in this budget.  At 4 modes a row holds
+# 0.56 MB (traced: 0.56 MB).  On a 2-core x86 host at one BLAS thread, the
+# tamed constant stability at counts (50, 100) ran fastest at 3-6 MB (5-11
+# rows), 12-27 % slower at 1-2 MB (1-3 rows), and 45 % slower at 12 MB
+# (22 rows), where the blocks page-fault their scratch in afresh (about
+# 17 000 minor faults per run, none at 6 MB and below).
+_CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -85,9 +103,13 @@ class TamedLattice:
     pol1: np.ndarray  # (L, 3) unit, perpendicular to k
     pol2: np.ndarray  # (L, 3) unit, perpendicular to k and pol1
     grid_size: int  # points per dimension
-    half_idx: np.ndarray  # (L,) flat index of k in the (kz, ky, kx >= 0) half cube
+    box_idx: np.ndarray  # (L,) flat index of k in the (kx >= 0, ky, kz) box
     plane_rows: np.ndarray  # rows of the kx = 0 modes
-    plane_neg_idx: np.ndarray  # flat half-cube index of -k for those rows
+    conj_idx: np.ndarray  # flat box index of -k for those rows
+    synthesis_yz: np.ndarray  # (2m+1, G) complex, e^{i k y_j} for k = -m..m
+    analysis_yz: np.ndarray  # (2m+1, G) complex, e^{-i k y_j}
+    synthesis_x: np.ndarray  # (G, 2(m+1)) real, [w cos | -w sin], w = 1 at kx = 0, else 2
+    analysis_x: np.ndarray  # (2(m+1), G) real, [cos; -sin] / G^3
 
     @property
     def n_half(self) -> int:
@@ -96,6 +118,12 @@ class TamedLattice:
     @property
     def n_coeffs(self) -> int:
         return 4 * self.n_half
+
+
+def _phases(k: np.ndarray, grid: int) -> np.ndarray:
+    """(len(k), grid) angles k * x_j, reduced mod 2 pi in whole grid steps so
+    that high wavenumbers lose no accuracy to the argument's size."""
+    return 2.0 * np.pi * (np.outer(k, np.arange(grid)) % grid) / grid
 
 
 def build_lattice(modes: int = 4) -> TamedLattice:
@@ -126,11 +154,17 @@ def build_lattice(modes: int = 4) -> TamedLattice:
     p2 /= np.linalg.norm(p2, axis=1, keepdims=True)
 
     grid = 2 * (2 * kmax + 1)
-    # stored k have kx >= 0, so each sits in the half cube; the kx = 0 plane
-    # also needs the conjugate at -k, which no stored row supplies
-    hx = grid // 2 + 1
-    strides = np.array([1, hx, grid * hx])  # (kx, ky, kz)
+    # every stored k has kx >= 0, so each sits in the box kx in [0, m],
+    # ky, kz in [-m, m]; the kx = 0 plane also needs the conjugate at -k,
+    # which no stored row supplies
+    side = 2 * kmax + 1
+    strides = np.array([side * side, side, 1])  # (kx, ky, kz)
+    offset = np.array([0, kmax, kmax])
     plane = np.flatnonzero(kvecs[:, 0] == 0)
+    synthesis_yz = np.exp(1j * _phases(np.arange(-kmax, kmax + 1), grid))
+    kx = np.arange(kmax + 1)
+    cos, sin = np.cos(_phases(kx, grid)), np.sin(_phases(kx, grid))
+    weight = np.where(kx == 0, 1.0, 2.0)[:, None]  # kx > 0 stands for kx and -kx
     return TamedLattice(
         modes=modes,
         kvecs=kvecs,
@@ -138,9 +172,13 @@ def build_lattice(modes: int = 4) -> TamedLattice:
         pol1=p1,
         pol2=p2,
         grid_size=grid,
-        half_idx=(kvecs % grid) @ strides,
+        box_idx=(kvecs + offset) @ strides,
         plane_rows=plane,
-        plane_neg_idx=((-kvecs[plane]) % grid) @ strides,
+        conj_idx=(offset - kvecs[plane]) @ strides,
+        synthesis_yz=synthesis_yz,
+        analysis_yz=np.conj(synthesis_yz),
+        synthesis_x=np.concatenate([weight * cos, -weight * sin]).T.copy(),
+        analysis_x=np.concatenate([cos, -sin]) / grid**3,
     )
 
 
@@ -207,34 +245,74 @@ def state_from_uhat(lattice: TamedLattice, uhat: np.ndarray) -> np.ndarray:
     return s4.reshape(*s4.shape[:-2], lattice.n_coeffs)
 
 
-def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np.ndarray:
-    """Leray-projected coefficients of (u.grad)u + g_N(|u|^2)u, pseudo-spectral.
+def _velocity_and_vorticity(lattice: TamedLattice, uh: np.ndarray) -> np.ndarray:
+    """(rows, L, 3) velocity coefficients -> (rows, 6, L): u, then i k x u."""
+    kf = lattice.kvecs.T.astype(float)  # (3, L)
+    coef = np.moveaxis(uh, -1, -2)
+    fields = np.empty((uh.shape[0], 6, lattice.n_half), dtype=complex)
+    fields[:, :3] = coef
+    for i in range(3):  # cyclic (i, j, l): omega_i = i (k_j u_l - k_l u_j)
+        j, l = (i + 1) % 3, (i + 2) % 3
+        fields[:, 3 + i] = 1j * (kf[j] * coef[:, l] - kf[l] * coef[:, j])
+    return fields
 
-    uh (rows, L, 3) is scattered with its three derivatives i k_d uh into one
-    component-first half cube (rows, 4, 3, G, G, G//2+1) indexed (kz, ky, kx);
-    one inverse real FFT gives u and grad u on the grid.
+
+def _box_to_grid(lattice: TamedLattice, fields: np.ndarray) -> np.ndarray:
+    """Half-lattice fields (rows, F, L) -> real grid values (rows, F, G, G*G)
+    indexed (x, y, z): scatter into the retained box, then one 1-D synthesis
+    per axis, kz and ky complex, kx real."""
+    m, g = lattice.modes, lattice.grid_size
+    side, nx = 2 * m + 1, m + 1
+    rows, nf = fields.shape[:2]
+    a = np.zeros((rows, nf, nx * side * side), dtype=complex)
+    a[..., lattice.box_idx] = fields
+    a[..., lattice.conj_idx] = np.conj(fields[..., lattice.plane_rows])
+    a = a.reshape(rows, nf * nx * side, side) @ lattice.synthesis_yz  # kz -> z
+    a = lattice.synthesis_yz.T @ a.reshape(rows, nf * nx, side, g)  # ky -> y
+    a = a.reshape(rows, nf, nx, g * g)
+    a = np.concatenate([a.real, a.imag], axis=2)
+    return lattice.synthesis_x @ a  # kx -> x
+
+
+def _grid_to_box(lattice: TamedLattice, values: np.ndarray) -> np.ndarray:
+    """Real grid values (rows, F, G, G*G) -> half-lattice coefficients
+    (rows, F, L): the conjugate passes of _box_to_grid, keeping only the box."""
+    m, g = lattice.modes, lattice.grid_size
+    side, nx = 2 * m + 1, m + 1
+    rows, nf = values.shape[:2]
+    b = lattice.analysis_x @ values  # x -> kx: real and imaginary parts
+    c = np.empty((rows, nf, nx, g * g), dtype=complex)
+    c.real = b[:, :, :nx]
+    c.imag = b[:, :, nx:]
+    c = lattice.analysis_yz @ c.reshape(rows, nf * nx, g, g)  # y -> ky
+    c = c.reshape(rows, nf * nx * side, g) @ lattice.analysis_yz.T  # z -> kz
+    return c.reshape(rows, nf, -1)[..., lattice.box_idx]
+
+
+def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np.ndarray:
+    """Leray-projected coefficients of (u.grad)u + g_N(|u|^2)u, pseudo-spectral,
+    with the convection in rotational form.
+
+    (u.grad)u = omega x u + grad(|u|^2 / 2), omega = curl u, holds pointwise on
+    the grid values.  |u|^2 has modes up to 2*modes, and on the 2(2*modes+1)
+    grid none of them aliases onto a retained mode, so the box analysis
+    returns the gradient's retained coefficients i k (|u|^2/2)^_k exactly;
+    they are parallel to k, and the Leray projection removes them.  So uh
+    (rows, L, 3) goes to the grid with its vorticity i k x uh, 6 fields rather
+    than the 12 of u and grad u, through the box synthesis; omega x u plus the
+    taming term, which reads the same grid values of u, is formed pointwise
+    and comes back through the box analysis.
     """
-    g = lattice.grid_size
-    half = (g, g, g // 2 + 1)
-    rows = uh.shape[0]
-    coef = np.moveaxis(uh, -1, -2)  # (rows, 3, L)
-    ik = 1j * lattice.kvecs.T.astype(float)  # (3, L)
-    stack = np.stack([coef] + [ik[d] * coef for d in range(3)], axis=1)  # (rows, 4, 3, L)
-    cube = np.zeros((rows, 4, 3, half[0] * half[1] * half[2]), dtype=complex)
-    cube[..., lattice.half_idx] = stack
-    cube[..., lattice.plane_neg_idx] = np.conj(stack[..., lattice.plane_rows])
-    grid = np.fft.irfftn(
-        cube.reshape((rows, 4, 3) + half), s=(g, g, g), axes=(-3, -2, -1), norm="forward"
-    )
-    del cube
-    u = grid[:, 0]
-    conv = u[:, 0:1] * grid[:, 1]
-    conv += u[:, 1:2] * grid[:, 2]
-    conv += u[:, 2:3] * grid[:, 3]
-    speed_sq = np.sum(u * u, axis=1)
-    conv += taming_g(speed_sq, spec)[:, None] * u
-    out = np.fft.rfftn(conv, axes=(-3, -2, -1), norm="forward")
-    out = out.reshape(rows, 3, -1)[..., lattice.half_idx]
+    grid = _box_to_grid(lattice, _velocity_and_vorticity(lattice, uh))
+    u, omega = grid[:, :3], grid[:, 3:]
+    speed_sq = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2]
+    prod = taming_g(speed_sq, spec)[:, None] * u
+    for i in range(3):  # cyclic (i, j, l): (omega x u)_i = omega_j u_l - omega_l u_j
+        j, l = (i + 1) % 3, (i + 2) % 3
+        prod[:, i] += omega[:, j] * u[:, l]
+        prod[:, i] -= omega[:, l] * u[:, j]
+    del grid, u, omega  # the analysis runs without them: the peak stays at taming_g
+    out = _grid_to_box(lattice, prod)
     return leray_project(lattice, np.moveaxis(out, -2, -1))
 
 
@@ -252,13 +330,12 @@ def _nonstiff_block(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -
 
 
 def _row_scratch_bytes(lattice: TamedLattice) -> int:
-    """Peak scratch per row of _nonlinear_hat, for 12 stacked fields (u and
-    its three derivatives, three components each): their half-lattice
-    coefficients, their half cube, and the two complex axis passes of the
-    inverse FFT, which are alive together.  What follows holds less."""
-    g = lattice.grid_size
-    half_cube = g * g * (g // 2 + 1) * 16
-    return 12 * (lattice.n_half * 16 + 3 * half_cube)
+    """Peak scratch per row of _nonlinear_hat: 12 real grid fields, reached
+    while taming_g runs.  The six grid fields of u and omega, |u|^2 and about
+    four temporaries of taming_g are alive together; the box transforms on
+    either side hold less (at 4 modes, the synthesis about 9.3 fields and the
+    analysis about 7)."""
+    return 12 * lattice.grid_size**3 * 8
 
 
 def _chunk_rows(lattice: TamedLattice) -> int:

@@ -282,19 +282,29 @@ def full_complex_nonlinear_hat(lattice, spec, uh):
     return leray_project(lattice, flat_coeffs[..., flat(lattice.kvecs), :])
 
 
+@pytest.fixture(scope="module")
+def lattices():
+    return {modes: build_lattice(modes) for modes in (4, 5, 8)}
+
+
+@pytest.mark.parametrize("modes", [4, 5, 8])
 @settings(max_examples=20, deadline=None)
 @given(
+    data=st.data(),
     seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 3),
     support=st.sampled_from(["all", "kx0_plane", "one_mode"]),
     scale=st.floats(0.0, 2.0),
     taming_n=st.sampled_from([0.05, 1.0, 1e6]),
 )
-def test_half_spectrum_nonlinearity_matches_full_complex_reference(
-    lattice, seed, rows, support, scale, taming_n
+def test_nonlinearity_matches_full_complex_reference(
+    lattices, modes, data, seed, support, scale, taming_n
 ):
-    # the kx = 0 plane is the one place the half cube needs conjugate
-    # partners scattered explicitly; fields living only there exercise it
+    # the box shape and the grid both depend on modes; the full-complex
+    # reference is costly at 8 modes, so that case draws at most two rows
+    lattice = lattices[modes]
+    rows = data.draw(st.integers(1, 2 if modes == 8 else 3), label="rows")
+    # the kx = 0 plane is the one place the box needs conjugate partners
+    # scattered explicitly; fields living only there exercise it
     rng = np.random.default_rng(seed)
     keep = {
         "all": np.ones(lattice.n_half, dtype=bool),
@@ -305,14 +315,16 @@ def test_half_spectrum_nonlinearity_matches_full_complex_reference(
         (rows, lattice.n_half, 3)
     )
     uh = scale * leray_project(lattice, raw * keep[:, None]) / np.sqrt(lattice.n_half)
-    spec = TamedSpec(nu=1.0, taming_n=taming_n, modes=4)
+    spec = TamedSpec(nu=1.0, taming_n=taming_n, modes=modes)
     got = _nonlinear_hat(lattice, spec, uh)
     want = full_complex_nonlinear_hat(lattice, spec, uh)
     # relative to the size of the grid products, which can cancel to rounding
-    # (a single shear mode has no convection)
+    # (a single shear mode has no convection); the absolute floor covers tiny
+    # scales, whose products are subnormal and round to their spacing
     kmag = np.sqrt(lattice.ksq)[:, None]
     products = np.sum(np.abs(uh)) * np.sum(kmag * np.abs(uh))
-    assert np.max(np.abs(got - want)) <= 1e-12 * (np.max(np.abs(want)) + products)
+    bound = 1e-12 * (np.max(np.abs(want)) + products) + np.finfo(float).tiny
+    assert np.max(np.abs(got - want)) <= bound
 
 
 def test_drift_bit_equal_across_chunkings(lattice, monkeypatch):
@@ -345,6 +357,20 @@ def test_make_tamed_nse_bundle():
     with pytest.raises(ConfigurationError):
         make_tamed_nse(modes=4, noise_modes=2000)
     assert build_model("tamed_nse", modes=4).space.label == "tamed_nse_4"
+
+
+def test_tamed_lawson_split_recombines_to_state_rhs(lattice):
+    # the Lawson move integrates linear_symbol exactly and steps
+    # nonstiff_drift; together they must be the state-space drift
+    model = make_tamed_nse(modes=4, taming_n=0.05).model
+    u = np.stack(
+        [
+            state_from_uhat(lattice, random_divfree_uhat(lattice, seed=s, scale=0.2))
+            for s in range(4)
+        ]
+    )
+    recombined = model.linear_symbol * u + model.nonstiff_drift(0.0, u)
+    assert np.max(np.abs(model.state_rhs(0.0, u) - recombined)) < 1e-12
 
 
 def test_penalized_reflection_keeps_h1_ball_with_decaying_penetration():
