@@ -25,11 +25,9 @@ from .hilbert import (
 )
 from .hypotheses import AuditReport, FieldSampler, constant_stability, run_all_audits
 from .localtime import (
-    ReflectionSummary,
     boundary_leak,
     inequality_study,
     make_test_paths,
-    summarize,
     total_variation,
     variational_gap,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "PathRecord",
     "REGISTRY",
     "ReflectSPDEError",
-    "ReflectionSummary",
     "Report",
     "SchemeConfig",
     "SpaceSpec",
@@ -105,7 +102,6 @@ __all__ = [
     "run_estimates",
     "simulate_path",
     "step_penalized",
-    "summarize",
     "taming_g",
     "total_variation",
     "uniqueness_check",

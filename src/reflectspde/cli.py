@@ -35,6 +35,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -55,8 +56,15 @@ SUBCOMMANDS = ("estimates", "cauchy", "inequality", "hypotheses", "oracle1d", "a
 # master schema: dotted key -> (type caster, default); None default = required
 # or builder-defaulted.
 _INT = int
-_FLOAT = float
 _STR = str
+
+
+def _FLOAT(text: str) -> float:
+    """A finite float: no scalar key has a meaningful nan or inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _float_list(text: str) -> list[float]:
@@ -249,8 +257,9 @@ def _sha256(path: Path) -> str:
 
 def _n_grid(config: ExperimentConfig) -> list[float]:
     grid = [float(n) for n in config.require("run.n_grid")]
-    if any(n < 0 for n in grid):
-        raise ConfigError("run.n_grid: penalization levels must be nonnegative")
+    # inf is the projection level (splitting only); nan compares False
+    if not all(n >= 0 for n in grid):
+        raise ConfigError("run.n_grid: penalization levels must be nonnegative or inf")
     return grid
 
 

@@ -1,15 +1,17 @@
-"""Reflection-measure accounting on recorded paths.
+"""Reflection-measure accounting as reductions over the stepping kernel's arrays.
 
-Everything here is a pure function of a PathRecord: the total variation of
-the recorded L^n, the variational-inequality functional against ball-valued
-test paths, and the boundary-support functional that measures how much of
-the reflection mass falls away from the unit sphere.  All Riemann-Stieltjes
-sums use left endpoints, matching the stepper's quadrature convention.
+States (steps+1, *batch, m) and penalty increments dL (steps, *batch, m)
+carry time on axis 0, any batch axes (levels, paths) between, and
+coefficients last.  Each functional reduces them for every batch row at
+once: the total variation of L^n, the variational-inequality functional
+against a family of ball-valued test paths, and the mass of reflection away
+from the unit sphere.  Riemann-Stieltjes sums use left endpoints, as the
+stepper does.  The reflection mass over radii is one histogram over the
+same arrays: ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,61 +19,71 @@ import numpy as np
 from .errors import ConfigurationError
 from .hilbert import SpaceSpec, norm_h
 from .montecarlo import Report
-from .penalize import PathRecord, _brownian_block, _path_record, _penalized_stack
+from .penalize import _brownian_block, _penalized_stack
 
 __all__ = [
-    "ReflectionSummary",
     "total_variation",
     "variational_gap",
     "boundary_leak",
     "make_test_paths",
-    "summarize",
     "InequalityRow",
     "inequality_study",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ReflectionSummary:
-    """Per-path reflection statistics.
+def _check_path(space: SpaceSpec, states, l_increments) -> tuple[np.ndarray, np.ndarray]:
+    states, l_increments = space.check_coeffs(states), space.check_coeffs(l_increments)
+    if l_increments.shape != (len(states) - 1,) + states.shape[1:]:
+        raise ConfigurationError(f"increments {l_increments.shape} do not fit {states.shape}")
+    return states, l_increments
 
-    support_profile is a histogram of |X(t_j)|_H at the steps' left
-    endpoints, weighted by the reflection mass |dL_j|_H — all mass should
-    concentrate near radius 1.
+
+def total_variation(space: SpaceSpec, l_increments: np.ndarray) -> np.ndarray:
+    """Var_H of the piecewise-constant L^n: the sum of increment norms over time."""
+    return np.sum(norm_h(space, l_increments), axis=0)
+
+
+def variational_gap(
+    space: SpaceSpec, states: np.ndarray, l_increments: np.ndarray, tests: np.ndarray
+) -> np.ndarray:
+    """sum_j (phi(t_j) - X(t_j), dL_j)_H for every batch row and test path.
+
+    tests is a family (*family, steps+1, m) of ball-valued paths on the
+    states' time grid, or one (steps+1, m) path; the result has shape
+    (*batch, *family).  Each gap is sum_j (phi_j, dL_j)_H - sum_j (X_j, dL_j)_H;
+    the first sum, for the whole family, is one (family, steps*m) @
+    (steps*m, batch) product.
+
+    Nonnegative up to one-step discretization error.  For the explicit
+    stepper each term (phi_j - X_j, dL_j)_H is >= 0 (dL_j points from X_j
+    toward its projection), but the difference of the two sums keeps that
+    sign only up to rounding of order eps * sum_j |X_j|_H |dL_j|_H.
     """
-
-    total_variation: float
-    masses: np.ndarray  # (steps,) per-step |dL|_H
-    support_profile: tuple[np.ndarray, np.ndarray]  # (hist, bin_edges)
-
-
-def _masses(space: SpaceSpec, path: PathRecord) -> np.ndarray:
-    return norm_h(space, path.l_increments)
-
-
-def total_variation(space: SpaceSpec, path: PathRecord) -> float:
-    """Var_H of the piecewise-constant L^n: the sum of increment norms."""
-    return float(np.sum(_masses(space, path)))
-
-
-def variational_gap(space: SpaceSpec, path: PathRecord, test: np.ndarray) -> float:
-    """sum_j (phi(t_j) - X(t_j), dL_j) for a ball-valued test path phi.
-
-    Nonnegative up to one-step discretization error; exactly nonnegative for
-    the explicit stepper (each dL_j points from X(t_j) toward its projection).
-    """
-    test = space.check_coeffs(np.asarray(test, dtype=float))
-    if test.shape != path.states.shape:
+    states, l_increments = _check_path(space, states, l_increments)
+    tests = space.check_coeffs(tests)
+    if tests.ndim < 2 or tests.shape[-2] != states.shape[0]:
         raise ConfigurationError(
-            f"test path must match the state grid {path.states.shape}, got {test.shape}"
+            f"test paths must match the state grid {(states.shape[0], space.n_coeffs)}, "
+            f"got {tests.shape}"
         )
-    if np.any(norm_h(space, test) > 1.0 + 1e-9):
+    w = space.h_weights
+    # squared radii without a family-sized temporary
+    if np.any(np.einsum("...m,m,...m->...", tests, w, tests) > (1.0 + 1e-9) ** 2):
         raise ConfigurationError("test path leaves the closed unit ball")
-    diff = test[:-1] - path.states[:-1]
-    return float(np.sum(space.h_weights * diff * path.l_increments))
+    steps, batch, family = l_increments.shape[0], states.shape[1:-1], tests.shape[:-2]
+    # (*batch, steps, m) weighted increments, C-ordered so rows flatten to steps*m
+    w_dl = np.multiply(w, np.moveaxis(l_increments, 0, -2), order="C")
+    own = np.einsum("j...m,...jm->...", states[:-1], w_dl)
+    # the family's first steps rows, flattened as a view: no copy of the family
+    left = tests[..., :-1, :].reshape(-1, steps * space.n_coeffs)
+    cross = left @ w_dl.reshape(-1, steps * space.n_coeffs).T
+    gaps = cross.T.reshape(batch + family) - own.reshape(batch + (1,) * len(family))
+    return gaps[()]
 
 
-def boundary_leak(space: SpaceSpec, path: PathRecord, delta: float) -> float:
+def boundary_leak(
+    space: SpaceSpec, states: np.ndarray, l_increments: np.ndarray, delta: float
+) -> np.ndarray:
     """Reflection mass caught by a bump supported delta-deep inside the ball.
 
     psi_delta(r) = (1 - delta - r)^2 for r < 1 - delta, else 0; the result is
@@ -79,15 +91,14 @@ def boundary_leak(space: SpaceSpec, path: PathRecord, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
-    r = norm_h(space, path.states[:-1])
+    states, l_increments = _check_path(space, states, l_increments)
+    r = norm_h(space, states[:-1])
     bump = np.where(r < 1.0 - delta, (1.0 - delta - r) ** 2, 0.0)
-    return float(np.sum(bump * _masses(space, path)))
+    return np.sum(bump * norm_h(space, l_increments), axis=0)
 
 
-def make_test_paths(
-    space: SpaceSpec, seed: int, count: int, times: np.ndarray
-) -> list[np.ndarray]:
-    """Seeded family of continuous ball-valued test paths on the given grid.
+def make_test_paths(space: SpaceSpec, seed: int, count: int, times: np.ndarray) -> np.ndarray:
+    """Seeded (count, len(times), m) family of continuous ball-valued test paths.
 
     Member 0 is the zero path; the next members are fixed boundary constants
     (unit basis vectors); the rest are random low-frequency coefficient
@@ -99,14 +110,14 @@ def make_test_paths(
     times = np.asarray(times, dtype=float)
     n_t = times.shape[0]
     m = space.n_coeffs
-    paths: list[np.ndarray] = [np.zeros((n_t, m))]
+    family = np.zeros((count, n_t, m))
+    filled = 1  # member 0 is the zero path
 
     for idx in (0, m - 1):
-        if len(paths) >= count:
+        if filled >= count:
             break
-        const = np.zeros(m)
-        const[idx] = 1.0 / np.sqrt(space.h_weights[idx])
-        paths.append(np.tile(const, (n_t, 1)))
+        family[filled, :, idx] = 1.0 / np.sqrt(space.h_weights[idx])
+        filled += 1
 
     rng = np.random.default_rng(seed)
     span = times[-1] - times[0] if n_t > 1 else 1.0
@@ -123,32 +134,14 @@ def make_test_paths(
         axis=-1,
     )  # (n_t, 5)
     active = min(6, m)
-    while len(paths) < count:
+    for curve in family[filled:]:
         coeffs = rng.standard_normal((5, active))
-        curve = np.zeros((n_t, m))
         curve[:, :active] = shapes @ coeffs
         radius = rng.uniform(0.15, 1.0)
         sup = np.max(norm_h(space, curve))
         if sup > 0:
             curve *= radius / sup
-        paths.append(curve)
-    return paths[:count]
-
-
-def summarize(
-    space: SpaceSpec,
-    path: PathRecord,
-    bins: int = 24,
-    radius_range: tuple[float, float] = (0.0, 1.2),
-) -> ReflectionSummary:
-    masses = _masses(space, path)
-    r_left = norm_h(space, path.states[:-1])
-    hist, edges = np.histogram(r_left, bins=bins, range=radius_range, weights=masses)
-    return ReflectionSummary(
-        total_variation=float(np.sum(masses)),
-        masses=masses,
-        support_profile=(hist, edges),
-    )
+    return family
 
 
 class InequalityRow(NamedTuple):
@@ -197,17 +190,18 @@ def inequality_study(
         states[j + 1] = x
         l_increments[j] = dL
 
-    rows = []
-    for li, n in enumerate(n_grid):
-        for i in range(paths):
-            if not alive[li, i]:
-                rows.append(InequalityRow(n, i, float("nan"), float("nan"), float("nan")))
-                continue
-            rec = _path_record(
-                space, cfg.with_n(n), states[:, li, i], l_increments[:, li, i]
-            )
-            tv = total_variation(space, rec)
-            min_gap = min(variational_gap(space, rec, phi) for phi in tests)
-            leak = boundary_leak(space, rec, delta)
-            rows.append(InequalityRow(n, i, tv, min_gap, leak))
+    table = np.stack(
+        [
+            total_variation(space, l_increments),
+            variational_gap(space, states, l_increments, tests).min(axis=-1),
+            boundary_leak(space, states, l_increments, delta),
+        ],
+        axis=-1,
+    )
+    table[~alive] = np.nan  # dead rows were pinned to zero by the kernel
+    rows = [
+        InequalityRow(n, i, *map(float, table[li, i]))
+        for li, n in enumerate(n_grid)
+        for i in range(paths)
+    ]
     return Report(tuple(rows), int(np.count_nonzero(~alive)))

@@ -221,20 +221,6 @@ def _radial_totals(r: np.ndarray, v_energy: np.ndarray, dt: float) -> dict:
     }
 
 
-def _path_record(space: SpaceSpec, cfg: SchemeConfig, states, l_increments) -> PathRecord:
-    totals = _radial_totals(
-        norm_h(space, states), norm_v(space, states) ** space.alpha, cfg.dt
-    )
-    return PathRecord(
-        times=cfg.dt * np.arange(cfg.steps + 1),
-        states=states,
-        l_increments=l_increments,
-        n=cfg.n,
-        method=cfg.method,
-        **{k: float(v) for k, v in totals.items()},
-    )
-
-
 def simulate_path(
     model: ModelSpec,
     cfg: SchemeConfig,
@@ -270,4 +256,14 @@ def simulate_path(
             raise BlowUpError(j + 1, (j + 1) * cfg.dt, r[0, 0])
         states[j + 1] = x[0, 0]
         l_increments[j] = dL[0, 0]
-    return _path_record(space, cfg, states, l_increments)
+    totals = _radial_totals(
+        norm_h(space, states), norm_v(space, states) ** space.alpha, cfg.dt
+    )
+    return PathRecord(
+        times=cfg.dt * np.arange(cfg.steps + 1),
+        states=states,
+        l_increments=l_increments,
+        n=cfg.n,
+        method=cfg.method,
+        **{k: float(v) for k, v in totals.items()},
+    )

@@ -278,7 +278,7 @@ def test_criterion_08_variational_inequality(desk_inequality, ac64, desk_cfg):
     for n in DESK_N_GRID:
         rec = simulate_path(ac64.model, desk_cfg.with_n(n), ac64.x0)
         shadow = project_ball(ac64.model.space, rec.states)
-        shadow_gaps.append(variational_gap(ac64.model.space, rec, shadow))
+        shadow_gaps.append(variational_gap(ac64.model.space, rec.states, rec.l_increments, shadow))
     ok = failures == 0 and worst >= 0.0 and all(g >= 0.0 for g in shadow_gaps)
     verdict(
         8,

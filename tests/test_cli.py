@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectspde.cli import (
+    _FLOAT,
     _INT,
     _SCHEMA,
     ConfigError,
@@ -41,6 +42,12 @@ def write_conf(tmp_path, text, name="run.conf"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def conf_with(key, value):
+    """ORACLE_CONF with `key = value` in place of any line that sets key."""
+    lines = [ln for ln in ORACLE_CONF.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}", ""])
 
 
 # --------------------------------------------------------------------------
@@ -358,8 +365,7 @@ def test_exit_code_3_on_blowup_in_every_study(tmp_path, capsys, subcommand):
     ],
 )
 def test_exit_code_2_on_unusable_count(tmp_path, capsys, subcommand, key, value):
-    lines = [ln for ln in ORACLE_CONF.splitlines() if ln.partition("=")[0].strip() != key]
-    conf = write_conf(tmp_path, "\n".join(lines + [f"{key} = {value}", ""]))
+    conf = write_conf(tmp_path, conf_with(key, value))
     out = tmp_path / "out"
     assert run_cli([subcommand, "--config", conf, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: must be >= ")
@@ -373,6 +379,30 @@ def test_exit_code_2_on_delta_outside_unit_interval(tmp_path, capsys, delta):
     assert run_cli(["all", "--config", conf, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("config error: run.delta: must lie in (0, 1)")
     assert not out.exists()  # rejected before any study ran
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(k for k, cast in _SCHEMA.items() if cast is _FLOAT))
+def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
+    conf = write_conf(tmp_path, conf_with(key, value))
+    out = tmp_path / "out"
+    assert run_cli(["all", "--config", conf, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key}: "), err
+    assert not out.exists()  # rejected before any study ran
+
+
+def test_nan_level_rejected_and_inf_level_kept(tmp_path, capsys):
+    conf = write_conf(tmp_path, conf_with("run.n_grid", "1, nan, 16"))
+    out = tmp_path / "out"
+    assert run_cli(["all", "--config", conf, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: run.n_grid: "), err
+    assert not out.exists()
+    # inf is the projection level of the splitting stepper
+    text = conf_with("run.n_grid", "1, inf") + "scheme.method = splitting\n"
+    conf = write_conf(tmp_path, text, name="inf.conf")
+    assert run_cli(["oracle1d", "--config", conf, "--out", tmp_path / "inf"]) == 0
 
 
 def test_cauchy_needs_two_levels(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectspde.errors import ConfigurationError
 from reflectspde.hilbert import SpaceSpec, norm_h, penalty_gap, project_ball
@@ -9,34 +11,15 @@ from reflectspde.localtime import (
     boundary_leak,
     inequality_study,
     make_test_paths,
-    summarize,
     total_variation,
     variational_gap,
 )
 from reflectspde.models import make_allen_cahn, make_oracle_1d
-from reflectspde.penalize import PathRecord, SchemeConfig, simulate_path
+from reflectspde.penalize import SchemeConfig, _brownian_block, _penalized_stack, simulate_path
 
 
 def flat_space(m):
     return SpaceSpec("flat", 1, m, np.ones(m), np.ones(m), 2.0)
-
-
-def fake_record(states, l_increments, n=1.0):
-    states = np.asarray(states, dtype=float)
-    steps = states.shape[0] - 1
-    return PathRecord(
-        times=np.arange(steps + 1, dtype=float),
-        states=states,
-        l_increments=np.asarray(l_increments, dtype=float),
-        int_pen=0.0,
-        int_pen_sq=0.0,
-        int_weighted_pen=0.0,
-        int_v_energy=0.0,
-        sup_h=float(np.max(np.abs(states))),
-        sup_pen=0.0,
-        n=n,
-        method="explicit",
-    )
 
 
 # --------------------------------------------------------------------------
@@ -45,42 +28,39 @@ def fake_record(states, l_increments, n=1.0):
 
 def test_total_variation_sums_increment_norms():
     space = flat_space(2)
-    rec = fake_record(
-        np.zeros((3, 2)),
-        [[0.3, 0.4], [0.0, 0.5]],  # norms 0.5 and 0.5
-    )
-    assert total_variation(space, rec) == pytest.approx(1.0, abs=1e-15)
+    dL = np.array([[0.3, 0.4], [0.0, 0.5]])  # norms 0.5 and 0.5
+    assert total_variation(space, dL) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_variational_gap_single_step_value():
     # X = e1, dL = -0.1 e1, phi = 0: (phi - X, dL) = 0.1
     space = flat_space(2)
-    rec = fake_record([[1.0, 0.0], [0.9, 0.0]], [[-0.1, 0.0]])
-    assert variational_gap(space, rec, np.zeros((2, 2))) == pytest.approx(0.1, abs=1e-15)
+    states, dL = np.array([[1.0, 0.0], [0.9, 0.0]]), np.array([[-0.1, 0.0]])
+    assert variational_gap(space, states, dL, np.zeros((2, 2))) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_variational_gap_input_checks():
     space = flat_space(2)
-    rec = fake_record([[1.0, 0.0], [0.9, 0.0]], [[-0.1, 0.0]])
+    states, dL = np.array([[1.0, 0.0], [0.9, 0.0]]), np.array([[-0.1, 0.0]])
     with pytest.raises(ConfigurationError):
-        variational_gap(space, rec, np.zeros((3, 2)))  # wrong time grid
+        variational_gap(space, states, dL, np.zeros((3, 2)))  # wrong time grid
     bad = np.zeros((2, 2))
     bad[0, 0] = 2.0  # leaves the ball
     with pytest.raises(ConfigurationError):
-        variational_gap(space, rec, bad)
+        variational_gap(space, states, dL, bad)
 
 
 def test_boundary_leak_frozen_values():
     space = flat_space(2)
     # all mass while sitting at the origin: psi_0.1(0) = 0.81
-    rec = fake_record([[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]])
-    assert boundary_leak(space, rec, 0.1) == pytest.approx(0.81, abs=1e-15)
+    dL = np.array([[1.0, 0.0]])
+    assert boundary_leak(space, np.zeros((2, 2)), dL, 0.1) == pytest.approx(0.81, abs=1e-15)
     # mass on the sphere is invisible to the bump
-    rec_sphere = fake_record([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]])
-    assert boundary_leak(space, rec_sphere, 0.1) == 0.0
+    sphere = np.array([[1.0, 0.0], [1.0, 0.0]])
+    assert boundary_leak(space, sphere, dL, 0.1) == 0.0
     for bad in (0.0, 1.0, -0.5):
         with pytest.raises(ConfigurationError):
-            boundary_leak(space, rec, bad)
+            boundary_leak(space, np.zeros((2, 2)), dL, bad)
 
 
 # --------------------------------------------------------------------------
@@ -91,17 +71,13 @@ def test_make_test_paths_structure():
     space = flat_space(5)
     times = np.linspace(0.0, 1.0, 11)
     paths = make_test_paths(space, seed=3, count=12, times=times)
-    assert len(paths) == 12
+    assert paths.shape == (12, 11, 5)
     assert np.array_equal(paths[0], np.zeros((11, 5)))
     # boundary constants on the first and last coordinate
     assert np.allclose(paths[1][:, 0], 1.0) and np.allclose(paths[1][:, 1:], 0.0)
     assert np.allclose(paths[2][:, 4], 1.0) and np.allclose(paths[2][:, :4], 0.0)
-    for phi in paths:
-        assert phi.shape == (11, 5)
-        assert np.max(norm_h(space, phi)) <= 1.0 + 1e-12
-    again = make_test_paths(space, seed=3, count=12, times=times)
-    for a, b in zip(paths, again):
-        assert np.array_equal(a, b)
+    assert np.max(norm_h(space, paths)) <= 1.0 + 1e-12
+    assert np.array_equal(paths, make_test_paths(space, seed=3, count=12, times=times))
     assert not np.array_equal(paths[5], make_test_paths(space, 4, 12, times)[5])
     with pytest.raises(ConfigurationError):
         make_test_paths(space, 0, 0, times)
@@ -130,7 +106,7 @@ def test_projection_shadow_gap_is_exactly_nonnegative():
     bundle, cfg, rec = strong_ac_path()
     space = bundle.space
     shadow = project_ball(space, rec.states)
-    gap = variational_gap(space, rec, shadow)
+    gap = variational_gap(space, rec.states, rec.l_increments, shadow)
     assert gap >= 0.0
     gaps = penalty_gap(space, rec.states[:-1])[0]
     expected = cfg.n * cfg.dt * np.sum(space.h_weights * gaps * gaps)
@@ -143,22 +119,114 @@ def test_variational_gap_nonnegative_for_all_ball_tests():
     bundle, cfg, rec = strong_ac_path()
     space = bundle.space
     tests = make_test_paths(space, seed=7, count=40, times=rec.times)
-    worst = min(variational_gap(space, rec, phi) for phi in tests)
+    worst = np.min(variational_gap(space, rec.states, rec.l_increments, tests))
     assert worst >= 0.0
 
 
-def test_summarize_mass_sits_outside_unit_radius():
-    bundle, cfg, rec = strong_ac_path()
+# --------------------------------------------------------------------------
+# the array reductions against per-path formulas, on generated stacks
+
+BUNDLES = {
+    "oracle": make_oracle_1d(kappa=1.0, sigma=0.6),
+    "allen_cahn": make_allen_cahn(modes=8, mu=1.5),
+}
+DT = 0.02  # explicit levels stay at n * DT <= 1; most paths reach the sphere
+EXPLICIT_LEVELS = st.floats(0.0, 1.0 / DT)
+SPLITTING_LEVELS = st.one_of(st.floats(0.0, 1e4), st.just(float("inf")))
+REDUCTION_SETTINGS = settings(max_examples=20, deadline=None)
+
+
+def penalized_arrays(bundle, cfg, levels, paths):
+    """(steps+1, L, M, m) states and (steps, L, M, m) increments of the kernel."""
+    dW = _brownian_block(cfg.seed, paths, bundle.model.noise.mode_count, cfg.steps, cfg.dt)
+    states = np.empty((cfg.steps + 1, len(levels), paths, bundle.space.n_coeffs))
+    dL = np.empty((cfg.steps,) + states.shape[1:])
+    states[0] = bundle.x0
+    for j, (x, d, _, _) in enumerate(_penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)):
+        states[j + 1], dL[j] = x, d
+    return states, dL
+
+
+def per_path_reference(space, X, dL, tests, delta):
+    """The functionals of one path (steps+1, m), written out term by term."""
+    w = space.h_weights
+    gaps = [np.sum(w * (phi[:-1] - X[:-1]) * dL) for phi in tests]
+    r = norm_h(space, X[:-1])
+    bump = np.where(r < 1.0 - delta, (1.0 - delta - r) ** 2, 0.0)
+    return np.sum(norm_h(space, dL)), np.array(gaps), np.sum(bump * norm_h(space, dL))
+
+
+@REDUCTION_SETTINGS
+@given(
+    name=st.sampled_from(sorted(BUNDLES)),
+    method=st.sampled_from(["explicit", "splitting"]),
+    data=st.data(),
+    paths=st.integers(1, 3),
+    steps=st.integers(1, 32),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 9),
+)
+def test_reductions_equal_per_path_formulas(name, method, data, paths, steps, seed, count):
+    bundle = BUNDLES[name]
     space = bundle.space
-    summary = summarize(space, rec, bins=24, radius_range=(0.0, 1.2))
-    hist, edges = summary.support_profile
-    assert summary.total_variation == pytest.approx(total_variation(space, rec))
-    assert summary.masses.shape == (cfg.steps,)
-    assert hist.sum() > 0.0
-    # explicit increments are only written where |X| > 1
-    below = edges[1:] <= 1.0
-    assert hist[below].sum() == 0.0
-    assert hist.sum() <= summary.total_variation + 1e-12
+    level = EXPLICIT_LEVELS if method == "explicit" else SPLITTING_LEVELS
+    levels = data.draw(st.lists(level, min_size=1, max_size=3))
+    cfg = SchemeConfig(dt=DT, steps=steps, n=levels[0], method=method, seed=seed)
+    states, dL = penalized_arrays(bundle, cfg, levels, paths)
+    tests = make_test_paths(space, seed, count, DT * np.arange(steps + 1))
+
+    tv = total_variation(space, dL)
+    gaps = variational_gap(space, states, dL, tests)
+    leak = boundary_leak(space, states, dL, 0.1)
+    assert tv.shape == leak.shape == (len(levels), paths)
+    assert gaps.shape == (len(levels), paths, count)
+    # a single test path gives the batch shape
+    single = variational_gap(space, states, dL, tests[-1])
+    assert single.shape == (len(levels), paths)
+
+    for li in range(len(levels)):
+        for i in range(paths):
+            X, d = states[:, li, i], dL[:, li, i]
+            want_tv, want_gaps, want_leak = per_path_reference(space, X, d, tests, 0.1)
+            # sum_j,i w_i (|X_ji| + |phi_ji|) |dL_ji|: by Cauchy-Schwarz at most
+            # sum_j (|X_j|_H + |phi_j|_H) |dL_j|_H, and it squares no tiny dL
+            w_dl = space.h_weights * np.abs(d)
+            scale = np.sum((np.abs(X[:-1]) + np.abs(tests[:, :-1])) * w_dl, axis=(1, 2))
+            assert np.all(abs(gaps[li, i] - want_gaps) <= 1e-12 * scale), (gaps[li, i], want_gaps)
+            assert abs(single[li, i] - want_gaps[-1]) <= 1e-12 * scale[-1]
+            assert abs(tv[li, i] - want_tv) <= 1e-12 * want_tv
+            assert abs(leak[li, i] - want_leak) <= 1e-12 * want_leak
+
+
+@REDUCTION_SETTINGS
+@given(
+    name=st.sampled_from(sorted(BUNDLES)),
+    levels=st.lists(EXPLICIT_LEVELS, min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_explicit_variational_gap_nonnegative_to_rounding(name, levels, seed):
+    # Exactly, every term (phi_j - X_j, dL_j)_H of the explicit stepper is
+    # >= 0.  The computed gap is sum_j (phi_j, dL_j)_H - sum_j (X_j, dL_j)_H,
+    # two dot products of N = steps * m terms.  The stepper writes dL_j = 0
+    # unless |X_j|_H > 1 >= |phi_j|_H (checked below), so by Cauchy-Schwarz
+    # the absolute terms of either sum add up to at most
+    # S = sum_j |X_j|_H |dL_j|_H.  Rounding errors of a length-N sum grow like
+    # sqrt(N) u S, u = eps / 2 the unit roundoff (Higham & Mary, SIAM J. Sci.
+    # Comput. 41, 2019); four of those for each sum, at N = 32 * 8 = 256,
+    # give the floor 2 * 4 * sqrt(256) * u * S = 64 eps S.
+    bundle = BUNDLES[name]
+    space = bundle.space
+    steps = 32
+    assert steps * space.n_coeffs <= 256
+    times = DT * np.arange(steps + 1)
+    tests = make_test_paths(space, seed, 20, times)
+    for n in levels:
+        rec = simulate_path(bundle.model, SchemeConfig(DT, steps, n, seed=seed), bundle.x0)
+        radii = norm_h(space, rec.states[:-1])
+        assert np.all(rec.l_increments[radii <= 1.0] == 0.0)
+        floor = 64 * np.finfo(float).eps * np.sum(radii * norm_h(space, rec.l_increments))
+        gaps = variational_gap(space, rec.states, rec.l_increments, tests)
+        assert np.min(gaps) >= -floor, (np.min(gaps), floor)
 
 
 def test_outward_oracle_total_variation_matches_ode_budget():
@@ -167,7 +235,7 @@ def test_outward_oracle_total_variation_matches_ode_budget():
     bundle = make_oracle_1d(kappa=1.0, sigma=0.0)
     cfg = SchemeConfig(dt=1e-3, steps=2000, n=1000.0, method="explicit")
     rec = simulate_path(bundle.model, cfg, np.array([0.5]))
-    tv = total_variation(bundle.space, rec)
+    tv = total_variation(bundle.space, rec.l_increments)
     assert tv == pytest.approx(2.0 - np.log(2.0), rel=0.05)
 
 

@@ -1,4 +1,5 @@
-"""Traced working sets of the audit and tamed-drift hot paths stay bounded.
+"""Traced working sets of the audit, tamed-drift and variational-gap hot paths
+stay bounded.
 
 numpy reports its array allocations to tracemalloc, so the traced peak of a
 call is the numpy scratch it holds at once.
@@ -10,6 +11,7 @@ import numpy as np
 
 from reflectspde import tamednse
 from reflectspde.hypotheses import FieldSampler, check_hemicontinuity
+from reflectspde.localtime import make_test_paths, variational_gap
 from reflectspde.models import make_allen_cahn
 
 
@@ -37,3 +39,17 @@ def test_tamed_drift_scratch_follows_the_chunk_budget():
     states = FieldSampler(model.space, (0, 4)).sample(rows)
     peak = traced_peak(lambda: model.drift(0.0, states))
     assert peak <= 2 * tamednse._CHUNK_BYTES, peak
+
+
+def test_variational_gap_never_copies_the_test_family():
+    space = make_allen_cahn(modes=64).space
+    steps, levels, paths = 200, 5, 3
+    family = make_test_paths(space, seed=0, count=200, times=np.arange(steps + 1) * 1e-3)
+    assert family.nbytes == 200 * 201 * 64 * 8  # 19.6 MiB
+    rng = np.random.default_rng(0)
+    states = rng.standard_normal((steps + 1, levels, paths, space.n_coeffs))
+    dL = rng.standard_normal((steps, levels, paths, space.n_coeffs))
+    peak = traced_peak(lambda: variational_gap(space, states, dL, family))
+    # the weighted increments (1.5 MiB) and the family's squared radii fit;
+    # one family-sized temporary does not
+    assert peak < family.nbytes / 4, peak
