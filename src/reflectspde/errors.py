@@ -11,8 +11,8 @@ class DimensionMismatchError(ReflectSPDEError):
     """Raised when coefficient arrays disagree with the declared space."""
 
 
-class ConfigurationError(ReflectSPDEError):
-    """Raised for invalid scheme or experiment configuration."""
+class ConfigurationError(ReflectSPDEError, ValueError):
+    """Raised for an invalid scheme, experiment or study argument."""
 
 
 class UnsupportedParameterError(ReflectSPDEError):

@@ -38,9 +38,6 @@ class SpaceSpec:
     v_weights
         Diagonal of the squared V norm when V is itself a weighted l2 space
         (alpha = 2); None when the V norm is not quadratic.
-    alpha
-        Coercivity exponent of the model family living on this space; the
-        V energy integrated along paths is ``norm_v ** alpha``.
     v_norm_fn
         Override for non-quadratic V norms (e.g. W^{1,p}); takes coefficient
         arrays (..., m) and returns norms (...).  Exactly one of v_weights /
@@ -56,7 +53,6 @@ class SpaceSpec:
     modes: int
     h_weights: np.ndarray
     v_weights: np.ndarray | None
-    alpha: float
     v_norm_fn: Callable[[np.ndarray], np.ndarray] | None = None
     wavenumbers: np.ndarray | None = None
     transform: object | None = None
@@ -81,8 +77,6 @@ class SpaceSpec:
             object.__setattr__(self, "v_weights", vw)
         if (self.v_weights is None) == (self.v_norm_fn is None):
             raise ConfigurationError("exactly one of v_weights / v_norm_fn must be given")
-        if not self.alpha > 1:
-            raise ConfigurationError("alpha must exceed 1")
 
     @property
     def n_coeffs(self) -> int:

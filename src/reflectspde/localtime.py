@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .hilbert import SpaceSpec, norm_h
 from .montecarlo import Report
-from .penalize import _brownian_block, _penalized_stack
+from .penalize import _brownian_block, _trajectory
 
 __all__ = [
     "total_variation",
@@ -173,22 +173,11 @@ def inequality_study(
     """
     space = model.space
     n_grid = [float(n) for n in n_grid]
-    if not n_grid:
-        raise ConfigurationError("n_grid must be nonempty")
-    if paths < 1:
-        raise ConfigurationError("paths must be >= 1")
-    x0 = space.check_coeffs(np.asarray(x0, dtype=float))
     times = np.arange(cfg.steps + 1) * cfg.dt
     seed = cfg.seed if test_seed is None else test_seed
     tests = make_test_paths(space, seed, test_count, times)
-
     dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
-    states = np.empty((cfg.steps + 1, len(n_grid), paths, space.n_coeffs))
-    l_increments = np.empty((cfg.steps,) + states.shape[1:])
-    states[0] = x0
-    for j, (x, dL, _, alive) in enumerate(_penalized_stack(model, cfg, n_grid, x0, dW)):
-        states[j + 1] = x
-        l_increments[j] = dL
+    states, l_increments, _, alive = _trajectory(model, cfg, n_grid, x0, dW)
 
     table = np.stack(
         [

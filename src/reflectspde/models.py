@@ -173,11 +173,11 @@ class GridForm:
     symbol: np.ndarray | None = None
     derivative: bool = False
 
-    def space(self, label: str, alpha: float, v_weights=None, v_norm_fn=None) -> SpaceSpec:
+    def space(self, label: str, v_weights=None, v_norm_fn=None) -> SpaceSpec:
         """The unit-weight coefficient space on the form's basis."""
         b = self.basis
         return SpaceSpec(
-            label, 1, b.modes, np.ones(b.modes), v_weights, alpha,
+            label, 1, b.modes, np.ones(b.modes), v_weights,
             v_norm_fn=v_norm_fn, wavenumbers=b.wavenumbers, transform=b,
         )
 
@@ -288,6 +288,8 @@ class ModelBundle:
 
 def decay_profile_x0(space: SpaceSpec, radius: float = 0.8, decay: float = 2.0) -> np.ndarray:
     """Deterministic low-mode profile (1+|k|)^(-decay), rescaled to |x|_H = radius."""
+    if not 0.0 <= radius <= 1.0:
+        raise UnsupportedParameterError(f"x0_radius must lie in [0, 1], got {radius}")
     if space.wavenumbers is None:
         raise ConfigurationError("space has no wavenumber bookkeeping")
     c = (1.0 + np.abs(np.asarray(space.wavenumbers, dtype=float))) ** (-decay)
@@ -314,7 +316,7 @@ def make_allen_cahn(
     # the +u term rides in phi: Pi Sigma u = u on the alias-free grid;
     # g*g*g is a product because libm pow is ~20x slower
     form = GridForm(basis, phi=lambda g: g - g * g * g, symbol=-(k**2))
-    space = form.space(f"allen_cahn_{modes}", 2.0, v_weights=1.0 + k**2)
+    space = form.space(f"allen_cahn_{modes}", v_weights=1.0 + k**2)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
@@ -365,7 +367,7 @@ def make_p_laplacian(
     def v_norm(u):
         return np.mean(np.abs(form.grid_values(u)) ** p, axis=-1) ** (1.0 / p)
 
-    space = form.space(f"p_laplacian_{modes}_p{p:g}", float(p), v_norm_fn=v_norm)
+    space = form.space(f"p_laplacian_{modes}_p{p:g}", v_norm_fn=v_norm)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
@@ -398,7 +400,6 @@ def make_oracle_1d(kappa: float = 0.5, sigma: float = 0.5) -> ModelBundle:
         modes=1,
         h_weights=np.ones(1),
         v_weights=np.ones(1),
-        alpha=2.0,
         wavenumbers=np.zeros(1, dtype=int),
     )
     noise = NoiseSpec(q=np.ones(1), mu=float(sigma), lam=0.0)

@@ -16,8 +16,9 @@ left-endpoint rule on the scheme grid, matching the stepper's own quadrature.
 Coupling: every penalization level consumes the same per-path Brownian matrix
 (common random numbers), which is what makes the Cauchy and oracle studies
 meaningful at modest path counts.  All levels and paths of a study advance
-together as one (levels, paths, coeffs) stack in `penalize._penalized_stack`;
-each study is a reduction over what that kernel yields.
+together as one (levels, paths, coeffs) stack in `penalize._penalized_stack`,
+which checks their inputs; each study is a reduction over what it yields.  A
+bad argument to any study raises ConfigurationError, which is a ValueError.
 
 Determinism: every reduction runs in a fixed order, so results are
 byte-identical across reruns.  Standard errors are the standard deviation
@@ -31,9 +32,9 @@ cauchy) from its one ensemble.
 A path whose state turns non-finite or leaves |x|_H <= penalize.BLOWUP_NORM
 (1e10) at some level is counted as a failure at that level, pinned to zero,
 and excluded from that level's statistics; a level whose paths all fail gets
-NaN cells.  The Cauchy study compares levels pathwise, so it drops a path
-from every gap when it fails at any level, and its report counts the
-dropped paths.
+NaN cells, as do the n-scaled cells (inf * 0) of the level n = inf.  The
+Cauchy study compares levels pathwise, so it drops a path from every gap
+when it fails at any level, and its report counts the dropped paths.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .hilbert import norm_h, norm_v
 from .models import ModelSpec, make_oracle_1d
 from .penalize import (
@@ -167,16 +169,15 @@ class UniquenessReport:
 
 def _batches(paths: int) -> list[np.ndarray]:
     if paths < 2:
-        raise ValueError("need at least 2 paths for batch-mean standard errors")
+        raise ConfigurationError("need at least 2 paths for batch-mean standard errors")
     parts = np.array_split(np.arange(paths), min(_MAX_BATCHES, paths))
     return [p for p in parts if p.size]
 
 
 def _se_from_batch_means(means: list[float]) -> float:
-    vals = np.array([m for m in means if np.isfinite(m)])
-    if vals.size < 2:
+    if len(means) < 2:
         return 0.0
-    return float(np.std(vals, ddof=1) / np.sqrt(vals.size))
+    return float(np.std(means, ddof=1) / np.sqrt(len(means)))
 
 
 def _mean_and_se(values: np.ndarray, alive: np.ndarray, slices: list[np.ndarray]):
@@ -203,12 +204,10 @@ def run_estimates(
     and the consecutive-level Cauchy gaps of the same ensemble: returns the
     pair (estimates, cauchy)."""
     n_grid = [float(n) for n in n_grid]
-    if not n_grid:
-        raise ValueError("n_grid must be nonempty")
     slices = _batches(paths)
     space = model.space
-    x0 = space.check_coeffs(x0)
     dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
+    kernel = _penalized_stack(model, cfg, n_grid, x0, dW)
 
     shape = (len(n_grid), paths)
     radii = np.empty((cfg.steps + 1,) + shape)
@@ -216,9 +215,7 @@ def run_estimates(
     radii[0] = norm_h(space, x0)
     v_energy[0] = norm_v(space, x0) ** model.alpha
     sup_diff = np.zeros((len(n_grid) - 1, paths))
-    for j, (states, _dL, r, alive) in enumerate(
-        _penalized_stack(model, cfg, n_grid, x0, dW), start=1
-    ):
+    for j, (states, _dL, r, alive) in enumerate(kernel, start=1):
         radii[j] = r
         v_energy[j] = norm_v(space, states) ** model.alpha
         sup_diff = np.maximum(sup_diff, norm_h(space, states[:-1] - states[1:]))
@@ -229,11 +226,12 @@ def run_estimates(
     for i, n in enumerate(n_grid):
         ok = alive[i]
         cells = {"n": n, "failures": int(np.count_nonzero(~ok))}
+        n_scale = n if np.isfinite(n) else np.nan  # inf * 0 at the projection level
         for column, values, scale in (
             ("sup4", totals["sup_h"][i] ** 4, 1.0),
-            ("weighted_pen", totals["int_weighted_pen"][i], n),
-            ("var2", (n * totals["int_pen"][i]) ** 2, 1.0),
-            ("pen_l2", totals["int_pen_sq"][i], n),
+            ("weighted_pen", totals["int_weighted_pen"][i], n_scale),
+            ("var2", (n_scale * totals["int_pen"][i]) ** 2, 1.0),
+            ("pen_l2", totals["int_pen_sq"][i], n_scale),
             ("v_energy", totals["int_v_energy"][i], 1.0),
             ("pen_sup4", totals["sup_pen"][i] ** 4, 1.0),
         ):
@@ -263,7 +261,7 @@ def cauchy_study(
     Its failures are the paths dropped from every gap for failing at some
     level."""
     if len(n_grid) < 2:
-        raise ValueError("cauchy study needs at least 2 penalization levels")
+        raise ConfigurationError("cauchy study needs at least 2 penalization levels")
     return run_estimates(model, cfg, n_grid, paths, x0=x0)[1]
 
 
@@ -275,9 +273,10 @@ def uniqueness_check(
 ) -> UniquenessReport:
     """Two runs on identical noise, initial states `perturbation` apart in H."""
     if perturbation < 0:
-        raise ValueError("perturbation must be nonnegative")
+        raise ConfigurationError("perturbation must be nonnegative")
     space = model.space
-    x0 = space.check_coeffs(x0)
+    x0 = np.asarray(x0, dtype=float)
+    first = simulate_path(model, cfg, x0, path_index=0)  # the kernel checks x0 first
     r0 = float(norm_h(space, x0))
     if perturbation == 0.0:
         x0_other = x0.copy()
@@ -287,7 +286,6 @@ def uniqueness_check(
         e0 = np.zeros_like(x0)
         e0[0] = perturbation / np.sqrt(space.h_weights[0])
         x0_other = e0
-    first = simulate_path(model, cfg, x0, path_index=0)
     second = simulate_path(model, cfg, x0_other, path_index=0)
     diff = norm_h(space, first.states - second.states)
     sup_diff = float(np.max(diff))
@@ -316,8 +314,6 @@ def oracle_compare_1d(
 
     Its failures are the failed (level, path) pairs."""
     n_grid = [float(n) for n in n_grid]
-    if not n_grid:
-        raise ValueError("n_grid must be nonempty")
     slices = _batches(paths)
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
     model, x0 = bundle.model, bundle.x0

@@ -19,10 +19,11 @@ Models with a stiff diagonal linear part declare linear_symbol; the
 drift+noise move then uses the Lawson integrating factor
 exp(symbol dt) * (x + dt * nonstiff(x)), which is exact on the linear flow.
 
-Every path is stepped by one kernel, `_penalized_stack`, which advances a
-(levels, paths, coeffs) stack on one Brownian block shared by all levels;
-`simulate_path` is its one-level, one-path case, and the ensemble studies
-are reductions over what it yields.
+Every path is stepped by one kernel, `_penalized_stack`, which checks the
+levels, the initial state (in the closed unit ball) and the noise, raising
+ConfigurationError, then advances a (levels, paths, coeffs) stack on one
+Brownian block shared by all levels; `simulate_path` is its one-level,
+one-path case, and the ensemble studies are reductions over what it yields.
 """
 
 from __future__ import annotations
@@ -179,27 +180,56 @@ def step_penalized(
 def _penalized_stack(model, cfg, levels, x0, dW):
     """Step an (L, M, m) stack of levels x paths x coefficients from x0.
 
-    Every level reads the same Brownian block dW (M, steps, K), the
-    common-random-numbers coupling.  After each step the generator yields
-    (states, dL, r, alive): the (L, M, m) stack and its penalty increments,
-    the (L, M) H radii the divergence check read, and the (L, M) mask of
-    rows that have stayed finite with radius <= BLOWUP_NORM.  A row that
-    leaves is dead for good; its states and dL are pinned to zero, and its
-    r is the radius that killed it at that step and meaningless after.
+    Raises ConfigurationError before any step unless levels is a nonempty
+    1-D sequence, x0 one state with |x0|_H <= 1 + 1e-12 and dW a block
+    (M >= 1, steps, K), which every level reads (common random numbers).
+    The generator returned yields (states, dL, r, alive) after each step:
+    the (L, M, m) stack and its penalty increments, the (L, M) H radii the
+    divergence check read, and the (L, M) mask of rows that have stayed
+    finite with radius <= BLOWUP_NORM.  A dead row stays dead: its states
+    and dL are pinned to zero, and its r is the radius that killed it at
+    that step and meaningless after.
     """
-    space = model.space
-    stack_cfg = cfg.with_n(np.asarray(levels, dtype=float)[:, None])
-    states = np.broadcast_to(x0, (len(levels), dW.shape[0], space.n_coeffs))
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ConfigurationError("penalization levels must be a nonempty 1-D sequence")
+    x0, dW = np.asarray(x0, dtype=float), np.asarray(dW, dtype=float)
+    if x0.shape != (model.space.n_coeffs,):
+        raise ConfigurationError(f"x0 must be one state of {model.space.n_coeffs} coefficients")
+    if not norm_h(model.space, x0) <= 1.0 + 1e-12:  # NaN fails too
+        raise ConfigurationError("initial state must lie in the closed unit ball")
+    k = model.noise.mode_count
+    if dW.ndim != 3 or len(dW) < 1 or dW.shape[1:] != (cfg.steps, k):
+        raise ConfigurationError(f"dW must be (paths >= 1, {cfg.steps}, {k}), got {dW.shape}")
+    return _advance(model, cfg.with_n(levels[:, None]), x0, dW)
+
+
+def _advance(model, stack_cfg, x0, dW):
+    states = np.broadcast_to(x0, (len(stack_cfg.n), len(dW)) + x0.shape)
     alive = np.ones(states.shape[:-1], dtype=bool)
-    for j in range(cfg.steps):
+    for j in range(stack_cfg.steps):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            states, dL = step_penalized(states, j * cfg.dt, stack_cfg, model, dW[:, j])
-            r = norm_h(space, states)
+            states, dL = step_penalized(states, j * stack_cfg.dt, stack_cfg, model, dW[:, j])
+            r = norm_h(model.space, states)
         # a non-finite coefficient makes r inf or NaN, and NaN compares False
         alive = alive & (r <= BLOWUP_NORM)
         states[~alive] = 0.0
         dL[~alive] = 0.0
         yield states, dL, r, alive
+
+
+def _trajectory(model, cfg, levels, x0, dW):
+    """The kernel's whole output on the time grid: states (steps+1, L, M, m),
+    dL (steps, L, M, m), radii (steps+1, L, M) and the final (L, M) alive
+    mask.  Row 0 of states and radii is x0; dead rows read as yielded."""
+    kernel = _penalized_stack(model, cfg, levels, x0, dW)
+    states = np.empty((cfg.steps + 1, len(levels), len(dW), model.space.n_coeffs))
+    dL = np.empty((cfg.steps,) + states.shape[1:])
+    radii = np.empty(states.shape[:-1])
+    states[0], radii[0] = x0, norm_h(model.space, x0)
+    for j, (x, dl, r, alive) in enumerate(kernel, start=1):
+        states[j], dL[j - 1], radii[j] = x, dl, r
+    return states, dL, radii, alive
 
 
 def _radial_totals(r: np.ndarray, v_energy: np.ndarray, dt: float) -> dict:
@@ -233,32 +263,14 @@ def simulate_path(
     Deterministic given (cfg.seed, path_index); dW may be supplied explicitly
     for coupling experiments and must then have shape (steps, K).
     """
-    space = model.space
-    k = model.noise.mode_count
-    x0 = space.check_coeffs(np.asarray(x0, dtype=float))
-    if x0.ndim != 1:
-        raise ConfigurationError("simulate_path takes a single initial state")
-    if norm_h(space, x0) > 1.0 + 1e-12:
-        raise ConfigurationError("initial state must lie in the closed unit ball")
     if dW is None:
-        dW = brownian_increments(cfg.seed, path_index, k, cfg.steps, cfg.dt)
-    dW = np.asarray(dW, dtype=float)
-    if dW.shape != (cfg.steps, k):
-        raise ConfigurationError(f"dW must have shape {(cfg.steps, k)}, got {dW.shape}")
-
-    m = space.n_coeffs
-    states = np.empty((cfg.steps + 1, m))
-    l_increments = np.empty((cfg.steps, m))
-    states[0] = x0
-    kernel = _penalized_stack(model, cfg, [cfg.n], x0, dW[None])
-    for j, (x, dL, r, alive) in enumerate(kernel):
-        if not alive[0, 0]:
-            raise BlowUpError(j + 1, (j + 1) * cfg.dt, r[0, 0])
-        states[j + 1] = x[0, 0]
-        l_increments[j] = dL[0, 0]
-    totals = _radial_totals(
-        norm_h(space, states), norm_v(space, states) ** space.alpha, cfg.dt
-    )
+        dW = brownian_increments(cfg.seed, path_index, model.noise.mode_count, cfg.steps, cfg.dt)
+    x, dl, r, alive = _trajectory(model, cfg, [cfg.n], x0, np.asarray(dW, dtype=float)[None])
+    states, l_increments, radii = x[:, 0, 0], dl[:, 0, 0], r[:, 0, 0]
+    if not alive[0, 0]:
+        step = int(np.argmin(radii[1:] <= BLOWUP_NORM)) + 1  # the first step it left
+        raise BlowUpError(step, step * cfg.dt, radii[step])
+    totals = _radial_totals(radii, norm_v(model.space, states) ** model.alpha, cfg.dt)
     return PathRecord(
         times=cfg.dt * np.arange(cfg.steps + 1),
         states=states,

@@ -370,7 +370,6 @@ def h1_space(modes: int = 4) -> SpaceSpec:
         modes=modes,
         h_weights=1.0 + ksq,
         v_weights=(1.0 + ksq) ** 2,
-        alpha=2.0,
         wavenumbers=np.repeat(np.sqrt(lattice.ksq), 4),
         transform=lattice,
     )

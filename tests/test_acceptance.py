@@ -98,7 +98,6 @@ def test_criterion_01_projection_suite():
             modes=dim,
             h_weights=hw,
             v_weights=2.0 * hw,
-            alpha=2.0,
         )
 
         def sample(count):

@@ -392,6 +392,19 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
     assert not out.exists()  # rejected before any study ran
 
 
+@pytest.mark.parametrize("radius", [-0.5, 1.5])
+def test_exit_code_2_on_initial_radius_outside_the_ball(tmp_path, capsys, radius):
+    lines = [ln for ln in ORACLE_CONF.splitlines() if not ln.startswith("model.")]
+    model = ["model.name = allen_cahn", "model.modes = 8", f"model.x0_radius = {radius}"]
+    conf = write_conf(tmp_path, "\n".join(lines + model + [""]))
+    out = tmp_path / "out"
+    assert run_cli(["all", "--config", conf, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: model.name: "), err
+    assert "x0_radius" in err[0]
+    assert not out.exists()  # rejected before any study ran
+
+
 def test_nan_level_rejected_and_inf_level_kept(tmp_path, capsys):
     conf = write_conf(tmp_path, conf_with("run.n_grid", "1, nan, 16"))
     out = tmp_path / "out"

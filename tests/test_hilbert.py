@@ -14,14 +14,13 @@ from reflectspde.hilbert import (
 )
 
 
-def unit_space(m, alpha=2.0):
+def unit_space(m):
     return SpaceSpec(
         label="flat",
         dimension=1,
         modes=m,
         h_weights=np.ones(m),
         v_weights=2.0 * np.ones(m),
-        alpha=alpha,
     )
 
 
@@ -33,7 +32,6 @@ def weighted_space(m, rng):
         modes=m,
         h_weights=hw,
         v_weights=hw * rng.uniform(1.0, 5.0, size=m),
-        alpha=2.0,
     )
 
 
@@ -124,7 +122,6 @@ def test_v_norm_fn_override():
         modes=m,
         h_weights=np.ones(m),
         v_weights=None,
-        alpha=4.0,
         v_norm_fn=lambda c: np.sum(np.abs(c), axis=-1),
     )
     x = np.arange(1.0, 6.0)
@@ -144,12 +141,10 @@ def test_shape_validation():
 
 def test_space_spec_validation():
     with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 2, 4, np.ones(4), np.ones(4), 2.0)
+        SpaceSpec("bad", 2, 4, np.ones(4), np.ones(4))
     with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 1, 4, -np.ones(4), np.ones(4), 2.0)
+        SpaceSpec("bad", 1, 4, -np.ones(4), np.ones(4))
     with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 1, 4, np.ones(4), np.ones(3), 2.0)
+        SpaceSpec("bad", 1, 4, np.ones(4), np.ones(3))
     with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 1, 4, np.ones(4), None, 2.0)  # no V norm at all
-    with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 1, 4, np.ones(4), np.ones(4), 1.0)  # alpha must exceed 1
+        SpaceSpec("bad", 1, 4, np.ones(4), None)  # no V norm at all

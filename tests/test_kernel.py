@@ -1,5 +1,7 @@
 """Invariants of the (levels, paths, coeffs) stepping kernel, on generated inputs."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from reflectspde.errors import ConfigurationError
 from reflectspde.hilbert import norm_h
-from reflectspde.models import make_allen_cahn, make_oracle_1d
+from reflectspde.localtime import inequality_study
+from reflectspde.models import decay_profile_x0, make_allen_cahn, make_oracle_1d
+from reflectspde.montecarlo import cauchy_study, oracle_compare_1d, run_estimates
 from reflectspde.penalize import (
     SchemeConfig,
     _brownian_block,
@@ -120,3 +124,80 @@ def test_dead_rows_are_pinned_per_level():
     assert alive.tolist() == [[False, False], [True, True]]
     assert np.all(x[0] == 0.0) and np.all(dL[0] == 0.0)
     assert np.all(np.isfinite(r[1]))
+
+
+# --------------------------------------------------------------------------
+# input checks: every stepping study goes through the kernel's one door
+
+TINY = make_allen_cahn(modes=8, noise_modes=4)
+TINY_CFG = SchemeConfig(dt=0.01, steps=3, n=1.0, seed=2)
+
+
+def tiny_block(paths=2, steps=3, k=4):
+    return _brownian_block(2, paths, k, steps, TINY_CFG.dt)
+
+
+# each stepping study as a call on (x0, level grid)
+STUDIES = {
+    "run_estimates": lambda x0, grid: run_estimates(TINY.model, TINY_CFG, grid, 2, x0=x0),
+    "cauchy_study": lambda x0, grid: cauchy_study(TINY.model, TINY_CFG, grid, 2, x0=x0),
+    "inequality_study": lambda x0, grid: inequality_study(
+        TINY.model, TINY_CFG, x0, grid, paths=1, test_count=2
+    ),
+    "oracle_compare_1d": lambda x0, grid: oracle_compare_1d(0.5, 0.5, TINY_CFG, grid, 2),
+    "_penalized_stack": lambda x0, grid: list(
+        _penalized_stack(TINY.model, TINY_CFG, grid, x0, tiny_block())
+    ),
+}
+# the ones that take an initial state, and simulate_path, which takes one level
+STEPPERS = {
+    name: functools.partial(study, grid=[1.0, 4.0])
+    for name, study in STUDIES.items()
+    if name != "oracle_compare_1d"
+}
+STEPPERS["simulate_path"] = lambda x0: simulate_path(TINY.model, TINY_CFG, x0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    study=st.sampled_from(sorted(STEPPERS)),
+    delta=st.floats(1e-11, 0.5),
+    outside=st.booleans(),
+)
+def test_initial_radius_is_checked_against_the_closed_ball(study, delta, outside):
+    x0 = decay_profile_x0(TINY.space, 1.0) * (1.0 + delta if outside else 1.0 - delta)
+    if outside:
+        with pytest.raises(ConfigurationError, match="closed unit ball"):
+            STEPPERS[study](x0)
+    else:
+        STEPPERS[study](x0)
+
+
+@pytest.mark.parametrize("study", sorted(STEPPERS))
+def test_initial_state_on_the_sphere_is_accepted(study):
+    for factor in (1.0, 1.0 + 5e-13):  # within the 1e-12 tolerance
+        STEPPERS[study](factor * decay_profile_x0(TINY.space, 1.0))
+
+
+@pytest.mark.parametrize("study", sorted(STEPPERS))
+def test_initial_state_must_be_one_finite_vector(study):
+    x0 = TINY.x0
+    for bad in (x0[None], x0[:-1], np.full_like(x0, np.nan)):
+        with pytest.raises(ConfigurationError):
+            STEPPERS[study](bad)
+
+
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_empty_level_grid_is_rejected(study):
+    with pytest.raises(ConfigurationError):
+        STUDIES[study](TINY.x0, [])
+
+
+@pytest.mark.parametrize(
+    "dW",
+    [tiny_block(paths=0), tiny_block(steps=2), tiny_block(k=3), tiny_block()[0]],
+    ids=["no paths", "short", "wrong modes", "not a block"],
+)
+def test_noise_block_of_the_wrong_shape_is_rejected(dW):
+    with pytest.raises(ConfigurationError, match="dW"):
+        _penalized_stack(TINY.model, TINY_CFG, [1.0], TINY.x0, dW)

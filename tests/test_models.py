@@ -293,9 +293,12 @@ def test_decay_profile_requires_wavenumbers():
     bundle = make_allen_cahn(modes=8)
     x0 = decay_profile_x0(bundle.space, radius=0.5)
     assert norm_h(bundle.space, x0) == pytest.approx(0.5)
+    for radius in (-0.1, 1.0 + 1e-9, np.nan):  # the initial state lies in the closed ball
+        with pytest.raises(UnsupportedParameterError, match="x0_radius"):
+            decay_profile_x0(bundle.space, radius=radius)
     from reflectspde.hilbert import SpaceSpec
 
-    bare = SpaceSpec("bare", 1, 4, np.ones(4), np.ones(4), 2.0)
+    bare = SpaceSpec("bare", 1, 4, np.ones(4), np.ones(4))
     with pytest.raises(ConfigurationError):
         decay_profile_x0(bare)
 

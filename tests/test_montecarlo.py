@@ -1,8 +1,11 @@
 """Ensemble estimators: frozen degenerate cases, coupling, failure counting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from reflectspde.errors import ConfigurationError
 from reflectspde.hilbert import norm_h
 from reflectspde.models import make_allen_cahn, make_oracle_1d
 from reflectspde.montecarlo import (
@@ -103,14 +106,18 @@ def test_cauchy_zero_for_duplicate_levels():
 def test_input_validation():
     bundle = make_oracle_1d()
     cfg = silent_cfg()
-    with pytest.raises(ValueError):
+    assert issubclass(ConfigurationError, ValueError)  # callers catching ValueError still do
+    with pytest.raises(ConfigurationError):
         run_estimates(bundle.model, cfg, [], paths=4, x0=bundle.x0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         run_estimates(bundle.model, cfg, [1.0], paths=1, x0=bundle.x0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         cauchy_study(bundle.model, cfg, [1.0], paths=4, x0=bundle.x0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         uniqueness_check(bundle.model, cfg, bundle.x0, -0.1)
+    for x0 in (np.array([1.5]), np.array([0.5, 0.0])):  # outside the ball; not one state
+        with pytest.raises(ConfigurationError):
+            uniqueness_check(bundle.model, cfg, x0, 0.1)
 
 
 def test_failures_are_counted_and_pinned():
@@ -120,6 +127,22 @@ def test_failures_are_counted_and_pinned():
     row = report.rows[0]
     assert row.failures == 4
     assert np.isnan(row.est_sup4)
+
+
+def test_projection_level_leaves_n_scaled_cells_undefined():
+    # at n = inf, n * (r-1)^+ is inf * 0: those cells read nan, silently
+    bundle = make_allen_cahn(modes=16)
+    cfg = SchemeConfig(dt=1e-3, steps=50, n=64.0, method="splitting", seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = run_estimates(bundle.model, cfg, [64.0, np.inf], paths=20, x0=bundle.x0)
+    assert report.failures == 0
+    finite, projection = report.rows
+    assert np.all(np.isfinite(finite))
+    assert projection.n == np.inf
+    scaled = [f"{k}_{col}" for col in ("weighted_pen", "var2", "pen_l2") for k in ("est", "se")]
+    for name, value in zip(projection._fields[1:], projection[1:]):
+        assert np.isnan(value) if name in scaled else np.isfinite(value), name
 
 
 # --------------------------------------------------------------------------

@@ -95,7 +95,6 @@ def test_state_packing_isometry(lattice):
 def test_h1_space_weights_and_unit_modes():
     space = h1_space(4)
     assert space.n_coeffs == 1456
-    assert space.alpha == 2.0
     # a storage basis vector on a |k|^2 = 1 slot has H^1 norm sqrt(2)
     e = np.zeros(1456)
     e[0] = 1.0
