@@ -4,6 +4,9 @@ States are coefficient arrays of shape ``(..., m)`` against a fixed
 orthonormal-in-H basis; the H inner product is a weighted dot product so a
 single code path covers plain L^2-type spaces (unit weights) and Sobolev-type
 spaces (polynomial weights).  All operations broadcast over leading axes.
+
+Each norm and inner product is one weighted contraction, a single einsum
+pass over the coefficients that forms no weighted or squared copy of x.
 """
 
 from __future__ import annotations
@@ -98,23 +101,28 @@ class SpaceSpec:
         return arr
 
 
+def _weighted_dot(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum(w * x * y) over the trailing axis, in one pass."""
+    return np.einsum("...m,m,...m->...", x, w, y)
+
+
 def inner_h(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """H inner product, broadcasting over leading axes."""
     x = space.check_coeffs(x)
     y = space.check_coeffs(y)
-    return np.sum(space.h_weights * x * y, axis=-1)
+    return _weighted_dot(x, space.h_weights, y)
 
 
 def norm_h(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     x = space.check_coeffs(x)
-    return np.sqrt(np.sum(space.h_weights * x * x, axis=-1))
+    return np.sqrt(_weighted_dot(x, space.h_weights, x))
 
 
 def norm_v(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     x = space.check_coeffs(x)
     if space.v_norm_fn is not None:
         return np.asarray(space.v_norm_fn(x), dtype=float)
-    return np.sqrt(np.sum(space.v_weights * x * x, axis=-1))
+    return np.sqrt(_weighted_dot(x, space.v_weights, x))
 
 
 def _ball_scale(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
@@ -129,15 +137,19 @@ def project_ball(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     return x * _ball_scale(space, x)[..., None]
 
 
-def penalty_gap(space: SpaceSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def penalty_gap(
+    space: SpaceSpec, x: np.ndarray, r: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(x - project_ball(x), half squared distance to the ball)``.
 
     The gap is radial: lambda(r) * x with lambda(r) = 1 - 1/max(r, 1), so its
     H norm is exactly (r - 1)_+ and the second output is (r - 1)_+^2 / 2.
-    Computing both in one pass keeps the scheme loop cheap.
+    r is |x|_H, computed from x when not given; a caller that already holds
+    the radius passes it to skip the norm.
     """
     x = space.check_coeffs(x)
-    r = norm_h(space, x)
+    if r is None:
+        r = norm_h(space, x)
     lam = 1.0 - 1.0 / np.maximum(r, 1.0)
     excess = np.maximum(r - 1.0, 0.0)
     return lam[..., None] * x, 0.5 * excess * excess

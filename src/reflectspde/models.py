@@ -301,6 +301,16 @@ def decay_profile_x0(space: SpaceSpec, radius: float = 0.8, decay: float = 2.0) 
 # Allen-Cahn: du = (Laplacian u + u - u^3) dt + B(u) dW on the torus
 
 
+def _allen_cahn_phi(g: np.ndarray) -> np.ndarray:
+    """g - g^3 in one output buffer, bitwise equal to g - g * g * g.
+
+    The cube is a product because libm pow is ~20x slower.
+    """
+    c = g * g
+    c *= g
+    return np.subtract(g, c, out=c)
+
+
 def make_allen_cahn(
     modes: int = 64,
     mu: float = 0.5,
@@ -313,9 +323,8 @@ def make_allen_cahn(
         raise ConfigurationError("allen_cahn needs at least 8 modes for the cubic term")
     basis = trig_basis(modes, include_zero=True)
     k = basis.wavenumbers.astype(float)
-    # the +u term rides in phi: Pi Sigma u = u on the alias-free grid;
-    # g*g*g is a product because libm pow is ~20x slower
-    form = GridForm(basis, phi=lambda g: g - g * g * g, symbol=-(k**2))
+    # the +u term rides in phi: Pi Sigma u = u on the alias-free grid
+    form = GridForm(basis, phi=_allen_cahn_phi, symbol=-(k**2))
     space = form.space(f"allen_cahn_{modes}", v_weights=1.0 + k**2)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")

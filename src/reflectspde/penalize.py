@@ -24,6 +24,9 @@ levels, the initial state (in the closed unit ball) and the noise, raising
 ConfigurationError, then advances a (levels, paths, coeffs) stack on one
 Brownian block shared by all levels; `simulate_path` is its one-level,
 one-path case, and the ensemble studies are reductions over what it yields.
+Each explicit step reads the pre-step radius that the kernel's divergence
+check computed, so it computes one H norm per row per step; a splitting step
+computes two, of x-tilde and of the new state.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ def brownian_increments(
 
 def _brownian_block(seed: int, paths: int, mode_count: int, steps: int, dt: float) -> np.ndarray:
     """(paths, steps, mode_count) increments of path indices 0..paths-1."""
+    if paths < 1:
+        raise ConfigurationError(f"paths must be >= 1, got {paths}")
     block = np.empty((paths, steps, mode_count))
     for i in range(paths):
         block[i] = brownian_increments(seed, i, mode_count, steps, dt)
@@ -138,14 +143,23 @@ def one_step_move(
     state: np.ndarray,
     dW: np.ndarray,
 ) -> np.ndarray:
-    """Drift+noise move (no penalty): the x-tilde of the splitting stepper."""
-    state = np.asarray(state, dtype=float)
-    if model.linear_symbol is not None:
-        damp = np.exp(model.linear_symbol * dt)
-        drift_incr = damp * (state + dt * model.nonstiff_drift(t, state)) - state
-    else:
-        drift_incr = dt * model.state_rhs(t, state)
-    return state + drift_incr + apply_noise(model.noise, state, dW)
+    """Drift+noise move (no penalty): the x-tilde of the splitting stepper.
+
+    Built in one fresh array, x + dt N(x) (times exp(symbol dt) for the
+    Lawson step) plus B(x) dW; state and dW are never written, whatever the
+    drift returns, and they broadcast against each other.
+    """
+    state, dW = np.asarray(state, dtype=float), np.asarray(dW, dtype=float)
+    lawson = model.linear_symbol is not None
+    drift = model.nonstiff_drift(t, state) if lawson else model.state_rhs(t, state)
+    # allocated after the drift, so that the drift's scratch and it never coexist
+    moved = np.empty(np.broadcast_shapes(state.shape[:-1], dW.shape[:-1]) + state.shape[-1:])
+    np.multiply(dt, drift, out=moved)
+    moved += state
+    if lawson:
+        moved *= np.exp(model.linear_symbol * dt)
+    moved += apply_noise(model.noise, state, dW)
+    return moved
 
 
 def step_penalized(
@@ -154,24 +168,28 @@ def step_penalized(
     cfg: SchemeConfig,
     model: ModelSpec,
     dW: np.ndarray,
+    r: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one step; returns (state', dL).
 
     cfg.n may be a column of levels broadcasting over the leading axes of
-    state.  No divergence check here: `_penalized_stack` makes it once per
-    step for every row.
+    state.  r is the pre-step radius |state|_H, which the explicit step's
+    penalty reads; it is computed from state when not given, and the
+    splitting step, whose penalty acts on x-tilde, ignores it.  No divergence
+    check here: `_penalized_stack` makes it once per step for every row.
     """
     space = model.space
     x_tilde = one_step_move(model, t, cfg.dt, state, dW)
     rate = np.multiply(cfg.n, cfg.dt)
     if cfg.method == "explicit":
-        gap, _ = penalty_gap(space, state)
-        dL = (-rate)[..., None] * gap
-        new = x_tilde + dL
+        dL, _ = penalty_gap(space, state, r)
+        dL *= (-rate)[..., None]
+        new = x_tilde
+        new += dL
     else:
-        r = norm_h(space, x_tilde)
-        excess = np.maximum(r - 1.0, 0.0)
-        scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r, 1.0)
+        r_tilde = norm_h(space, x_tilde)
+        excess = np.maximum(r_tilde - 1.0, 0.0)
+        scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
         new = x_tilde * scale[..., None]
         dL = new - x_tilde
     return new, dL
@@ -196,25 +214,30 @@ def _penalized_stack(model, cfg, levels, x0, dW):
     x0, dW = np.asarray(x0, dtype=float), np.asarray(dW, dtype=float)
     if x0.shape != (model.space.n_coeffs,):
         raise ConfigurationError(f"x0 must be one state of {model.space.n_coeffs} coefficients")
-    if not norm_h(model.space, x0) <= 1.0 + 1e-12:  # NaN fails too
+    r0 = norm_h(model.space, x0)
+    if not r0 <= 1.0 + 1e-12:  # NaN fails too
         raise ConfigurationError("initial state must lie in the closed unit ball")
     k = model.noise.mode_count
     if dW.ndim != 3 or len(dW) < 1 or dW.shape[1:] != (cfg.steps, k):
         raise ConfigurationError(f"dW must be (paths >= 1, {cfg.steps}, {k}), got {dW.shape}")
-    return _advance(model, cfg.with_n(levels[:, None]), x0, dW)
+    return _advance(model, cfg.with_n(levels[:, None]), x0, dW, r0)
 
 
-def _advance(model, stack_cfg, x0, dW):
+def _advance(model, stack_cfg, x0, dW, r):
+    # r is the pre-step radius: |x0|_H, then the radius each divergence check
+    # read, which the next explicit step reuses.  A dead row's r only reaches
+    # its own row, which is pinned to zero again.
     states = np.broadcast_to(x0, (len(stack_cfg.n), len(dW)) + x0.shape)
     alive = np.ones(states.shape[:-1], dtype=bool)
     for j in range(stack_cfg.steps):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            states, dL = step_penalized(states, j * stack_cfg.dt, stack_cfg, model, dW[:, j])
+            states, dL = step_penalized(states, j * stack_cfg.dt, stack_cfg, model, dW[:, j], r)
             r = norm_h(model.space, states)
         # a non-finite coefficient makes r inf or NaN, and NaN compares False
         alive = alive & (r <= BLOWUP_NORM)
-        states[~alive] = 0.0
-        dL[~alive] = 0.0
+        if not alive.all():
+            states[~alive] = 0.0
+            dL[~alive] = 0.0
         yield states, dL, r, alive
 
 

@@ -1,5 +1,6 @@
 """Invariants of the (levels, paths, coeffs) stepping kernel, on generated inputs."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -106,6 +107,35 @@ def test_projection_level_is_the_clamp_scheme(kappa, sigma, steps, seed):
     assert np.max(np.abs(np.abs(rec.l_increments[:, 0]) - np.abs(free - ref[1:]))) <= 1e-12
 
 
+# the oracle with a drift that hands back its own argument: a step that
+# wrote into the drift's output would write into the state
+ECHO = dataclasses.replace(MODELS["oracle"].model, drift=lambda t, u: u)
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(MODELS) + ["echo"]),
+    method=st.sampled_from(["explicit", "splitting"]),
+    levels=st.lists(st.sampled_from([0.0, 1.0, 16.0, 50.0]), min_size=1, max_size=3),
+    radius=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_step_reads_the_given_radius_and_writes_no_input(name, method, levels, radius, seed):
+    model = ECHO if name == "echo" else MODELS[name].model
+    space = model.space
+    rng = np.random.default_rng(seed)
+    # the kernel's call: a column of levels over an (L, M, m) stack, dW (M, K)
+    state = rng.standard_normal((len(levels), 3, space.n_coeffs))
+    state *= radius / norm_h(space, state)[..., None]
+    dW = np.sqrt(0.02) * rng.standard_normal((3, model.noise.mode_count))
+    cfg = SchemeConfig(dt=0.02, steps=1, n=0.0, method=method).with_n(np.array(levels)[:, None])
+    inputs = state.copy(), dW.copy()
+    new, dL = step_penalized(state, 0.0, cfg, model, dW)
+    new_r, dL_r = step_penalized(state, 0.0, cfg, model, dW, r=norm_h(space, state))
+    assert np.array_equal(new_r, new) and np.array_equal(dL_r, dL)
+    assert np.array_equal(state, inputs[0]) and np.array_equal(dW, inputs[1])
+
+
 def test_projection_level_needs_splitting():
     with pytest.raises(ConfigurationError, match="splitting"):
         SchemeConfig(dt=0.01, steps=10, n=np.inf, method="explicit")
@@ -195,9 +225,17 @@ def test_empty_level_grid_is_rejected(study):
 
 @pytest.mark.parametrize(
     "dW",
-    [tiny_block(paths=0), tiny_block(steps=2), tiny_block(k=3), tiny_block()[0]],
+    [np.empty((0, 3, 4)), tiny_block(steps=2), tiny_block(k=3), tiny_block()[0]],
     ids=["no paths", "short", "wrong modes", "not a block"],
 )
 def test_noise_block_of_the_wrong_shape_is_rejected(dW):
     with pytest.raises(ConfigurationError, match="dW"):
         _penalized_stack(TINY.model, TINY_CFG, [1.0], TINY.x0, dW)
+
+
+@pytest.mark.parametrize("paths", [0, -1])
+def test_noise_block_needs_a_path(paths):
+    with pytest.raises(ConfigurationError, match="paths"):
+        tiny_block(paths=paths)
+    with pytest.raises(ConfigurationError, match="paths"):
+        inequality_study(TINY.model, TINY_CFG, TINY.x0, [1.0], paths=paths, test_count=2)

@@ -66,6 +66,14 @@ def test_allen_cahn_drift_batched():
     assert np.max(np.abs(allen_cahn_drift(batch) - rows)) < 1e-12
 
 
+def test_allen_cahn_phi_is_the_cubic_bitwise():
+    form = make_allen_cahn(modes=8).model.grid_form
+    g = np.random.default_rng(5).standard_normal((3, form.basis.grid_size)) * 4.0
+    before = g.copy()
+    assert np.array_equal(form.phi(g), g - g * g * g)
+    assert np.array_equal(g, before)
+
+
 def test_p_laplacian_drift_single_sine_p4():
     # u = sin x, p = 4: (|u'|^2 u')' = -(3/4)(sin x + sin 3x)
     u = np.zeros(8)

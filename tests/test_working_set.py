@@ -1,5 +1,5 @@
-"""Traced working sets of the audit, tamed-drift and variational-gap hot paths
-stay bounded.
+"""Traced working sets of the audit, tamed-drift, variational-gap and stepping
+hot paths stay bounded.
 
 numpy reports its array allocations to tracemalloc, so the traced peak of a
 call is the numpy scratch it holds at once.
@@ -10,9 +10,11 @@ import tracemalloc
 import numpy as np
 
 from reflectspde import tamednse
+from reflectspde.hilbert import norm_h
 from reflectspde.hypotheses import FieldSampler, check_hemicontinuity
 from reflectspde.localtime import make_test_paths, variational_gap
 from reflectspde.models import make_allen_cahn
+from reflectspde.penalize import SchemeConfig, step_penalized
 
 
 def traced_peak(fn) -> int:
@@ -53,3 +55,18 @@ def test_variational_gap_never_copies_the_test_family():
     # the weighted increments (1.5 MiB) and the family's squared radii fit;
     # one family-sized temporary does not
     assert peak < family.nbytes / 4, peak
+
+
+def test_explicit_step_scratch():
+    model = make_allen_cahn(modes=64).model
+    levels, paths = np.array([[1.0], [4.0], [16.0], [64.0], [256.0]]), 200
+    cfg = SchemeConfig(dt=1e-3, steps=1, n=0.0).with_n(levels)
+    rows = levels.size * paths
+    states = FieldSampler(model.space, (0, 1)).sample(rows).reshape(levels.size, paths, -1)
+    dW = 0.03 * np.random.default_rng(0).standard_normal((paths, model.noise.mode_count))
+    r = norm_h(model.space, states)  # the kernel's divergence check hands this over
+    peak = traced_peak(lambda: step_penalized(states, 0.0, cfg, model, dW, r))
+    # the cubic needs the grid values and one product buffer; the move, the
+    # gap and the new state are built in place of one another
+    grid_buffer = rows * model.space.transform.grid_size * 8
+    assert peak <= 2 * grid_buffer + states.nbytes, peak
