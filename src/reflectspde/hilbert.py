@@ -7,6 +7,8 @@ spaces (polynomial weights).  All operations broadcast over leading axes.
 
 Each norm and inner product is one weighted contraction, a single einsum
 pass over the coefficients that forms no weighted or squared copy of x.
+norm_h sums again, scaled by a power of two, only the rows whose sum of
+squares underflows to 0 or overflows to inf.
 """
 
 from __future__ import annotations
@@ -114,8 +116,38 @@ def inner_h(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def norm_h(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
+    """H norm, broadcasting over leading axes.
+
+    Exact up to rounding for every finite row: a row whose weighted sum of
+    squares underflows to 0 or overflows to inf is summed again, scaled.
+    """
     x = space.check_coeffs(x)
-    return np.sqrt(_weighted_dot(x, space.h_weights, x))
+    sq = _weighted_dot(x, space.h_weights, x)
+    if np.count_nonzero(sq) == sq.size and sq.sum() < np.inf:  # NaN fails too
+        return np.sqrt(sq)
+    return _rescaled_norm(x, space.h_weights, sq)
+
+
+# Power-of-two factors that bring any nonzero finite row whose weighted sum of
+# squares underflows to 0 or overflows to inf back into range, exactly.
+_UP, _DOWN = 2.0**600, 2.0**-600
+
+
+def _rescaled_norm(x: np.ndarray, w: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """sqrt(sq), with the rows whose sum sq is 0 or inf summed again scaled:
+    up where it underflowed (entries below about 1e-154), down where it
+    overflowed (entries above about 1e154).  Zero rows stay 0 and rows with
+    an infinite entry stay inf."""
+    sq = np.asarray(sq).reshape(-1)
+    norm = np.sqrt(sq)
+    odd = np.flatnonzero((sq == 0.0) | (sq == np.inf))
+    rows = np.take(x.reshape(-1, x.shape[-1]), odd, axis=0)
+    if not rows.any():  # zero rows only, such as penalty increments inside the ball
+        return norm.reshape(x.shape[:-1])[()]
+    factor = np.where(sq[odd] == 0.0, _UP, _DOWN)
+    rows *= factor[:, None]
+    norm[odd] = np.sqrt(_weighted_dot(rows, w, rows)) / factor
+    return norm.reshape(x.shape[:-1])[()]
 
 
 def norm_v(space: SpaceSpec, x: np.ndarray) -> np.ndarray:

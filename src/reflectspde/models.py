@@ -92,20 +92,31 @@ def geometric_noise(mode_count: int, mu: float, lam: float, decay: float = 2.0) 
 
 
 def _amplitudes(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
-    head = np.clip(u[..., : noise.mode_count], -1.0, 1.0)
+    # the clamp s, as two ufuncs: np.clip's wrapper costs more on small rows
+    head = np.minimum(np.maximum(u[..., : noise.mode_count], -1.0), 1.0)
     return np.sqrt(noise.q) * (noise.mu + noise.lam * head)
 
 
-def apply_noise(noise: NoiseSpec, u: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """State increment B(u) dW for Brownian increments dW (..., K)."""
+def apply_noise(
+    noise: NoiseSpec, u: np.ndarray, dW: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """State increment B(u) dW for Brownian increments dW (..., K).
+
+    With out, B(u) dW is added into the first K columns of out, which is
+    returned; the other columns, which B(u) dW leaves at zero, are not read.
+    """
     u = np.asarray(u, dtype=float)
     dW = np.asarray(dW, dtype=float)
     if dW.shape[-1] != noise.mode_count:
         raise ConfigurationError(
             f"noise increment needs {noise.mode_count} components, got {dW.shape[-1]}"
         )
-    out = np.zeros(np.broadcast_shapes(u.shape[:-1], dW.shape[:-1]) + (u.shape[-1],))
-    out[..., : noise.mode_count] = _amplitudes(noise, u) * dW
+    increment = _amplitudes(noise, u) * dW
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(u.shape[:-1], dW.shape[:-1]) + (u.shape[-1],))
+        out[..., : noise.mode_count] = increment
+    else:
+        out[..., : noise.mode_count] += increment
     return out
 
 

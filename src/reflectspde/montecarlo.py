@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .hilbert import norm_h, norm_v
+from .hilbert import inner_h, norm_h, norm_v
 from .models import ModelSpec, make_oracle_1d
 from .penalize import (
     SchemeConfig,
@@ -214,11 +214,14 @@ def run_estimates(
     v_energy = np.empty((cfg.steps + 1,) + shape)
     radii[0] = norm_h(space, x0)
     v_energy[0] = norm_v(space, x0) ** model.alpha
-    sup_diff = np.zeros((len(n_grid) - 1, paths))
+    sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
     for j, (states, _dL, r, alive) in enumerate(kernel, start=1):
         radii[j] = r
         v_energy[j] = norm_v(space, states) ** model.alpha
-        sup_diff = np.maximum(sup_diff, norm_h(space, states[:-1] - states[1:]))
+        # squared, by inner_h: where a path's level rows coincide the
+        # difference is exactly 0, which norm_h would recheck for underflow
+        diff = states[:-1] - states[1:]
+        np.maximum(sup_diff2, inner_h(space, diff, diff), out=sup_diff2)
     radii[:, ~alive] = 0.0  # the radius a failed row died at may overflow r^3
     totals = _radial_totals(radii, v_energy, cfg.dt)
 
@@ -243,7 +246,7 @@ def run_estimates(
     coupled = np.all(alive, axis=0)
     gaps = []
     for i in range(len(n_grid) - 1):
-        est, se = _mean_and_se(sup_diff[i] ** 2, coupled, slices)
+        est, se = _mean_and_se(sup_diff2[i], coupled, slices)
         gaps.append(CauchyRow(n_grid[i], n_grid[i + 1], est, se))
     return estimates, Report(tuple(gaps), int(np.count_nonzero(~coupled)))
 

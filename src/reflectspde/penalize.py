@@ -27,6 +27,15 @@ one-path case, and the ensemble studies are reductions over what it yields.
 Each explicit step reads the pre-step radius that the kernel's divergence
 check computed, so it computes one H norm per row per step; a splitting step
 computes two, of x-tilde and of the new state.
+
+The kernel moves a path once while its level rows coincide.  The penalty
+vanishes inside the ball and every level reads the same noise, so for every
+n, X^n is the free solution up to the path's first exit: all levels take
+dL = 0 while the pre-step radius (explicit) or |x-tilde|_H (splitting) is at
+most 1.  From the first step at which any level takes a nonzero dL, the path
+is moved on every level and never merges again; each step's moves are one
+one_step_move call over level 0 of every path and levels 1.. of the parted
+paths.  The merge is off for one level and for one-coefficient rows.
 """
 
 from __future__ import annotations
@@ -153,13 +162,12 @@ def one_step_move(
     lawson = model.linear_symbol is not None
     drift = model.nonstiff_drift(t, state) if lawson else model.state_rhs(t, state)
     # allocated after the drift, so that the drift's scratch and it never coexist
-    moved = np.empty(np.broadcast_shapes(state.shape[:-1], dW.shape[:-1]) + state.shape[-1:])
+    moved = np.empty(np.broadcast(state[..., 0], dW[..., 0]).shape + state.shape[-1:])
     np.multiply(dt, drift, out=moved)
     moved += state
     if lawson:
         moved *= np.exp(model.linear_symbol * dt)
-    moved += apply_noise(model.noise, state, dW)
-    return moved
+    return apply_noise(model.noise, state, dW, out=moved)
 
 
 def step_penalized(
@@ -169,6 +177,7 @@ def step_penalized(
     model: ModelSpec,
     dW: np.ndarray,
     r: np.ndarray | None = None,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one step; returns (state', dL).
 
@@ -177,17 +186,29 @@ def step_penalized(
     penalty reads; it is computed from state when not given, and the
     splitting step, whose penalty acts on x-tilde, ignores it.  No divergence
     check here: `_penalized_stack` makes it once per step for every row.
+
+    rows = (lev, path, put), for an (L, M, m) stack state and (M, K) noise
+    dW, lists the rows to move: the move is made once on each
+    state[lev, path] with dW[path], and stack row (l, i) reads move
+    put[l, i].  The caller vouches that every row it maps to one move equals
+    that move's row; the penalty is applied to every stack row.
     """
     space = model.space
-    x_tilde = one_step_move(model, t, cfg.dt, state, dW)
+    if rows is None:
+        x_tilde = one_step_move(model, t, cfg.dt, state, dW)
+    else:
+        lev, path, put = rows
+        x_tilde = one_step_move(model, t, cfg.dt, state[lev, path], dW[path])
     rate = np.multiply(cfg.n, cfg.dt)
     if cfg.method == "explicit":
         dL, _ = penalty_gap(space, state, r)
         dL *= (-rate)[..., None]
-        new = x_tilde
+        new = x_tilde if rows is None else x_tilde[put]
         new += dL
     else:
         r_tilde = norm_h(space, x_tilde)
+        if rows is not None:
+            x_tilde, r_tilde = x_tilde[put], r_tilde[put]
         excess = np.maximum(r_tilde - 1.0, 0.0)
         scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
         new = x_tilde * scale[..., None]
@@ -227,18 +248,46 @@ def _advance(model, stack_cfg, x0, dW, r):
     # r is the pre-step radius: |x0|_H, then the radius each divergence check
     # read, which the next explicit step reuses.  A dead row's r only reaches
     # its own row, which is pinned to zero again.
-    states = np.broadcast_to(x0, (len(stack_cfg.n), len(dW)) + x0.shape)
+    levels, paths = len(stack_cfg.n), len(dW)
+    states = np.broadcast_to(x0, (levels, paths) + x0.shape)
     alive = np.ones(states.shape[:-1], dtype=bool)
+    # A path's level rows coincide until one level takes a nonzero dL, so
+    # they are moved once until then; a path that has parted stays parted.
+    # One level has nothing to share, and on one-coefficient rows the index
+    # bookkeeping costs more than the moves it saves: the 1-D oracle
+    # comparison (3 levels x 500 paths x 2000 steps) took 0.37 s without it
+    # and 0.39 s with it, medians of six alternating runs on one core.
+    parted = np.zeros(paths, dtype=bool)
+    rows = _move_rows(parted, levels) if levels > 1 and x0.size > 1 else None
     for j in range(stack_cfg.steps):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            states, dL = step_penalized(states, j * stack_cfg.dt, stack_cfg, model, dW[:, j], r)
+            states, dL = step_penalized(
+                states, j * stack_cfg.dt, stack_cfg, model, dW[:, j], r, rows
+            )
             r = norm_h(model.space, states)
         # a non-finite coefficient makes r inf or NaN, and NaN compares False
         alive = alive & (r <= BLOWUP_NORM)
         if not alive.all():
             states[~alive] = 0.0
             dL[~alive] = 0.0
+        if rows is not None:
+            parting = (dL != 0.0).any(axis=0).any(axis=-1) & ~parted
+            if parting.any():
+                parted |= parting
+                rows = None if parted.all() else _move_rows(parted, levels)
         yield states, dL, r, alive
+
+
+def _move_rows(parted, levels):
+    """step_penalized's rows for a (levels, paths) stack: level 0 of every
+    path, then levels 1.. of the parted paths, whose rows no longer coincide."""
+    paths = parted.size
+    split = np.flatnonzero(parted)
+    lev = np.concatenate([np.zeros(paths, dtype=int), np.repeat(np.arange(1, levels), split.size)])
+    path = np.concatenate([np.arange(paths), np.tile(split, levels - 1)])
+    put = np.tile(np.arange(paths), (levels, 1))
+    put[1:, split] = np.arange(paths, len(lev)).reshape(levels - 1, split.size)
+    return lev, path, put
 
 
 def _trajectory(model, cfg, levels, x0, dW):

@@ -148,3 +148,31 @@ def test_space_spec_validation():
         SpaceSpec("bad", 1, 4, np.ones(4), np.ones(3))
     with pytest.raises(ConfigurationError):
         SpaceSpec("bad", 1, 4, np.ones(4), None)  # no V norm at all
+
+
+def test_norm_of_tiny_and_huge_rows_is_rescaled():
+    rng = np.random.default_rng(8)
+    space = weighted_space(6, rng)
+    x = rng.uniform(0.5, 2.0, size=(3, 6))
+    want = norm_h(space, x)
+    for scale in (1e-185, 1e200):
+        got = norm_h(space, scale * x)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        assert np.allclose(got, scale * want, rtol=1e-12, atol=0.0)
+    # rows whose sums neither underflow nor overflow keep the one contraction
+    mixed = np.stack([x[0], 1e-185 * x[1], np.zeros(6), np.full(6, np.inf)])
+    got = norm_h(space, mixed)
+    assert got[0] == want[0] and got[2] == 0.0 and got[3] == np.inf
+    assert got[1] == pytest.approx(1e-185 * want[1], rel=1e-12)
+    assert norm_h(space, 1e-185 * x[0]) == pytest.approx(1e-185 * want[0], rel=1e-12)
+
+
+def test_total_variation_sees_tiny_increments():
+    from reflectspde.localtime import total_variation
+
+    rng = np.random.default_rng(9)
+    space = weighted_space(5, rng)
+    dL = rng.standard_normal((4, 2, 5))
+    tv = total_variation(space, 1e-185 * dL)
+    assert np.all(tv > 0)
+    assert np.allclose(tv, 1e-185 * total_variation(space, dL), rtol=1e-12, atol=0.0)

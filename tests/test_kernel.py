@@ -136,6 +136,63 @@ def test_step_reads_the_given_radius_and_writes_no_input(name, method, levels, r
     assert np.array_equal(state, inputs[0]) and np.array_equal(dW, inputs[1])
 
 
+# --------------------------------------------------------------------------
+# a path's level rows coincide until its first nonzero penalty increment
+
+
+def row_counting(model):
+    """The model with a nonstiff drift that records the rows of each call."""
+    seen = []
+
+    def drift(t, u):
+        seen.append(int(np.prod(np.shape(u)[:-1])))
+        return model.nonstiff_drift(t, u)
+
+    return dataclasses.replace(model, nonstiff_drift=drift), seen
+
+
+@pytest.mark.parametrize("method", ["explicit", "splitting"])
+def test_paths_inside_the_ball_are_moved_once(method):
+    bundle = make_allen_cahn(modes=8, mu=0.1, lam=0.05, x0_radius=0.5)
+    model, seen = row_counting(bundle.model)
+    cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method)
+    levels, kick = [1.0, 4.0, 16.0], 10
+    dW = _brownian_block(3, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
+    out = list(_penalized_stack(model, cfg, levels, bundle.x0, dW))
+    assert max(np.max(r) for _, _, r, _ in out) < 1.0
+    assert seen == [4] * cfg.steps
+    # a kick takes path 2 out of the ball: from the step after its first
+    # nonzero dL its three level rows are moved apart, and only its rows
+    dW[2, kick, 0] = 20.0
+    seen.clear()
+    kernel = _penalized_stack(model, cfg, levels, bundle.x0, dW)
+    penalized = np.array([(dl != 0).any(axis=(0, 2)) for _, dl, _, _ in kernel])
+    first = int(np.argmax(penalized[:, 2]))
+    assert penalized[:, 2].any() and not penalized[:, [0, 1, 3]].any()
+    assert first == kick + (method == "explicit")  # explicit penalizes the pre-step state
+    assert seen == [4] * (first + 1) + [4 + len(levels) - 1] * (cfg.steps - first - 1)
+
+
+@SETTINGS
+@given(
+    method=st.sampled_from(["explicit", "splitting"]),
+    levels=st.lists(st.sampled_from([0.0, 1.0, 16.0, 50.0]), min_size=1, max_size=3),
+    projection=st.booleans(),
+    paths=st.integers(1, 3),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_level_rows_coincide_until_the_first_penalty(method, levels, projection, paths, steps, seed):
+    bundle = MODELS["allen_cahn"]
+    levels = [0.0] + levels + ([np.inf] if projection and method == "splitting" else [])
+    cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
+    dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
+    penalized = np.zeros(paths, dtype=bool)
+    for x, dL, _, _ in _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW):
+        penalized |= (dL != 0).any(axis=(0, 2))
+        assert np.all((x == x[0]).all(axis=(0, 2)) | penalized)
+
+
 def test_projection_level_needs_splitting():
     with pytest.raises(ConfigurationError, match="splitting"):
         SchemeConfig(dt=0.01, steps=10, n=np.inf, method="explicit")

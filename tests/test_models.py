@@ -143,6 +143,20 @@ def test_apply_noise_shape_checks():
     noise = NoiseSpec(q=np.array([1.0, 1.0]), mu=1.0, lam=0.0)
     with pytest.raises(ConfigurationError):
         apply_noise(noise, np.zeros(4), np.zeros(3))
+    with pytest.raises(ConfigurationError):
+        apply_noise(noise, np.zeros(4), np.zeros(3), out=np.zeros(4))
+
+
+def test_apply_noise_adds_into_out_bitwise():
+    # the stepping kernel's call: u an (L, M, m) stack, dW (M, K)
+    rng = np.random.default_rng(5)
+    noise = geometric_noise(3, mu=0.4, lam=0.3)
+    u, buf = rng.standard_normal((2, 2, 5, 6))
+    dW = rng.standard_normal((5, 3))
+    want = buf + apply_noise(noise, u, dW)
+    got = apply_noise(noise, u, dW, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
 
 
 def test_noise_spec_validation():
