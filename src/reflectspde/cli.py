@@ -13,6 +13,9 @@ Config format — one `key = value` per line, `#` comments, blank lines ignored:
     run.n_grid     = 1,4,16,64,256
     run.paths      = 200
 
+A model takes a ``model.*`` or ``noise.*`` key exactly when its builder in
+``models.REGISTRY`` has the keyword the key maps to; any other is an error.
+
 Each study returns one `montecarlo.Report`; a run writes ``<study>.csv``
 for each study it ran, plus ``manifest.json`` recording the config hash,
 effective seed, and per-artifact SHA-256 checksums.  Artifacts are
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -103,39 +107,20 @@ _SCHEMA = {
     "oracle.sigma": _FLOAT,
 }
 
-# config key -> model-builder keyword, per model
-_MODEL_KEYS = {
-    "allen_cahn": {
-        "model.modes": "modes",
-        "model.x0_radius": "x0_radius",
-        "noise.modes": "noise_modes",
-        "noise.mu": "mu",
-        "noise.lambda": "lam",
-        "noise.q_decay": "q_decay",
-    },
-    "p_laplacian": {
-        "model.modes": "modes",
-        "model.p": "p",
-        "model.x0_radius": "x0_radius",
-        "noise.modes": "noise_modes",
-        "noise.mu": "mu",
-        "noise.lambda": "lam",
-        "noise.q_decay": "q_decay",
-    },
-    "oracle_1d": {
-        "model.kappa": "kappa",
-        "model.sigma": "sigma",
-    },
-    "tamed_nse": {
-        "model.modes": "modes",
-        "model.nu": "nu",
-        "model.taming_n": "taming_n",
-        "model.x0_radius": "x0_radius",
-        "noise.modes": "noise_modes",
-        "noise.mu": "mu",
-        "noise.lambda": "lam",
-        "noise.q_decay": "q_decay",
-    },
+# config key -> model-builder keyword; a model takes the key exactly when the
+# signature of its REGISTRY builder has the keyword
+_MODEL_KEYWORDS = {
+    "model.modes": "modes",
+    "model.p": "p",
+    "model.nu": "nu",
+    "model.taming_n": "taming_n",
+    "model.kappa": "kappa",
+    "model.sigma": "sigma",
+    "model.x0_radius": "x0_radius",
+    "noise.modes": "noise_modes",
+    "noise.mu": "mu",
+    "noise.lambda": "lam",
+    "noise.q_decay": "q_decay",
 }
 
 
@@ -198,11 +183,13 @@ def load_config(path) -> ExperimentConfig:
 
 def _build_bundle(config: ExperimentConfig) -> ModelBundle:
     name = config.require("model.name")
-    keymap = _MODEL_KEYS[name]
-    for key in config.values:
-        if key.startswith(("model.", "noise.")) and key not in keymap and key != "model.name":
-            raise ConfigError(f"{key}: not a parameter of model {name!r}")
-    kwargs = {arg: config.values[key] for key, arg in keymap.items() if key in config.values}
+    parameters = inspect.signature(REGISTRY[name]).parameters
+    kwargs = {}
+    for key, value in config.values.items():
+        if key in _MODEL_KEYWORDS:
+            if _MODEL_KEYWORDS[key] not in parameters:
+                raise ConfigError(f"{key}: not a parameter of model {name!r}")
+            kwargs[_MODEL_KEYWORDS[key]] = value
     try:
         return build_model(name, **kwargs)
     except ReflectSPDEError as exc:

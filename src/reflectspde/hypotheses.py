@@ -36,6 +36,7 @@ _NOTE = "sampled falsification check; a finite sample cannot certify the hypothe
 
 # dyadic lambda grid on [-1, 1] with spacing 2^-10
 _LAM_GRID = np.linspace(-1.0, 1.0, 2**11 + 1)
+_H4_PROBES = 64  # sampled directions lower-bounding a non-quadratic dual norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +256,7 @@ def _h5_constant(ratios: np.ndarray) -> float:
 
 
 def check_growth_and_lipschitz(
-    model: ModelSpec, sampler: FieldSampler, count: int, n_probes: int = 64
+    model: ModelSpec, sampler: FieldSampler, count: int
 ) -> tuple[AuditReport, AuditReport]:
     space = model.space
     u = sampler.sample(count)
@@ -263,7 +264,7 @@ def check_growth_and_lipschitz(
     probes = None
     note4 = _NOTE
     if space.v_weights is None:
-        probes = sampler.sample(n_probes)
+        probes = sampler.sample(_H4_PROBES)
         note4 = _NOTE + "; dual norm lower-bounded by sampled probe directions"
     lhs, envelope = h4_values(model, u, probes)
     margins4 = model.growth_c * envelope - lhs
@@ -305,12 +306,11 @@ def run_all_audits(
     seed: int = 0,
     count: int = 1000,
     h1_count: int | None = None,
-    decay: float = 1.0,
 ) -> list[AuditReport]:
     """All five audits with independent seeded samplers; deterministic."""
 
     def sampler(tag: int) -> FieldSampler:
-        return FieldSampler(model.space, (seed, tag), decay=decay)
+        return FieldSampler(model.space, (seed, tag))
 
     h1 = check_hemicontinuity(model, sampler(1), h1_count or count)
     h2 = check_local_monotonicity(model, sampler(2), count)

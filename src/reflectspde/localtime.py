@@ -161,21 +161,19 @@ def inequality_study(
     paths: int = 3,
     test_count: int = 200,
     delta: float = 0.1,
-    test_seed: int | None = None,
 ) -> Report:
     """Variational-gap and boundary-leak table over a penalization grid.
 
     Simulates every level n and path index in one coupled ensemble (the
     noise of path i is shared by all levels) and reports, per level and
-    path, the total variation of L^n, the minimum over the seeded test-path
-    family of the variational gap, and the boundary leak at delta.  A path
-    that blows up yields a NaN row and counts as a failure.
+    path, the total variation of L^n, the minimum over the test-path family
+    (seeded by cfg.seed) of the variational gap, and the boundary leak at
+    delta.  A path that blows up yields a NaN row and counts as a failure.
     """
     space = model.space
     n_grid = [float(n) for n in n_grid]
     times = np.arange(cfg.steps + 1) * cfg.dt
-    seed = cfg.seed if test_seed is None else test_seed
-    tests = make_test_paths(space, seed, test_count, times)
+    tests = make_test_paths(space, cfg.seed, test_count, times)
     dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
     states, l_increments, _, alive = _trajectory(model, cfg, n_grid, x0, dW)
 

@@ -13,7 +13,8 @@ fidelity and ignored.
 The 1-D drifts are each declared once as a GridForm A(u) = s*u + D^T Pi
 phi(Sigma D u): Allen-Cahn with s = -k^2, D = I, phi(g) = g - g^3, and the
 p-Laplacian with D = d/dx, phi(g) = -|g|^(p-2) g and no s.  Drift, Lawson split,
-V norm and H1 line profile read it; the oracle and tamed NSE declare none.
+V norm and H1 line profile read it.  Tamed NSE declares its drift once as its
+own split (see tamednse); the oracle is linear and declares no split.
 
 Noise is diagonal-affine on the first K storage coordinates:
 
@@ -236,10 +237,11 @@ class ModelSpec:
     alpha / beta / gamma are the coercivity, growth, and local-monotonicity
     exponents; c and c0 the declared energy-inequality constants; growth_c
     the declared dual-norm growth constant; mono_scale scales the weight
-    function rho (zero for globally monotone drifts).  linear_symbol, when
-    present, is the diagonal of the stiff linear part in state coordinates and
-    nonstiff_drift the remaining state-space right-hand side.  grid_form, when
-    present, is the declaration the drift was built from.
+    rho(u) = mono_scale (1 + ||u||_V^alpha)(1 + |u|_H^gamma) (zero for
+    globally monotone drifts).  linear_symbol, when present, is the diagonal
+    of the stiff linear part in state coordinates and nonstiff_drift the
+    remaining state-space right-hand side.  grid_form, when present, is the
+    declaration the drift was built from.
     """
 
     name: str
@@ -273,9 +275,9 @@ class ModelSpec:
     def rho(self, u: np.ndarray) -> np.ndarray:
         if self.mono_scale == 0.0:
             return np.zeros(np.asarray(u).shape[:-1])
-        nv2 = norm_v(self.space, u) ** 2
+        nv = norm_v(self.space, u)
         nh = norm_h(self.space, u)
-        return self.mono_scale * (1.0 + nv2) * (1.0 + nh**4)
+        return self.mono_scale * (1.0 + nv**self.alpha) * (1.0 + nh**self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,17 +446,15 @@ def make_oracle_1d(kappa: float = 0.5, sigma: float = 0.5) -> ModelBundle:
 # registry
 
 
-def _make_tamed(**kwargs) -> ModelBundle:
-    from .tamednse import make_tamed_nse
+# tamednse builds on the names above, so it is imported once they exist
+from .tamednse import make_tamed_nse  # noqa: E402
 
-    return make_tamed_nse(**kwargs)
-
-
+# each builder registered as itself: its keywords are the model's parameters
 REGISTRY: dict[str, Callable[..., ModelBundle]] = {
     "allen_cahn": make_allen_cahn,
     "p_laplacian": make_p_laplacian,
     "oracle_1d": make_oracle_1d,
-    "tamed_nse": _make_tamed,
+    "tamed_nse": make_tamed_nse,
 }
 
 

@@ -25,6 +25,10 @@ identity and the gradient's removal hold exactly at the retained modes, up to
 rounding.  The taming term g_N(|u|^2) u is formed from the same grid values
 of u.
 
+The drift is declared once, as its Lawson split: the diagonal Stokes symbol
+s = -nu |k|^2 (linear_symbol) and N(u) = -P((u . grad) u) - P(g_N(|u|^2) u)
+(nonstiff_drift); tamed_drift recombines them as (1+|k|^2) (s u + N(u)).
+
 Grid fields are real and every stored wavevector has kx >= 0, so a field is
 held on the retained box kx in [0, modes], ky, kz in [-modes, modes] (the
 kx = 0 plane also carries the conjugate partners) and reaches the grid by
@@ -66,12 +70,12 @@ __all__ = [
 ]
 
 # The drift runs in row chunks whose transform scratch (_row_scratch_bytes
-# per row, at least one row) fits in this budget.  At 4 modes a row holds
-# 0.56 MB (traced: 0.56 MB).  On a 2-core x86 host at one BLAS thread, the
-# tamed constant stability at counts (50, 100) ran fastest at 3-6 MB (5-11
-# rows), 12-27 % slower at 1-2 MB (1-3 rows), and 45 % slower at 12 MB
-# (22 rows), where the blocks page-fault their scratch in afresh (about
-# 17 000 minor faults per run, none at 6 MB and below).
+# per row, at least one row) fits in this budget: at 4 modes a row holds
+# 0.47 MB (traced), so a chunk holds 8 rows.  On a 2-core x86 host at one
+# BLAS thread, the tamed constant stability at counts (50, 100) ran fastest
+# at 3-6 MB (5-11 rows), 12-27 % slower at 1-2 MB (1-3 rows), and 45 %
+# slower at 12 MB (22 rows), where the blocks page-fault their scratch in
+# afresh (about 17 000 minor faults per run, none at 6 MB and below).
 _CHUNK_BYTES = 4 * 2**20
 
 
@@ -212,13 +216,20 @@ def leray_project(lattice: TamedLattice, uhat: np.ndarray) -> np.ndarray:
 
 
 def taming_g(r: np.ndarray | float, spec: TamedSpec) -> np.ndarray | float:
-    """0 on [0,N]; (r-N)/nu beyond N+1; C^1 cubic Hermite bridge between."""
+    """0 on [0,N]; (r-N)/nu beyond N+1; C^1 cubic Hermite bridge between.  Built
+    in place as ((2 - t) t^2 + max(s - 1, 0)) / nu, s = r - N, t = clip(s, 0, 1)."""
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ModelEvaluationError("taming function argument must be nonnegative")
-    s = arr - spec.taming_n
-    bridge = (2.0 - s) * s * s / spec.nu  # products: libm pow is far slower
-    out = np.where(s <= 0.0, 0.0, np.where(s >= 1.0, s / spec.nu, bridge))
+    s = np.atleast_1d(arr - spec.taming_n)
+    t = np.clip(s, 0.0, 1.0)
+    np.maximum(np.subtract(s, 1.0, out=s), 0.0, out=s)
+    out = np.subtract(2.0, t)
+    out *= t  # products: libm pow is far slower
+    out *= t
+    out += s
+    out /= spec.nu
+    out = out.reshape(arr.shape)
     return float(out) if np.isscalar(r) else out
 
 
@@ -305,60 +316,60 @@ def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np
     """
     grid = _box_to_grid(lattice, _velocity_and_vorticity(lattice, uh))
     u, omega = grid[:, :3], grid[:, 3:]
-    speed_sq = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2]
-    prod = taming_g(speed_sq, spec)[:, None] * u
+    # one expression, so |u|^2 and g_N are freed once read: the peak stays at 10 fields
+    prod = taming_g(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2], spec)[:, None] * u
     for i in range(3):  # cyclic (i, j, l): (omega x u)_i = omega_j u_l - omega_l u_j
         j, l = (i + 1) % 3, (i + 2) % 3
         prod[:, i] += omega[:, j] * u[:, l]
         prod[:, i] -= omega[:, l] * u[:, j]
-    del grid, u, omega  # the analysis runs without them: the peak stays at taming_g
+    del grid, u, omega  # the analysis runs without them
     out = _grid_to_box(lattice, prod)
     return leray_project(lattice, np.moveaxis(out, -2, -1))
 
 
-def _drift_state_block(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
-    """PDE right-hand side in storage coordinates for one row block."""
-    uh = uhat_from_state(lattice, state)
-    rhs = -spec.nu * lattice.ksq[:, None] * uh - _nonlinear_hat(lattice, spec, uh)
-    return state_from_uhat(lattice, rhs)
-
-
 def _nonstiff_block(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
-    """Right-hand side minus the diagonal Stokes part (for the Lawson move)."""
+    """N(u) = -P((u.grad)u + g_N(|u|^2)u) in storage coordinates for one row block."""
     uh = uhat_from_state(lattice, state)
     return state_from_uhat(lattice, -_nonlinear_hat(lattice, spec, uh))
 
 
 def _row_scratch_bytes(lattice: TamedLattice) -> int:
-    """Peak scratch per row of _nonlinear_hat: 12 real grid fields, reached
-    while taming_g runs.  The six grid fields of u and omega, |u|^2 and about
-    four temporaries of taming_g are alive together; the box transforms on
-    either side hold less (at 4 modes, the synthesis about 9.3 fields and the
-    analysis about 7)."""
-    return 12 * lattice.grid_size**3 * 8
+    """Peak scratch per row of _nonlinear_hat, traced with tracemalloc: 10.1
+    real grid fields (10.09 at 4 modes, 10.00 at 8), between the box transforms,
+    where the six grid fields of u and omega live with four more (|u|^2 and
+    taming_g's three, then g_N and the products).  The synthesis holds about
+    9.3 fields and the analysis about 7."""
+    return round(10.1 * lattice.grid_size**3 * 8)
 
 
 def _chunk_rows(lattice: TamedLattice) -> int:
     return max(1, _CHUNK_BYTES // _row_scratch_bytes(lattice))
 
 
-def _chunked(fn, lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
+def _chunked(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
+    """N(u) for states of any leading shape, in blocks of _chunk_rows rows."""
     state = np.asarray(state, dtype=float)
-    if state.ndim == 1:
-        return fn(lattice, spec, state[None, :])[0]
-    lead = state.shape[:-1]
     flat = state.reshape(-1, state.shape[-1])
+    out = np.empty_like(flat)
     rows = _chunk_rows(lattice)
-    if flat.shape[0] <= rows:
-        return fn(lattice, spec, flat).reshape(lead + (state.shape[-1],))
-    parts = [fn(lattice, spec, flat[lo : lo + rows]) for lo in range(0, flat.shape[0], rows)]
-    return np.concatenate(parts, axis=0).reshape(lead + (state.shape[-1],))
+    for lo in range(0, flat.shape[0], rows):
+        out[lo : lo + rows] = _nonstiff_block(lattice, spec, flat[lo : lo + rows])
+    return out.reshape(state.shape)
+
+
+def _stokes_symbol(lattice: TamedLattice, nu: float) -> np.ndarray:
+    """s = -nu |k|^2 per storage coordinate: the Stokes term, diagonal."""
+    return -nu * np.repeat(lattice.ksq, 4)
 
 
 def tamed_drift(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
-    """Functional coefficients <A(u), psi_i> = (1+|k|^2) * (PDE rhs storage)."""
-    rhs = _chunked(_drift_state_block, lattice, spec, state)
-    return np.repeat(1.0 + lattice.ksq, 4) * rhs
+    """Functional coefficients <A(u), psi_i> = (1+|k|^2) (s u + N(u)): the
+    recombined Lawson split, Stokes symbol s and nonlinearity N."""
+    state = np.asarray(state, dtype=float)
+    rhs = _chunked(lattice, spec, state)
+    rhs += _stokes_symbol(lattice, spec.nu) * state
+    rhs *= np.repeat(1.0 + lattice.ksq, 4)
+    return rhs
 
 
 def h1_space(modes: int = 4) -> SpaceSpec:
@@ -393,11 +404,11 @@ def make_tamed_nse(
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
     hsg = noise_growth_sq(space, noise)
 
-    def drift(t, u, _lat=lattice, _spec=spec):
-        return tamed_drift(_lat, _spec, u)
+    def drift(t, u):  # looks tamed_drift up per call, so a wrapper set on the module sees it
+        return tamed_drift(lattice, spec, u)
 
-    def nonstiff(t, u, _lat=lattice, _spec=spec):
-        return _chunked(_nonstiff_block, _lat, _spec, u)
+    def nonstiff(t, u):
+        return _chunked(lattice, spec, u)
 
     model = ModelSpec(
         name="tamed_nse",
@@ -415,7 +426,7 @@ def make_tamed_nse(
         growth_c=2.0,
         noise_lip_sq=noise_lip_sq(noise),
         mono_scale=2.0,
-        linear_symbol=-nu * np.repeat(lattice.ksq, 4),
+        linear_symbol=_stokes_symbol(lattice, nu),
         nonstiff_drift=nonstiff,
     )
     return ModelBundle(model=model, x0=decay_profile_x0(space, x0_radius))

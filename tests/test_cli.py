@@ -1,6 +1,7 @@
 """Config parsing, experiment driver, artifact determinism, exit codes."""
 
 import hashlib
+import inspect
 import json
 import re
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reflectspde import cli
 from reflectspde.cli import (
     _FLOAT,
     _INT,
+    _MODEL_KEYWORDS,
     _SCHEMA,
     ConfigError,
     load_config,
@@ -18,6 +21,8 @@ from reflectspde.cli import (
     parse_config_text,
     run_experiment,
 )
+from reflectspde.errors import ConfigurationError
+from reflectspde.models import REGISTRY
 
 ORACLE_CONF = """\
 # tiny deterministic-ish oracle study
@@ -196,6 +201,54 @@ def test_foreign_model_parameter_rejected(tmp_path):
     cfg = load_config(write_conf(tmp_path, conf))
     with pytest.raises(ConfigError, match="not a parameter"):
         run_experiment(cfg, "estimates", tmp_path / "out")
+
+
+# The model.* and noise.* keys each model takes, written out as the reference
+# that reading them from the builders' signatures must reproduce.
+ACCEPTED_KEYS = {
+    "allen_cahn": {
+        "model.modes", "model.x0_radius",
+        "noise.modes", "noise.mu", "noise.lambda", "noise.q_decay",
+    },
+    "p_laplacian": {
+        "model.modes", "model.p", "model.x0_radius",
+        "noise.modes", "noise.mu", "noise.lambda", "noise.q_decay",
+    },
+    "oracle_1d": {"model.kappa", "model.sigma"},
+    "tamed_nse": {
+        "model.modes", "model.nu", "model.taming_n", "model.x0_radius",
+        "noise.modes", "noise.mu", "noise.lambda", "noise.q_decay",
+    },
+}
+MODEL_KEYS = sorted(k for k in _SCHEMA if k.startswith(("model.", "noise.")) and k != "model.name")
+
+
+@pytest.mark.parametrize("key", MODEL_KEYS)
+@pytest.mark.parametrize("name", sorted(ACCEPTED_KEYS))
+def test_model_takes_exactly_its_listed_keys(tmp_path, capsys, monkeypatch, name, key):
+    calls = []
+
+    def build_model(model, **kwargs):
+        calls.append((model, kwargs))
+        raise ConfigurationError("stopped once the keywords are read")
+
+    monkeypatch.setattr(cli, "build_model", build_model)
+    conf = write_conf(tmp_path, f"model.name = {name}\n{key} = 1\n")
+    assert main(["hypotheses", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    if key in ACCEPTED_KEYS[name]:
+        [(model, kwargs)] = calls
+        assert model == name and list(kwargs.values()) == [1], kwargs
+        assert "stopped once the keywords are read" in err
+    else:
+        assert calls == []
+        assert err == f"config error: {key}: not a parameter of model {name!r}\n"
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_builder_keyword_has_a_config_key(name):
+    keywords = set(inspect.signature(REGISTRY[name]).parameters)
+    assert keywords <= set(_MODEL_KEYWORDS.values())
 
 
 def test_explicit_large_n_dt_rejected(tmp_path):

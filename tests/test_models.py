@@ -1,5 +1,7 @@
 """Model drifts against hand-computed values; noise algebra; registry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,11 @@ def test_rho_weight_formula():
     )
     u = np.array([1.0])
     assert scaled.rho(u) == pytest.approx(8.0)
+    # away from |u| = 1 each declared exponent shows: 2 (1 + 2^2)(1 + 2^4)
+    assert scaled.rho(2.0 * u) == pytest.approx(170.0)
+    # and exponents other than 2 and 4 are read too: 2 (1 + 2^3)(1 + 2^1)
+    other = dataclasses.replace(scaled, alpha=3.0, gamma=1.0)
+    assert other.rho(2.0 * u) == pytest.approx(54.0)
 
 
 def test_model_spec_rejects_understated_c0():
