@@ -57,8 +57,7 @@ __all__ = ["ExperimentConfig", "load_config", "run_experiment", "main"]
 
 SUBCOMMANDS = ("estimates", "cauchy", "inequality", "hypotheses", "oracle1d", "all")
 
-# master schema: dotted key -> (type caster, default); None default = required
-# or builder-defaulted.
+# master schema: dotted key -> type caster
 _INT = int
 _STR = str
 
@@ -78,19 +77,25 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in items]
 
 
+# config key -> (model-builder keyword, type caster); a model takes the key
+# exactly when the signature of its REGISTRY builder has the keyword
+_MODEL_KEYS = {
+    "model.modes": ("modes", _INT),
+    "model.p": ("p", _FLOAT),
+    "model.nu": ("nu", _FLOAT),
+    "model.taming_n": ("taming_n", _FLOAT),
+    "model.kappa": ("kappa", _FLOAT),
+    "model.sigma": ("sigma", _FLOAT),
+    "model.x0_radius": ("x0_radius", _FLOAT),
+    "noise.modes": ("noise_modes", _INT),
+    "noise.mu": ("mu", _FLOAT),
+    "noise.lambda": ("lam", _FLOAT),
+    "noise.q_decay": ("q_decay", _FLOAT),
+}
+
 _SCHEMA = {
     "model.name": _STR,
-    "model.modes": _INT,
-    "model.p": _FLOAT,
-    "model.nu": _FLOAT,
-    "model.taming_n": _FLOAT,
-    "model.kappa": _FLOAT,
-    "model.sigma": _FLOAT,
-    "model.x0_radius": _FLOAT,
-    "noise.modes": _INT,
-    "noise.mu": _FLOAT,
-    "noise.lambda": _FLOAT,
-    "noise.q_decay": _FLOAT,
+    **{key: caster for key, (_, caster) in _MODEL_KEYS.items()},
     "scheme.dt": _FLOAT,
     "scheme.t_final": _FLOAT,
     "scheme.method": _STR,
@@ -105,22 +110,6 @@ _SCHEMA = {
     "run.out": _STR,
     "oracle.kappa": _FLOAT,
     "oracle.sigma": _FLOAT,
-}
-
-# config key -> model-builder keyword; a model takes the key exactly when the
-# signature of its REGISTRY builder has the keyword
-_MODEL_KEYWORDS = {
-    "model.modes": "modes",
-    "model.p": "p",
-    "model.nu": "nu",
-    "model.taming_n": "taming_n",
-    "model.kappa": "kappa",
-    "model.sigma": "sigma",
-    "model.x0_radius": "x0_radius",
-    "noise.modes": "noise_modes",
-    "noise.mu": "mu",
-    "noise.lambda": "lam",
-    "noise.q_decay": "q_decay",
 }
 
 
@@ -181,15 +170,22 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(values=values, raw_bytes=raw)
 
 
-def _build_bundle(config: ExperimentConfig) -> ModelBundle:
+def _model_kwargs(config: ExperimentConfig) -> tuple[str, dict]:
+    """The model's name and the builder keywords its config sets."""
     name = config.require("model.name")
     parameters = inspect.signature(REGISTRY[name]).parameters
     kwargs = {}
     for key, value in config.values.items():
-        if key in _MODEL_KEYWORDS:
-            if _MODEL_KEYWORDS[key] not in parameters:
+        if key in _MODEL_KEYS:
+            keyword = _MODEL_KEYS[key][0]
+            if keyword not in parameters:
                 raise ConfigError(f"{key}: not a parameter of model {name!r}")
-            kwargs[_MODEL_KEYWORDS[key]] = value
+            kwargs[keyword] = value
+    return name, kwargs
+
+
+def _build_bundle(config: ExperimentConfig) -> ModelBundle:
+    name, kwargs = _model_kwargs(config)
     try:
         return build_model(name, **kwargs)
     except ReflectSPDEError as exc:
@@ -269,7 +265,8 @@ def _studies(config: ExperimentConfig, wanted, seed, effective_seed) -> dict:
     and every count the task reads are checked.
 
     The bundle and the scheme are built at most once: `hypotheses` reads no
-    scheme.* key and `oracle1d` no model.* key.
+    scheme.* key, and `oracle1d` builds no bundle; on an `oracle_1d` config
+    it binds the builder's arguments, so `estimates` steps the same oracle.
     """
     stepping = [t for t in wanted if t != "hypotheses"]
     n_grid = _n_grid(config) if stepping else None
@@ -314,8 +311,9 @@ def _studies(config: ExperimentConfig, wanted, seed, effective_seed) -> dict:
         studies["hypotheses"] = audits
     if "oracle1d" in wanted:
         if config.get("model.name") == "oracle_1d":
-            kappa = float(config.get("model.kappa", 0.5))
-            sigma = float(config.get("model.sigma", 0.5))
+            oracle = inspect.signature(REGISTRY["oracle_1d"]).bind(**_model_kwargs(config)[1])
+            oracle.apply_defaults()
+            kappa, sigma = oracle.arguments["kappa"], oracle.arguments["sigma"]
         else:
             kappa = float(config.get("oracle.kappa", 1.0))
             sigma = float(config.get("oracle.sigma", 0.5))

@@ -25,6 +25,7 @@ __all__ = [
     "inner_h",
     "norm_h",
     "norm_v",
+    "v_energy",
     "project_ball",
     "penalty_gap",
 ]
@@ -155,6 +156,15 @@ def norm_v(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     if space.v_norm_fn is not None:
         return np.asarray(space.v_norm_fn(x), dtype=float)
     return np.sqrt(_weighted_dot(x, space.v_weights, x))
+
+
+def v_energy(space: SpaceSpec, x: np.ndarray, alpha: float) -> np.ndarray:
+    """||x||_V^alpha: one weighted contraction when V is quadratic and alpha
+    is 2, else norm_v ** alpha."""
+    if space.v_weights is None or alpha != 2:
+        return norm_v(space, x) ** alpha
+    x = space.check_coeffs(x)
+    return _weighted_dot(x, space.v_weights, x)
 
 
 def _ball_scale(space: SpaceSpec, x: np.ndarray) -> np.ndarray:

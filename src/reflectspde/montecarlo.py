@@ -17,8 +17,13 @@ Coupling: every penalization level consumes the same per-path Brownian matrix
 (common random numbers), which is what makes the Cauchy and oracle studies
 meaningful at modest path counts.  All levels and paths of a study advance
 together as one (levels, paths, coeffs) stack in `penalize._penalized_stack`,
-which checks their inputs; each study is a reduction over what it yields.  A
-bad argument to any study raises ConfigurationError, which is a ValueError.
+which checks their inputs; each study is a reduction over what it yields.
+The kernel yields one row per path while the path's levels coincide, and
+the studies reduce on those rows: radii and V energies are taken per row and
+gathered to the stack through the kernel's map `put`, and the Cauchy gaps
+are taken over the parted paths only, since a merged path's level
+differences are exactly 0.  A bad argument to any study raises
+ConfigurationError, which is a ValueError.
 
 Determinism: every reduction runs in a fixed order, so results are
 byte-identical across reruns.  Standard errors are the standard deviation
@@ -45,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .hilbert import inner_h, norm_h, norm_v
+from .hilbert import inner_h, norm_h, v_energy
 from .models import ModelSpec, make_oracle_1d
 from .penalize import (
     SchemeConfig,
@@ -211,19 +216,23 @@ def run_estimates(
 
     shape = (len(n_grid), paths)
     radii = np.empty((cfg.steps + 1,) + shape)
-    v_energy = np.empty((cfg.steps + 1,) + shape)
+    energy = np.empty((cfg.steps + 1,) + shape)
     radii[0] = norm_h(space, x0)
-    v_energy[0] = norm_v(space, x0) ** model.alpha
+    energy[0] = v_energy(space, x0, model.alpha)
     sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
-    for j, (states, _dL, r, alive) in enumerate(kernel, start=1):
-        radii[j] = r
-        v_energy[j] = norm_v(space, states) ** model.alpha
-        # squared, by inner_h: where a path's level rows coincide the
-        # difference is exactly 0, which norm_h would recheck for underflow
-        diff = states[:-1] - states[1:]
-        np.maximum(sup_diff2, inner_h(space, diff, diff), out=sup_diff2)
+    for j, (x, _dL, r, alive, put) in enumerate(kernel, start=1):
+        np.take(r, put, out=radii[j])
+        np.take(v_energy(space, x, model.alpha), put, out=energy[j])
+        # a merged path's level rows are one row, so its differences are
+        # exactly 0; squared, by inner_h, to skip norm_h's underflow recheck
+        parted = np.flatnonzero(put[0] != put[-1])
+        if parted.size:
+            stack = x[put[:, parted]]
+            diff = stack[:-1] - stack[1:]
+            sup_diff2[:, parted] = np.maximum(sup_diff2[:, parted], inner_h(space, diff, diff))
+    alive = alive[put]
     radii[:, ~alive] = 0.0  # the radius a failed row died at may overflow r^3
-    totals = _radial_totals(radii, v_energy, cfg.dt)
+    totals = _radial_totals(radii, energy, cfg.dt)
 
     rows = []
     for i, n in enumerate(n_grid):
@@ -326,16 +335,16 @@ def oracle_compare_1d(
     sup_diff = np.zeros((len(n_grid), paths))
     tv_pen = np.zeros((len(n_grid), paths))
     tv_or = np.zeros((1, paths))
-    for (x, dl, _, alive), (y, dl_or, _, alive_or) in zip(
+    for (x, dl, _, alive, put), (y, dl_or, _, alive_or, put_or) in zip(
         _penalized_stack(model, cfg, n_grid, x0, dW),
         _penalized_stack(model, projection, [np.inf], x0, dW),
     ):
-        tv_pen += np.abs(dl[..., 0])
-        tv_or += np.abs(dl_or[..., 0])
-        sup_diff = np.maximum(sup_diff, np.abs(x[..., 0] - y[..., 0]))
-    alive = alive & alive_or
+        tv_pen += np.abs(np.take(dl[:, 0], put))
+        tv_or += np.abs(np.take(dl_or[:, 0], put_or))
+        terminal = np.abs(np.take(x[:, 0], put) - np.take(y[:, 0], put_or))
+        np.maximum(sup_diff, terminal, out=sup_diff)
+    alive = alive[put] & alive_or[put_or]
     tv_diff = np.abs(tv_pen - tv_or)
-    terminal = np.abs(x[..., 0] - y[..., 0])
 
     rows = []
     for i, n in enumerate(n_grid):

@@ -28,14 +28,21 @@ Each explicit step reads the pre-step radius that the kernel's divergence
 check computed, so it computes one H norm per row per step; a splitting step
 computes two, of x-tilde and of the new state.
 
-The kernel moves a path once while its level rows coincide.  The penalty
-vanishes inside the ball and every level reads the same noise, so for every
-n, X^n is the free solution up to the path's first exit: all levels take
-dL = 0 while the pre-step radius (explicit) or |x-tilde|_H (splitting) is at
-most 1.  From the first step at which any level takes a nonzero dL, the path
-is moved on every level and never merges again; each step's moves are one
-one_step_move call over level 0 of every path and levels 1.. of the parted
-paths.  The merge is off for one level and for one-coefficient rows.
+The kernel holds a path as one row while its level rows coincide.  The
+penalty vanishes inside the ball and every level reads the same noise, so
+for every n, X^n is the free solution up to the path's first exit: all
+levels take dL = 0 while the pre-step radius (explicit) or |x-tilde|_H
+(splitting) is at most 1.  At the first step at which the penalty acts on
+it, after the move and before the penalty, the path parts: its row is
+copied once per further level, each row then reads its own level's n dt,
+and it never merges again.  So the move, the penalty, the divergence norm,
+the dead-row pinning and the studies' reductions all run on the rows (level
+0 of every path, then levels 1.. of the parted paths), not on the
+levels x paths stack; the (L, M) map `put` takes the stack to the rows, and
+`_trajectory` is the one place that builds the stack.  The rows are kept in
+arrays of the full capacity L * M, and rows yielded by the kernel are valid
+until it is resumed.  The merge is off for one level and for one-coefficient
+rows, whose rows are the whole stack in level-major order.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .hilbert import SpaceSpec, norm_h, norm_v, penalty_gap
+from .hilbert import SpaceSpec, norm_h, penalty_gap, v_energy
 from .models import ModelSpec, apply_noise
 
 __all__ = [
@@ -177,7 +184,7 @@ def step_penalized(
     model: ModelSpec,
     dW: np.ndarray,
     r: np.ndarray | None = None,
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    rows: _Rows | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one step; returns (state', dL).
 
@@ -187,47 +194,101 @@ def step_penalized(
     splitting step, whose penalty acts on x-tilde, ignores it.  No divergence
     check here: `_penalized_stack` makes it once per step for every row.
 
-    rows = (lev, path, put), for an (L, M, m) stack state and (M, K) noise
-    dW, lists the rows to move: the move is made once on each
-    state[lev, path] with dW[path], and stack row (l, i) reads move
-    put[l, i].  The caller vouches that every row it maps to one move equals
-    that move's row; the penalty is applied to every stack row.
+    rows is the kernel's row table, and state its rows in use: row q reads
+    dW[rows.path[q]] and its own level's n dt, and cfg.n is not read.  After
+    the move, the merged paths on which the penalty is about to act are
+    parted, so state' and dL have one row per row in use after parting, and
+    state' is written into the table.
     """
     space = model.space
-    if rows is None:
-        x_tilde = one_step_move(model, t, cfg.dt, state, dW)
-    else:
-        lev, path, put = rows
-        x_tilde = one_step_move(model, t, cfg.dt, state[lev, path], dW[path])
-    rate = np.multiply(cfg.n, cfg.dt)
+    if rows is not None:
+        dW = np.take(dW, rows.path[: len(state)], axis=0)
+    x_tilde = one_step_move(model, t, cfg.dt, state, dW)
+    rate, out = np.multiply(cfg.n, cfg.dt), None
     if cfg.method == "explicit":
+        if r is None:
+            r = norm_h(space, state)
+        if rows is not None:
+            state, r, x_tilde = rows.part(r > 1.0, state, r, x_tilde)
+            rate, out = rows.in_use()
         dL, _ = penalty_gap(space, state, r)
         dL *= (-rate)[..., None]
-        new = x_tilde if rows is None else x_tilde[put]
-        new += dL
-    else:
-        r_tilde = norm_h(space, x_tilde)
-        if rows is not None:
-            x_tilde, r_tilde = x_tilde[put], r_tilde[put]
-        excess = np.maximum(r_tilde - 1.0, 0.0)
-        scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
-        new = x_tilde * scale[..., None]
-        dL = new - x_tilde
-    return new, dL
+        return np.add(x_tilde, dL, out=x_tilde if out is None else out), dL
+    r_tilde = norm_h(space, x_tilde)
+    if rows is not None:
+        r_tilde, x_tilde = rows.part(r_tilde > 1.0, r_tilde, x_tilde)
+        rate, out = rows.in_use()
+    excess = np.maximum(r_tilde - 1.0, 0.0)
+    scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
+    new = np.multiply(x_tilde, scale[..., None], out=out)
+    return new, new - x_tilde
+
+
+class _Rows:
+    """The kernel's rows of a (levels, paths) stack.
+
+    A path has one row, on level 0, while its level rows coincide, and one
+    row per level from the step at which it parts; the rows of levels 1.. of
+    a parted path are appended in the order the paths part, so rows never
+    move and the first `count` rows are in use.  put[l, i] is the row of
+    level l of path i.  Every array is allocated at the full capacity
+    levels * paths.  Without the merge every path is parted from the start,
+    and the rows are the whole stack in level-major order.
+    """
+
+    def __init__(self, rates, paths, m, merge):
+        levels = rates.size
+        self.level_rate = rates
+        self.x = np.empty((levels * paths, m))
+        self.alive = np.ones(levels * paths, dtype=bool)
+        self.rate = np.repeat(rates, paths)
+        self.path = np.tile(np.arange(paths), levels)
+        self.put = np.arange(levels * paths).reshape(levels, paths)
+        self.merged = np.full(paths, merge)
+        if merge:
+            self.put[1:] = self.put[0]
+        self.count = paths if merge else levels * paths
+
+    def in_use(self):
+        """(rate, x) of the rows in use: each row's n dt, and its states."""
+        return self.rate[: self.count], self.x[: self.count]
+
+    def part(self, acting, *arrays):
+        """Part the live merged paths whose row `acting` marks, and return
+        arrays, each over the rows in use, with copies of those rows appended
+        for the new rows."""
+        if not self.merged.any():
+            return arrays
+        paths = self.merged.size
+        split = np.flatnonzero(acting[:paths] & self.merged & self.alive[:paths])
+        if split.size == 0:
+            return arrays
+        levels, start = len(self.put), self.count
+        self.count += (levels - 1) * split.size
+        new = slice(start, self.count)
+        self.rate[new] = np.repeat(self.level_rate[1:], split.size)
+        self.path[new] = np.tile(split, levels - 1)
+        self.alive[new] = True
+        self.put[1:, split] = np.arange(start, self.count).reshape(levels - 1, split.size)
+        self.merged[split] = False
+        # a merged path's row is row i of path i, which its new rows copy
+        return tuple(np.concatenate([a, a[self.path[new]]]) for a in arrays)
 
 
 def _penalized_stack(model, cfg, levels, x0, dW):
-    """Step an (L, M, m) stack of levels x paths x coefficients from x0.
+    """Step a (levels, paths, coeffs) stack from x0, held as the rows of `_Rows`.
 
     Raises ConfigurationError before any step unless levels is a nonempty
     1-D sequence, x0 one state with |x0|_H <= 1 + 1e-12 and dW a block
     (M >= 1, steps, K), which every level reads (common random numbers).
-    The generator returned yields (states, dL, r, alive) after each step:
-    the (L, M, m) stack and its penalty increments, the (L, M) H radii the
-    divergence check read, and the (L, M) mask of rows that have stayed
-    finite with radius <= BLOWUP_NORM.  A dead row stays dead: its states
-    and dL are pinned to zero, and its r is the radius that killed it at
-    that step and meaningless after.
+    The generator returned yields (x, dL, r, alive, put) after each step:
+    the (k, m) rows in use and their penalty increments, the (k,) H radii
+    the divergence check read, the (k,) mask of rows that have stayed finite
+    with radius <= BLOWUP_NORM, and the (L, M) map from the stack to the
+    rows, so that x[put] is the (L, M, m) stack.  x, alive and put are the
+    kernel's own arrays, valid until the generator is resumed.  A dead row
+    stays dead: its state and dL are pinned to zero, and its r is the radius
+    that killed it at that step and meaningless after.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
@@ -244,64 +305,46 @@ def _penalized_stack(model, cfg, levels, x0, dW):
     return _advance(model, cfg.with_n(levels[:, None]), x0, dW, r0)
 
 
-def _advance(model, stack_cfg, x0, dW, r):
+def _advance(model, stack_cfg, x0, dW, r0):
+    # One level has nothing to share, and on one-coefficient rows the index
+    # bookkeeping costs more than the moves it saves: the 1-D oracle
+    # comparison (3 levels x 500 paths x 2000 steps) took 0.37 s without the
+    # merge and 0.39 s with it, medians of six alternating runs on one core.
+    levels = stack_cfg.n[:, 0]
+    rows = _Rows(levels * stack_cfg.dt, len(dW), x0.size, levels.size > 1 and x0.size > 1)
+    rows.x[: rows.count] = x0
     # r is the pre-step radius: |x0|_H, then the radius each divergence check
     # read, which the next explicit step reuses.  A dead row's r only reaches
     # its own row, which is pinned to zero again.
-    levels, paths = len(stack_cfg.n), len(dW)
-    states = np.broadcast_to(x0, (levels, paths) + x0.shape)
-    alive = np.ones(states.shape[:-1], dtype=bool)
-    # A path's level rows coincide until one level takes a nonzero dL, so
-    # they are moved once until then; a path that has parted stays parted.
-    # One level has nothing to share, and on one-coefficient rows the index
-    # bookkeeping costs more than the moves it saves: the 1-D oracle
-    # comparison (3 levels x 500 paths x 2000 steps) took 0.37 s without it
-    # and 0.39 s with it, medians of six alternating runs on one core.
-    parted = np.zeros(paths, dtype=bool)
-    rows = _move_rows(parted, levels) if levels > 1 and x0.size > 1 else None
+    r = np.full(rows.count, r0)
     for j in range(stack_cfg.steps):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            states, dL = step_penalized(
-                states, j * stack_cfg.dt, stack_cfg, model, dW[:, j], r, rows
+            x, dL = step_penalized(
+                rows.x[: rows.count], j * stack_cfg.dt, stack_cfg, model, dW[:, j], r, rows
             )
-            r = norm_h(model.space, states)
+            r = norm_h(model.space, x)
+        alive = rows.alive[: rows.count]
         # a non-finite coefficient makes r inf or NaN, and NaN compares False
-        alive = alive & (r <= BLOWUP_NORM)
+        alive &= r <= BLOWUP_NORM
         if not alive.all():
-            states[~alive] = 0.0
+            x[~alive] = 0.0
             dL[~alive] = 0.0
-        if rows is not None:
-            parting = (dL != 0.0).any(axis=0).any(axis=-1) & ~parted
-            if parting.any():
-                parted |= parting
-                rows = None if parted.all() else _move_rows(parted, levels)
-        yield states, dL, r, alive
-
-
-def _move_rows(parted, levels):
-    """step_penalized's rows for a (levels, paths) stack: level 0 of every
-    path, then levels 1.. of the parted paths, whose rows no longer coincide."""
-    paths = parted.size
-    split = np.flatnonzero(parted)
-    lev = np.concatenate([np.zeros(paths, dtype=int), np.repeat(np.arange(1, levels), split.size)])
-    path = np.concatenate([np.arange(paths), np.tile(split, levels - 1)])
-    put = np.tile(np.arange(paths), (levels, 1))
-    put[1:, split] = np.arange(paths, len(lev)).reshape(levels - 1, split.size)
-    return lev, path, put
+        yield x, dL, r, alive, rows.put
 
 
 def _trajectory(model, cfg, levels, x0, dW):
-    """The kernel's whole output on the time grid: states (steps+1, L, M, m),
-    dL (steps, L, M, m), radii (steps+1, L, M) and the final (L, M) alive
-    mask.  Row 0 of states and radii is x0; dead rows read as yielded."""
+    """The kernel's whole output as a stack on the time grid: states
+    (steps+1, L, M, m), dL (steps, L, M, m), radii (steps+1, L, M) and the
+    final (L, M) alive mask.  Row 0 of states and radii is x0; dead rows
+    read as yielded."""
     kernel = _penalized_stack(model, cfg, levels, x0, dW)
     states = np.empty((cfg.steps + 1, len(levels), len(dW), model.space.n_coeffs))
     dL = np.empty((cfg.steps,) + states.shape[1:])
     radii = np.empty(states.shape[:-1])
     states[0], radii[0] = x0, norm_h(model.space, x0)
-    for j, (x, dl, r, alive) in enumerate(kernel, start=1):
-        states[j], dL[j - 1], radii[j] = x, dl, r
-    return states, dL, radii, alive
+    for j, (x, dl, r, alive, put) in enumerate(kernel, start=1):
+        states[j], dL[j - 1], radii[j] = x[put], dl[put], r[put]
+    return states, dL, radii, alive[put]
 
 
 def _radial_totals(r: np.ndarray, v_energy: np.ndarray, dt: float) -> dict:
@@ -342,7 +385,7 @@ def simulate_path(
     if not alive[0, 0]:
         step = int(np.argmin(radii[1:] <= BLOWUP_NORM)) + 1  # the first step it left
         raise BlowUpError(step, step * cfg.dt, radii[step])
-    totals = _radial_totals(radii, norm_v(model.space, states) ** model.alpha, cfg.dt)
+    totals = _radial_totals(radii, v_energy(model.space, states, model.alpha), cfg.dt)
     return PathRecord(
         times=cfg.dt * np.arange(cfg.steps + 1),
         states=states,

@@ -13,7 +13,7 @@ from reflectspde import cli
 from reflectspde.cli import (
     _FLOAT,
     _INT,
-    _MODEL_KEYWORDS,
+    _MODEL_KEYS,
     _SCHEMA,
     ConfigError,
     load_config,
@@ -199,8 +199,9 @@ def test_load_config_missing_file():
 def test_foreign_model_parameter_rejected(tmp_path):
     conf = ORACLE_CONF + "noise.mu = 0.5\n"  # oracle_1d has no noise block
     cfg = load_config(write_conf(tmp_path, conf))
-    with pytest.raises(ConfigError, match="not a parameter"):
-        run_experiment(cfg, "estimates", tmp_path / "out")
+    for subcommand in ("estimates", "oracle1d"):  # oracle1d reads the builder's arguments
+        with pytest.raises(ConfigError, match="not a parameter"):
+            run_experiment(cfg, subcommand, tmp_path / "out")
 
 
 # The model.* and noise.* keys each model takes, written out as the reference
@@ -248,7 +249,32 @@ def test_model_takes_exactly_its_listed_keys(tmp_path, capsys, monkeypatch, name
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_every_builder_keyword_has_a_config_key(name):
     keywords = set(inspect.signature(REGISTRY[name]).parameters)
-    assert keywords <= set(_MODEL_KEYWORDS.values())
+    assert keywords <= {keyword for keyword, _ in _MODEL_KEYS.values()}
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[], ["model.kappa = 2.5"], ["model.sigma = 0.3"], ["model.kappa = -1.0", "model.sigma = 0.7"]],
+)
+def test_estimates_and_oracle1d_step_one_oracle(tmp_path, monkeypatch, lines):
+    seen = {}
+
+    def estimates(model, *args, **kwargs):
+        kappa = float(model.drift(0.0, [1.0])[0])  # the oracle's drift is kappa u
+        seen["estimates"] = (kappa, model.noise.mu)
+        return None, None
+
+    def oracle1d(kappa, sigma, *args):
+        seen["oracle1d"] = (kappa, sigma)
+
+    monkeypatch.setattr(cli, "run_estimates", estimates)
+    monkeypatch.setattr(cli, "oracle_compare_1d", oracle1d)
+    scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2"]
+    text = "\n".join(["model.name = oracle_1d", *lines, *scheme, ""])
+    config = load_config(write_conf(tmp_path, text))
+    for study in cli._studies(config, ("estimates", "oracle1d"), None, 0).values():
+        study()
+    assert seen["estimates"] == seen["oracle1d"], seen
 
 
 def test_explicit_large_n_dt_rejected(tmp_path):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reflectspde import penalize
 from reflectspde.errors import ConfigurationError
-from reflectspde.hilbert import norm_h
+from reflectspde.hilbert import norm_h, norm_v
 from reflectspde.localtime import inequality_study
 from reflectspde.models import decay_profile_x0, make_allen_cahn, make_oracle_1d
 from reflectspde.montecarlo import cauchy_study, oracle_compare_1d, run_estimates
@@ -17,6 +18,7 @@ from reflectspde.penalize import (
     SchemeConfig,
     _brownian_block,
     _penalized_stack,
+    _trajectory,
     brownian_increments,
     one_step_move,
     simulate_path,
@@ -54,7 +56,7 @@ def test_stack_rows_equal_single_paths(name, method, levels, paths, steps, seed)
     cfg = SchemeConfig(dt=0.02, steps=steps, n=levels[0], method=method, seed=seed)
     dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
     kernel = _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)
-    stack = [x for x, _, _, _ in kernel]
+    stack = [x[put] for x, _, _, _, put in kernel]
     space = bundle.space
     for li, n in enumerate(levels):
         for i in range(paths):
@@ -158,19 +160,47 @@ def test_paths_inside_the_ball_are_moved_once(method):
     cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method)
     levels, kick = [1.0, 4.0, 16.0], 10
     dW = _brownian_block(3, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
-    out = list(_penalized_stack(model, cfg, levels, bundle.x0, dW))
-    assert max(np.max(r) for _, _, r, _ in out) < 1.0
+    radii = [r for _, _, r, _, _ in _penalized_stack(model, cfg, levels, bundle.x0, dW)]
+    assert max(np.max(r) for r in radii) < 1.0
     assert seen == [4] * cfg.steps
     # a kick takes path 2 out of the ball: from the step after its first
     # nonzero dL its three level rows are moved apart, and only its rows
     dW[2, kick, 0] = 20.0
     seen.clear()
     kernel = _penalized_stack(model, cfg, levels, bundle.x0, dW)
-    penalized = np.array([(dl != 0).any(axis=(0, 2)) for _, dl, _, _ in kernel])
+    penalized = np.array([(dl[put] != 0).any(axis=(0, 2)) for _, dl, _, _, put in kernel])
     first = int(np.argmax(penalized[:, 2]))
     assert penalized[:, 2].any() and not penalized[:, [0, 1, 3]].any()
     assert first == kick + (method == "explicit")  # explicit penalizes the pre-step state
     assert seen == [4] * (first + 1) + [4 + len(levels) - 1] * (cfg.steps - first - 1)
+
+
+@pytest.mark.parametrize("method", ["explicit", "splitting"])
+def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, monkeypatch):
+    seen = {"norm_h": [], "penalty_gap": []}
+
+    def counting(name):
+        fn = getattr(penalize, name)
+
+        def counted(space, x, *args):
+            seen[name].append(int(np.prod(np.shape(x)[:-1])))
+            return fn(space, x, *args)
+
+        return counted
+
+    for name in seen:
+        monkeypatch.setattr(penalize, name, counting(name))
+    bundle = make_allen_cahn(modes=8, mu=0.1, lam=0.05, x0_radius=0.5)
+    cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method)
+    dW = _brownian_block(3, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
+    kernel = _penalized_stack(bundle.model, cfg, [1.0, 4.0, 16.0], bundle.x0, dW)
+    out = [(len(dl), np.max(r)) for _, dl, r, _, _ in kernel]
+    assert max(r for _, r in out) < 1.0  # 3 levels x 4 paths inside the ball
+    assert [rows for rows, _ in out] == [4] * cfg.steps
+    # x0's check, then the divergence norm (and under splitting |x-tilde|_H)
+    norms_per_step = 1 if method == "explicit" else 2
+    assert seen["norm_h"] == [1] + [4] * norms_per_step * cfg.steps
+    assert seen["penalty_gap"] == ([4] * cfg.steps if method == "explicit" else [])
 
 
 @SETTINGS
@@ -188,9 +218,49 @@ def test_level_rows_coincide_until_the_first_penalty(method, levels, projection,
     cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
     dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
     penalized = np.zeros(paths, dtype=bool)
-    for x, dL, _, _ in _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW):
+    for x, dL, _, _, put in _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW):
+        x, dL = x[put], dL[put]
         penalized |= (dL != 0).any(axis=(0, 2))
         assert np.all((x == x[0]).all(axis=(0, 2)) | penalized)
+
+
+@SETTINGS
+@given(
+    method=st.sampled_from(["explicit", "splitting"]),
+    levels=st.lists(st.sampled_from([1.0, 16.0, 50.0]), min_size=0, max_size=3),
+    projection=st.booleans(),
+    paths=st.integers(2, 4),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_run_estimates_is_a_reduction_over_the_trajectory(
+    method, levels, projection, paths, steps, seed
+):
+    bundle = MODELS["allen_cahn"]
+    model, space = bundle.model, bundle.space
+    levels = [0.0] + levels + ([np.inf] if projection and method == "splitting" else [])
+    cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
+    estimates, cauchy = run_estimates(model, cfg, levels, paths, x0=bundle.x0)
+    dW = _brownian_block(seed, paths, model.noise.mode_count, steps, cfg.dt)
+    states, _, radii, alive = _trajectory(model, cfg, levels, bundle.x0, dW)
+    assert alive.all()
+    excess = np.maximum(radii - 1.0, 0.0)
+    energy = norm_v(space, states) ** model.alpha
+    n = np.array(levels)[:, None]
+    n_scale = np.where(np.isfinite(n), n, np.nan)
+    want = {
+        "est_sup4": np.max(radii, axis=0) ** 4,
+        "est_weighted_pen": n_scale * cfg.dt * np.sum(radii[:-1] ** 3 * excess[:-1], axis=0),
+        "est_var2": (n_scale * cfg.dt * np.sum(excess[:-1], axis=0)) ** 2,
+        "est_pen_l2": n_scale * cfg.dt * np.sum(excess[:-1] ** 2, axis=0),
+        "est_v_energy": cfg.dt * np.sum(energy[:-1], axis=0),
+        "est_pen_sup4": np.max(excess, axis=0) ** 4,
+    }
+    for column, values in want.items():
+        np.testing.assert_allclose(estimates.column(column), values.mean(axis=1), rtol=1e-12)
+    if len(levels) > 1:
+        gaps = np.max(norm_h(space, states[:, :-1] - states[:, 1:]) ** 2, axis=0)
+        np.testing.assert_allclose(cauchy.column("est_supdiff2"), gaps.mean(axis=1), rtol=1e-12)
 
 
 def test_projection_level_needs_splitting():
@@ -207,10 +277,10 @@ def test_dead_rows_are_pinned_per_level():
     bundle = make_oracle_1d(kappa=1e3, sigma=0.0)
     cfg = SchemeConfig(dt=1.0, steps=4, n=0.0, method="splitting")
     dW = np.zeros((2, 4, 1))
-    *_, (x, dL, r, alive) = _penalized_stack(bundle.model, cfg, [0.0, 1e3], bundle.x0, dW)
-    assert alive.tolist() == [[False, False], [True, True]]
-    assert np.all(x[0] == 0.0) and np.all(dL[0] == 0.0)
-    assert np.all(np.isfinite(r[1]))
+    *_, (x, dL, r, alive, put) = _penalized_stack(bundle.model, cfg, [0.0, 1e3], bundle.x0, dW)
+    assert alive[put].tolist() == [[False, False], [True, True]]
+    assert np.all(x[put[0]] == 0.0) and np.all(dL[put[0]] == 0.0)
+    assert np.all(np.isfinite(r[put[1]]))
 
 
 # --------------------------------------------------------------------------

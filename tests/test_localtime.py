@@ -15,7 +15,7 @@ from reflectspde.localtime import (
     variational_gap,
 )
 from reflectspde.models import make_allen_cahn, make_oracle_1d
-from reflectspde.penalize import SchemeConfig, _brownian_block, _penalized_stack, simulate_path
+from reflectspde.penalize import SchemeConfig, _brownian_block, _trajectory, simulate_path
 
 
 def flat_space(m):
@@ -139,12 +139,7 @@ REDUCTION_SETTINGS = settings(max_examples=20, deadline=None)
 def penalized_arrays(bundle, cfg, levels, paths):
     """(steps+1, L, M, m) states and (steps, L, M, m) increments of the kernel."""
     dW = _brownian_block(cfg.seed, paths, bundle.model.noise.mode_count, cfg.steps, cfg.dt)
-    states = np.empty((cfg.steps + 1, len(levels), paths, bundle.space.n_coeffs))
-    dL = np.empty((cfg.steps,) + states.shape[1:])
-    states[0] = bundle.x0
-    for j, (x, d, _, _) in enumerate(_penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)):
-        states[j + 1], dL[j] = x, d
-    return states, dL
+    return _trajectory(bundle.model, cfg, levels, bundle.x0, dW)[:2]
 
 
 def per_path_reference(space, X, dL, tests, delta):
