@@ -1,6 +1,7 @@
 """Experiment runner: flat dotted-key configs in, CSV artifacts + manifest out.
 
-Config format — one `key = value` per line, `#` comments, blank lines ignored:
+Config format — UTF-8 text, one `key = value` per line, `#` comments, blank
+lines ignored:
 
     model.name     = allen_cahn
     model.modes    = 64
@@ -20,8 +21,10 @@ Each study returns one `montecarlo.Report`; a run writes ``<study>.csv``
 for each study it ran, plus ``manifest.json`` recording the config hash,
 effective seed, and per-artifact SHA-256 checksums.  Artifacts are
 byte-identical across reruns (reduction order is fixed).  ``--threads`` and
-``REFLECTSPDE_THREADS`` are still accepted and validated, but have no
-effect: every study runs in one thread.  ``all`` simulates the estimates
+``REFLECTSPDE_THREADS`` are still accepted and validated (>= 1), but have no
+effect: every study runs in one thread.  The seed, ``--seed`` or else
+``scheme.seed``, must be >= 0 for every subcommand, and every level of
+``run.n_grid`` must be one that `SchemeConfig` accepts.  ``all`` simulates the estimates
 ensemble once and writes both ``estimates.csv`` and ``cauchy.csv`` from it.
 Counts are checked before any study starts, and must be usable
 (``run.paths >= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0``
@@ -152,8 +155,12 @@ def load_config(path) -> ExperimentConfig:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    entries = parse_config_text(raw.decode("utf-8"))
+        raise ConfigError(f"--config: cannot read {path}: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config: {path} is not UTF-8 text ({exc})") from None
+    entries = parse_config_text(text)
     values = {}
     for key, text in entries.items():
         if key not in _SCHEMA:
@@ -192,7 +199,9 @@ def _build_bundle(config: ExperimentConfig) -> ModelBundle:
         raise ConfigError(f"model.name: cannot build {name!r}: {exc}") from None
 
 
-def _build_scheme(config: ExperimentConfig, seed_override, n_grid) -> SchemeConfig:
+def _build_scheme(config: ExperimentConfig, seed: int) -> tuple[SchemeConfig, list[float]]:
+    """The scheme at the first level of run.n_grid, and the grid, whose every
+    level SchemeConfig has accepted."""
     dt = float(config.require("scheme.dt"))
     t_final = float(config.require("scheme.t_final"))
     if dt <= 0 or t_final <= 0:
@@ -207,43 +216,34 @@ def _build_scheme(config: ExperimentConfig, seed_override, n_grid) -> SchemeConf
             f"scheme.dt = {dt:g} (ratio {ratio:.12g})"
         )
     method = config.get("scheme.method", "explicit")
-    seed = int(seed_override if seed_override is not None else config.get("scheme.seed", 0))
-    if method == "explicit":
-        worst = max(n_grid) * dt
-        if worst > 1.0 + 1e-12:
-            raise ConfigError(
-                f"run.n_grid: n*dt = {worst:g} > 1 is unstable under scheme.method = "
-                "explicit; shrink scheme.dt or use scheme.method = splitting"
-            )
     try:
-        return SchemeConfig(dt=dt, steps=steps, n=n_grid[0], method=method, seed=seed)
+        cfg = SchemeConfig(dt=dt, steps=steps, n=0.0, method=method, seed=seed)
     except ReflectSPDEError as exc:
         raise ConfigError(f"scheme: {exc}") from None
+    n_grid = config.require("run.n_grid")
+    try:
+        levels = [cfg.with_n(n) for n in n_grid]
+    except ReflectSPDEError as exc:
+        raise ConfigError(f"run.n_grid: {exc}") from None
+    return levels[0], n_grid
 
 
 def _threads(cli_value) -> int:
     """Validated thread count; accepted for compatibility, it changes nothing."""
-    if cli_value is not None:
-        return max(1, int(cli_value))
-    env = os.environ.get("REFLECTSPDE_THREADS", "").strip()
-    if env:
+    key, value = "--threads", cli_value
+    if value is None:
+        key, env = "REFLECTSPDE_THREADS", os.environ.get("REFLECTSPDE_THREADS", "").strip()
         try:
-            return max(1, int(env))
+            value = int(env) if env else 1
         except ValueError:
-            raise ConfigError(f"REFLECTSPDE_THREADS: cannot parse {env!r}") from None
-    return 1
+            raise ConfigError(f"{key}: cannot parse {env!r}") from None
+    if value < 1:
+        raise ConfigError(f"{key}: must be >= 1, got {value}")
+    return value
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _n_grid(config: ExperimentConfig) -> list[float]:
-    grid = [float(n) for n in config.require("run.n_grid")]
-    # inf is the projection level (splitting only); nan compares False
-    if not all(n >= 0 for n in grid):
-        raise ConfigError("run.n_grid: penalization levels must be nonnegative or inf")
-    return grid
 
 
 def _count(config: ExperimentConfig, key: str, least: int, default=None) -> int:
@@ -260,20 +260,19 @@ class AuditRow(NamedTuple):
     seed: int
 
 
-def _studies(config: ExperimentConfig, wanted, seed, effective_seed) -> dict:
+def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
     """Each wanted task's study as a call, built after the bundle, the scheme
     and every count the task reads are checked.
 
-    The bundle and the scheme are built at most once: `hypotheses` reads no
-    scheme.* key, and `oracle1d` builds no bundle; on an `oracle_1d` config
-    it binds the builder's arguments, so `estimates` steps the same oracle.
+    The bundle and the scheme are built at most once: `hypotheses` builds no
+    scheme, and `oracle1d` builds no bundle; on an `oracle_1d` config it
+    binds the builder's arguments, so `estimates` steps the same oracle.
     """
-    stepping = [t for t in wanted if t != "hypotheses"]
-    n_grid = _n_grid(config) if stepping else None
+    stepping = any(t != "hypotheses" for t in wanted)
+    cfg, n_grid = _build_scheme(config, seed) if stepping else (None, None)
     if "cauchy" in wanted and len(n_grid) < 2:
         raise ConfigError("run.n_grid: the cauchy study needs at least 2 levels")
     bundle = _build_bundle(config) if any(t != "oracle1d" for t in wanted) else None
-    cfg = _build_scheme(config, seed, n_grid) if stepping else None
 
     studies = {}
     if "estimates" in wanted or "cauchy" in wanted:
@@ -302,9 +301,7 @@ def _studies(config: ExperimentConfig, wanted, seed, effective_seed) -> dict:
         h1_count = _count(config, "run.h1_samples", 0, 0) or None  # 0: use run.samples
 
         def audits():
-            reports = run_all_audits(
-                bundle.model, seed=effective_seed, count=count, h1_count=h1_count
-            )
+            reports = run_all_audits(bundle.model, seed=seed, count=count, h1_count=h1_count)
             rows = [AuditRow(r.hypothesis, r.worst_margin, r.constant, int(r.seed)) for r in reports]
             return Report(tuple(rows), 0)
 
@@ -331,8 +328,11 @@ def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     wanted = SUBCOMMANDS[:-1] if subcommand == "all" else (subcommand,)
-    effective_seed = int(seed if seed is not None else config.get("scheme.seed", 0))
-    studies = _studies(config, wanted, seed, effective_seed)
+    key = "scheme.seed" if seed is None else "--seed"
+    seed = int(config.get("scheme.seed", 0) if seed is None else seed)
+    if seed < 0:
+        raise ConfigError(f"{key}: must be >= 0, got {seed}")
+    studies = _studies(config, wanted, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: list[Path] = []
@@ -346,7 +346,7 @@ def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None
 
     manifest = {
         "config_sha256": hashlib.sha256(config.raw_bytes).hexdigest(),
-        "seed": effective_seed,
+        "seed": seed,
         "subcommand": subcommand,
         "artifacts": {p.name: _sha256(p) for p in artifacts},
     }

@@ -41,8 +41,7 @@ the dead-row pinning and the studies' reductions all run on the rows (level
 levels x paths stack; the (L, M) map `put` takes the stack to the rows, and
 `_trajectory` is the one place that builds the stack.  The rows are kept in
 arrays of the full capacity L * M, and rows yielded by the kernel are valid
-until it is resumed.  The merge is off for one level and for one-coefficient
-rows, whose rows are the whole stack in level-major order.
+until it is resumed.  With one level the rows are the paths, in order.
 """
 
 from __future__ import annotations
@@ -70,11 +69,11 @@ BLOWUP_NORM = 1e10
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time grid and penalty level.
+    """Time grid and one penalty level.
 
-    n is a level >= 0, or inf (splitting only) for the projection scheme.
-    The ensemble kernel also sets it to a column of levels (L, 1) that
-    broadcasts over an (L, M, m) state stack; validation is elementwise.
+    n is one number: a level >= 0, or inf (splitting only) for the
+    projection scheme.  The ensemble kernel checks each level of its grid
+    through `with_n`.
     """
 
     dt: float
@@ -88,14 +87,15 @@ class SchemeConfig:
             raise ConfigurationError("dt must be positive and finite")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
-        n = np.asarray(self.n, dtype=float)
-        if not np.all(n >= 0):
+        if np.ndim(self.n) != 0:
+            raise ConfigurationError(f"penalization level n must be one number, got {self.n!r}")
+        if not self.n >= 0:  # NaN fails too
             raise ConfigurationError("penalization level n must be >= 0")
         if self.method not in ("explicit", "splitting"):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.method == "explicit" and np.max(n) * self.dt > 1.0 + 1e-12:
+        if self.method == "explicit" and self.n * self.dt > 1.0 + 1e-12:
             raise ConfigurationError(
-                f"explicit stepper needs n*dt <= 1 (got {np.max(n) * self.dt:g}); "
+                f"explicit stepper needs n*dt <= 1 (got {self.n * self.dt:g}); "
                 "use method=splitting for large n"
             )
         if self.seed < 0:
@@ -186,13 +186,13 @@ def step_penalized(
     r: np.ndarray | None = None,
     rows: _Rows | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one step; returns (state', dL).
+    """Advance one step at level cfg.n; returns (state', dL).
 
-    cfg.n may be a column of levels broadcasting over the leading axes of
-    state.  r is the pre-step radius |state|_H, which the explicit step's
-    penalty reads; it is computed from state when not given, and the
-    splitting step, whose penalty acts on x-tilde, ignores it.  No divergence
-    check here: `_penalized_stack` makes it once per step for every row.
+    state and dW broadcast against each other.  r is the pre-step radius
+    |state|_H, which the explicit step's penalty reads; it is computed from
+    state when not given, and the splitting step, whose penalty acts on
+    x-tilde, ignores it.  No divergence check here: `_penalized_stack` makes
+    it once per step for every row.
 
     rows is the kernel's row table, and state its rows in use: row q reads
     dW[rows.path[q]] and its own level's n dt, and cfg.n is not read.  After
@@ -232,22 +232,19 @@ class _Rows:
     a parted path are appended in the order the paths part, so rows never
     move and the first `count` rows are in use.  put[l, i] is the row of
     level l of path i.  Every array is allocated at the full capacity
-    levels * paths.  Without the merge every path is parted from the start,
-    and the rows are the whole stack in level-major order.
+    levels * paths.
     """
 
-    def __init__(self, rates, paths, m, merge):
+    def __init__(self, rates, paths, m):
         levels = rates.size
         self.level_rate = rates
         self.x = np.empty((levels * paths, m))
         self.alive = np.ones(levels * paths, dtype=bool)
         self.rate = np.repeat(rates, paths)
         self.path = np.tile(np.arange(paths), levels)
-        self.put = np.arange(levels * paths).reshape(levels, paths)
-        self.merged = np.full(paths, merge)
-        if merge:
-            self.put[1:] = self.put[0]
-        self.count = paths if merge else levels * paths
+        self.put = np.tile(np.arange(paths), (levels, 1))
+        self.merged = np.full(paths, levels > 1)  # one level has nothing to part
+        self.count = paths
 
     def in_use(self):
         """(rate, x) of the rows in use: each row's n dt, and its states."""
@@ -279,8 +276,9 @@ def _penalized_stack(model, cfg, levels, x0, dW):
     """Step a (levels, paths, coeffs) stack from x0, held as the rows of `_Rows`.
 
     Raises ConfigurationError before any step unless levels is a nonempty
-    1-D sequence, x0 one state with |x0|_H <= 1 + 1e-12 and dW a block
-    (M >= 1, steps, K), which every level reads (common random numbers).
+    1-D sequence of levels that cfg.with_n accepts, x0 one state with
+    |x0|_H <= 1 + 1e-12 and dW a block (M >= 1, steps, K), which every level
+    reads (common random numbers).
     The generator returned yields (x, dL, r, alive, put) after each step:
     the (k, m) rows in use and their penalty increments, the (k,) H radii
     the divergence check read, the (k,) mask of rows that have stayed finite
@@ -293,6 +291,8 @@ def _penalized_stack(model, cfg, levels, x0, dW):
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise ConfigurationError("penalization levels must be a nonempty 1-D sequence")
+    for n in levels:
+        cfg.with_n(n)
     x0, dW = np.asarray(x0, dtype=float), np.asarray(dW, dtype=float)
     if x0.shape != (model.space.n_coeffs,):
         raise ConfigurationError(f"x0 must be one state of {model.space.n_coeffs} coefficients")
@@ -302,26 +302,19 @@ def _penalized_stack(model, cfg, levels, x0, dW):
     k = model.noise.mode_count
     if dW.ndim != 3 or len(dW) < 1 or dW.shape[1:] != (cfg.steps, k):
         raise ConfigurationError(f"dW must be (paths >= 1, {cfg.steps}, {k}), got {dW.shape}")
-    return _advance(model, cfg.with_n(levels[:, None]), x0, dW, r0)
+    return _advance(model, cfg, levels, x0, dW, r0)
 
 
-def _advance(model, stack_cfg, x0, dW, r0):
-    # One level has nothing to share, and on one-coefficient rows the index
-    # bookkeeping costs more than the moves it saves: the 1-D oracle
-    # comparison (3 levels x 500 paths x 2000 steps) took 0.37 s without the
-    # merge and 0.39 s with it, medians of six alternating runs on one core.
-    levels = stack_cfg.n[:, 0]
-    rows = _Rows(levels * stack_cfg.dt, len(dW), x0.size, levels.size > 1 and x0.size > 1)
+def _advance(model, cfg, levels, x0, dW, r0):
+    rows = _Rows(levels * cfg.dt, len(dW), x0.size)
     rows.x[: rows.count] = x0
     # r is the pre-step radius: |x0|_H, then the radius each divergence check
     # read, which the next explicit step reuses.  A dead row's r only reaches
     # its own row, which is pinned to zero again.
     r = np.full(rows.count, r0)
-    for j in range(stack_cfg.steps):
+    for j in range(cfg.steps):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            x, dL = step_penalized(
-                rows.x[: rows.count], j * stack_cfg.dt, stack_cfg, model, dW[:, j], r, rows
-            )
+            x, dL = step_penalized(rows.x[: rows.count], j * cfg.dt, cfg, model, dW[:, j], r, rows)
             r = norm_h(model.space, x)
         alive = rows.alive[: rows.count]
         # a non-finite coefficient makes r inf or NaN, and NaN compares False

@@ -192,7 +192,7 @@ def test_load_config_rejects_unknown_model(tmp_path):
 
 
 def test_load_config_missing_file():
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(ConfigError, match="^--config: cannot read"):
         load_config("/nonexistent/path.conf")
 
 
@@ -272,7 +272,7 @@ def test_estimates_and_oracle1d_step_one_oracle(tmp_path, monkeypatch, lines):
     scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2"]
     text = "\n".join(["model.name = oracle_1d", *lines, *scheme, ""])
     config = load_config(write_conf(tmp_path, text))
-    for study in cli._studies(config, ("estimates", "oracle1d"), None, 0).values():
+    for study in cli._studies(config, ("estimates", "oracle1d"), 0).values():
         study()
     assert seen["estimates"] == seen["oracle1d"], seen
 
@@ -466,6 +466,47 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
     conf = write_conf(tmp_path, conf_with(key, value))
     out = tmp_path / "out"
     assert run_cli(["all", "--config", conf, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key}: "), err
+    assert not out.exists()  # rejected before any study ran
+
+
+@pytest.mark.parametrize(
+    "subcommand, conf, args, env, key",
+    [
+        ("all", b"model.name = oracle_1d\n# caf\xe9\n", [], {}, "--config"),
+        ("hypotheses", ORACLE_CONF, ["--seed", -1], {}, "--seed"),
+        ("all", ORACLE_CONF, ["--seed", -1], {}, "--seed"),
+        ("hypotheses", conf_with("scheme.seed", -2), [], {}, "scheme.seed"),
+        ("estimates", ORACLE_CONF, ["--threads", 0], {}, "--threads"),
+        ("estimates", ORACLE_CONF, ["--threads", -3], {}, "--threads"),
+        ("estimates", ORACLE_CONF, [], {"REFLECTSPDE_THREADS": "0"}, "REFLECTSPDE_THREADS"),
+        ("all", conf_with("run.n_grid", "1, -4, 16"), [], {}, "run.n_grid"),
+        ("all", conf_with("run.n_grid", "1, nan"), [], {}, "run.n_grid"),
+        ("all", conf_with("run.n_grid", "1, 101"), [], {}, "run.n_grid"),  # n dt = 1.01
+    ],
+    ids=[
+        "not utf-8",
+        "--seed on hypotheses",
+        "--seed on all",
+        "scheme.seed on hypotheses",
+        "--threads 0",
+        "--threads -3",
+        "REFLECTSPDE_THREADS",
+        "negative level",
+        "nan level",
+        "explicit n dt > 1",
+    ],
+)
+def test_exit_code_2_names_the_key(
+    tmp_path, capsys, monkeypatch, subcommand, conf, args, env, key
+):
+    path = tmp_path / "run.conf"
+    path.write_bytes(conf if isinstance(conf, bytes) else conf.encode())
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert run_cli([subcommand, "--config", path, "--out", out, *args]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {key}: "), err
     assert not out.exists()  # rejected before any study ran

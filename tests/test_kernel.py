@@ -126,16 +126,16 @@ def test_step_reads_the_given_radius_and_writes_no_input(name, method, levels, r
     model = ECHO if name == "echo" else MODELS[name].model
     space = model.space
     rng = np.random.default_rng(seed)
-    # the kernel's call: a column of levels over an (L, M, m) stack, dW (M, K)
-    state = rng.standard_normal((len(levels), 3, space.n_coeffs))
-    state *= radius / norm_h(space, state)[..., None]
+    state = rng.standard_normal((3, space.n_coeffs))
+    state *= radius / norm_h(space, state)[:, None]
     dW = np.sqrt(0.02) * rng.standard_normal((3, model.noise.mode_count))
-    cfg = SchemeConfig(dt=0.02, steps=1, n=0.0, method=method).with_n(np.array(levels)[:, None])
     inputs = state.copy(), dW.copy()
-    new, dL = step_penalized(state, 0.0, cfg, model, dW)
-    new_r, dL_r = step_penalized(state, 0.0, cfg, model, dW, r=norm_h(space, state))
-    assert np.array_equal(new_r, new) and np.array_equal(dL_r, dL)
-    assert np.array_equal(state, inputs[0]) and np.array_equal(dW, inputs[1])
+    for n in levels:
+        cfg = SchemeConfig(dt=0.02, steps=1, n=n, method=method)
+        new, dL = step_penalized(state, 0.0, cfg, model, dW)
+        new_r, dL_r = step_penalized(state, 0.0, cfg, model, dW, r=norm_h(space, state))
+        assert np.array_equal(new_r, new) and np.array_equal(dL_r, dL)
+        assert np.array_equal(state, inputs[0]) and np.array_equal(dW, inputs[1])
 
 
 # --------------------------------------------------------------------------
@@ -175,22 +175,32 @@ def test_paths_inside_the_ball_are_moved_once(method):
     assert seen == [4] * (first + 1) + [4 + len(levels) - 1] * (cfg.steps - first - 1)
 
 
-@pytest.mark.parametrize("method", ["explicit", "splitting"])
-def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, monkeypatch):
+INSIDE = {  # bundles whose paths stay inside the ball for 30 steps of 0.01
+    "allen_cahn": make_allen_cahn(modes=8, mu=0.1, lam=0.05, x0_radius=0.5),
+    "oracle": make_oracle_1d(kappa=-1.0, sigma=0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "name, method",
+    [(name, method) for name in INSIDE for method in ("explicit", "splitting")],
+    ids=["explicit", "splitting", "oracle-explicit", "oracle-splitting"],
+)
+def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, name, monkeypatch):
     seen = {"norm_h": [], "penalty_gap": []}
 
-    def counting(name):
-        fn = getattr(penalize, name)
+    def counting(attr):
+        fn = getattr(penalize, attr)
 
         def counted(space, x, *args):
-            seen[name].append(int(np.prod(np.shape(x)[:-1])))
+            seen[attr].append(int(np.prod(np.shape(x)[:-1])))
             return fn(space, x, *args)
 
         return counted
 
-    for name in seen:
-        monkeypatch.setattr(penalize, name, counting(name))
-    bundle = make_allen_cahn(modes=8, mu=0.1, lam=0.05, x0_radius=0.5)
+    for attr in seen:
+        monkeypatch.setattr(penalize, attr, counting(attr))
+    bundle = INSIDE[name]
     cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method)
     dW = _brownian_block(3, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
     kernel = _penalized_stack(bundle.model, cfg, [1.0, 4.0, 16.0], bundle.x0, dW)

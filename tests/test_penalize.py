@@ -73,6 +73,19 @@ def test_scheme_config_validation():
         SchemeConfig(dt=0.1, steps=10, n=1.0, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "n",
+    [[1.0], [1.0, 4.0], np.array([1.0, 4.0]), np.array([[1.0], [4.0]])],
+    ids=["one-item list", "list", "array", "column"],
+)
+def test_scheme_config_holds_one_level(n):
+    with pytest.raises(ConfigurationError, match="one number"):
+        SchemeConfig(dt=0.1, steps=10, n=n)
+    with pytest.raises(ConfigurationError, match="one number"):
+        SchemeConfig(dt=0.1, steps=10, n=1.0).with_n(n)
+    assert SchemeConfig(dt=0.1, steps=10, n=np.float64(4.0)).n == 4.0
+
+
 # --------------------------------------------------------------------------
 # frozen one-step values (drift and noise switched off)
 

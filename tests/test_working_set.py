@@ -14,7 +14,7 @@ from reflectspde.hilbert import norm_h
 from reflectspde.hypotheses import FieldSampler, check_hemicontinuity
 from reflectspde.localtime import make_test_paths, variational_gap
 from reflectspde.models import make_allen_cahn
-from reflectspde.penalize import SchemeConfig, step_penalized
+from reflectspde.penalize import SchemeConfig, _Rows, step_penalized
 
 
 def traced_peak(fn) -> int:
@@ -59,14 +59,19 @@ def test_variational_gap_never_copies_the_test_family():
 
 def test_explicit_step_scratch():
     model = make_allen_cahn(modes=64).model
-    levels, paths = np.array([[1.0], [4.0], [16.0], [64.0], [256.0]]), 200
-    cfg = SchemeConfig(dt=1e-3, steps=1, n=0.0).with_n(levels)
-    rows = levels.size * paths
-    states = FieldSampler(model.space, (0, 1)).sample(rows).reshape(levels.size, paths, -1)
+    levels, paths = np.array([1.0, 4.0, 16.0, 64.0, 256.0]), 200
+    cfg = SchemeConfig(dt=1e-3, steps=1, n=0.0)
+    # the kernel's row table with every path parted: 5 x 200 rows in use
+    table = _Rows(levels * cfg.dt, paths, model.space.n_coeffs)
+    table.part(np.ones(paths, dtype=bool))
+    rows = table.count
+    states = table.x[:rows]
+    states[:] = FieldSampler(model.space, (0, 1)).sample(rows)
     dW = 0.03 * np.random.default_rng(0).standard_normal((paths, model.noise.mode_count))
     r = norm_h(model.space, states)  # the kernel's divergence check hands this over
-    peak = traced_peak(lambda: step_penalized(states, 0.0, cfg, model, dW, r))
+    peak = traced_peak(lambda: step_penalized(states, 0.0, cfg, model, dW, r, table))
     # the cubic needs the grid values and one product buffer; the move, the
-    # gap and the new state are built in place of one another
+    # gap and the new state are built in place of one another, the new state
+    # in the table, and the rows' noise (8 modes) is an eighth of a state
     grid_buffer = rows * model.space.transform.grid_size * 8
     assert peak <= 2 * grid_buffer + states.nbytes, peak
