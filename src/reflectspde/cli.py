@@ -16,6 +16,8 @@ lines ignored:
 
 A model takes a ``model.*`` or ``noise.*`` key exactly when its builder in
 ``models.REGISTRY`` has the keyword the key maps to; any other is an error.
+``oracle.*`` keys are an error on an ``oracle_1d`` config, whose ``model.*``
+keys the oracle1d study reads.  ``run.n_grid`` has no empty item.
 
 Each study returns one `montecarlo.Report`; a run writes ``<study>.csv``
 for each study it ran, plus ``manifest.json`` recording the config hash,
@@ -29,6 +31,7 @@ ensemble once and writes both ``estimates.csv`` and ``cauchy.csv`` from it.
 Counts are checked before any study starts, and must be usable
 (``run.paths >= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0``
 with 0 meaning ``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``).
+A study is passed only the ``run.*`` values its config sets.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a failed
 path in any study; every report is still written, and each failing study
@@ -74,9 +77,9 @@ def _FLOAT(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValueError("empty list")
+    items = [t.strip() for t in text.split(",")]
+    if "" in items:
+        raise ValueError("empty item")
     return [float(t) for t in items]
 
 
@@ -174,6 +177,10 @@ def load_config(path) -> ExperimentConfig:
             f"model.name: unknown model {values['model.name']!r}; "
             f"available: {sorted(REGISTRY)}"
         )
+    for key in ("oracle.kappa", "oracle.sigma"):
+        if key in values and values.get("model.name") == "oracle_1d":
+            model_key = key.replace("oracle.", "model.")
+            raise ConfigError(f"{key}: ambiguous on an oracle_1d config; set {model_key} instead")
     return ExperimentConfig(values=values, raw_bytes=raw)
 
 
@@ -207,6 +214,10 @@ def _build_scheme(config: ExperimentConfig, seed: int) -> tuple[SchemeConfig, li
     if dt <= 0 or t_final <= 0:
         raise ConfigError("scheme.dt/scheme.t_final: must be positive")
     ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(
+            f"scheme.t_final: {t_final:g} / scheme.dt = {dt:g} overflows the step count"
+        )
     steps = int(round(ratio))
     if steps < 1:
         raise ConfigError("scheme.t_final: horizon shorter than one step")
@@ -246,11 +257,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _count(config: ExperimentConfig, key: str, least: int, default=None) -> int:
-    value = config.require(key) if default is None else config.get(key, default)
+def _count(config: ExperimentConfig, key: str, least: int) -> int:
+    value = config.require(key)
     if value < least:
         raise ConfigError(f"{key}: must be >= {least}, got {value}")
     return value
+
+
+def _set_counts(config: ExperimentConfig, keywords: dict) -> dict:
+    """{keyword: count} of each key, key -> (keyword, least), the config sets."""
+    return {
+        keyword: _count(config, key, least)
+        for key, (keyword, least) in keywords.items()
+        if key in config.values
+    }
 
 
 class AuditRow(NamedTuple):
@@ -285,23 +305,24 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
         studies["estimates"] = lambda: ensemble()[0]
         studies["cauchy"] = lambda: ensemble()[1]
     if "inequality" in wanted:
-        delta = float(config.get("run.delta", 0.1))
-        if not 0.0 < delta < 1.0:
-            raise ConfigError(f"run.delta: must lie in (0, 1), got {delta}")
-        kwargs = dict(
-            paths=_count(config, "run.ineq_paths", 1, 3),
-            test_count=_count(config, "run.test_paths", 1, 200),
-            delta=delta,
+        ineq = _set_counts(
+            config, {"run.ineq_paths": ("paths", 1), "run.test_paths": ("test_count", 1)}
         )
+        if "run.delta" in config.values:
+            ineq["delta"] = delta = config.values["run.delta"]
+            if not 0.0 < delta < 1.0:
+                raise ConfigError(f"run.delta: must lie in (0, 1), got {delta}")
         studies["inequality"] = lambda: inequality_study(
-            bundle.model, cfg, bundle.x0, n_grid, **kwargs
+            bundle.model, cfg, bundle.x0, n_grid, **ineq
         )
     if "hypotheses" in wanted:
-        count = _count(config, "run.samples", 1, 1000)
-        h1_count = _count(config, "run.h1_samples", 0, 0) or None  # 0: use run.samples
+        # run.h1_samples = 0 passes h1_count 0, which run_all_audits reads as count
+        sizes = _set_counts(
+            config, {"run.samples": ("count", 1), "run.h1_samples": ("h1_count", 0)}
+        )
 
         def audits():
-            reports = run_all_audits(bundle.model, seed=seed, count=count, h1_count=h1_count)
+            reports = run_all_audits(bundle.model, seed=seed, **sizes)
             rows = [AuditRow(r.hypothesis, r.worst_margin, r.constant, int(r.seed)) for r in reports]
             return Report(tuple(rows), 0)
 

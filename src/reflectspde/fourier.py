@@ -24,7 +24,6 @@ __all__ = ["TrigBasis1D", "trig_basis"]
 @dataclass(frozen=True, eq=False)
 class TrigBasis1D:
     modes: int
-    include_zero: bool
     wavenumbers: np.ndarray  # (modes,) int
     grid: np.ndarray  # (G,)
     synthesis: np.ndarray  # (G, modes), synthesis[j, i] = psi_i(grid[j])
@@ -90,7 +89,6 @@ def trig_basis(modes: int, include_zero: bool = True) -> TrigBasis1D:
             deriv[i + 1, i] = -kk
     return TrigBasis1D(
         modes=modes,
-        include_zero=include_zero,
         wavenumbers=wavenumbers,
         grid=x,
         synthesis=synthesis,

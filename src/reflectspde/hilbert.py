@@ -35,10 +35,8 @@ __all__ = [
 class SpaceSpec:
     """Coefficient-space description of a Gelfand triple V ⊂ H ⊂ V*.
 
-    dimension / modes
-        Spatial dimension of the torus (1 or 3) and retained basis functions
-        per dimension; bookkeeping only — all arithmetic runs on the flat
-        coefficient axis of length ``n_coeffs``.
+    All arithmetic runs on the flat coefficient axis of length ``n_coeffs``.
+
     h_weights
         Diagonal of the H inner product, shape (m,).  Strictly positive.
     v_weights
@@ -49,25 +47,16 @@ class SpaceSpec:
         arrays (..., m) and returns norms (...).  Exactly one of v_weights /
         v_norm_fn must be set.
     wavenumbers
-        Optional per-coordinate wavenumber bookkeeping for spectral models.
-    transform
-        Optional grid transform object (opaque here; models use it).
+        Optional |k| per coefficient, which shapes the spectral decay of
+        decay_profile_x0 and of hypotheses.FieldSampler.
     """
 
-    label: str
-    dimension: int
-    modes: int
     h_weights: np.ndarray
     v_weights: np.ndarray | None
     v_norm_fn: Callable[[np.ndarray], np.ndarray] | None = None
     wavenumbers: np.ndarray | None = None
-    transform: object | None = None
 
     def __post_init__(self):
-        if self.dimension not in (1, 3):
-            raise ConfigurationError("dimension must be 1 or 3")
-        if self.modes < 1:
-            raise ConfigurationError("modes must be positive")
         w = np.asarray(self.h_weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ConfigurationError("h_weights must be a non-empty 1-D array")

@@ -185,13 +185,11 @@ class GridForm:
     symbol: np.ndarray | None = None
     derivative: bool = False
 
-    def space(self, label: str, v_weights=None, v_norm_fn=None) -> SpaceSpec:
-        """The unit-weight coefficient space on the form's basis."""
+    def space(self, v_weights=None, v_norm_fn=None) -> SpaceSpec:
+        """The unit-weight coefficient space on the form's basis, with its
+        wavenumbers; exactly one of v_weights / v_norm_fn gives the V norm."""
         b = self.basis
-        return SpaceSpec(
-            label, 1, b.modes, np.ones(b.modes), v_weights,
-            v_norm_fn=v_norm_fn, wavenumbers=b.wavenumbers, transform=b,
-        )
+        return SpaceSpec(np.ones(b.modes), v_weights, v_norm_fn, b.wavenumbers)
 
     def grid_values(self, u: np.ndarray) -> np.ndarray:
         """Sigma D u, the point values phi acts on."""
@@ -299,13 +297,13 @@ class ModelBundle:
         return self.model.noise
 
 
-def decay_profile_x0(space: SpaceSpec, radius: float = 0.8, decay: float = 2.0) -> np.ndarray:
-    """Deterministic low-mode profile (1+|k|)^(-decay), rescaled to |x|_H = radius."""
+def decay_profile_x0(space: SpaceSpec, radius: float = 0.8) -> np.ndarray:
+    """Deterministic low-mode profile (1+|k|)^(-2), rescaled to |x|_H = radius."""
     if not 0.0 <= radius <= 1.0:
         raise UnsupportedParameterError(f"x0_radius must lie in [0, 1], got {radius}")
     if space.wavenumbers is None:
         raise ConfigurationError("space has no wavenumber bookkeeping")
-    c = (1.0 + np.abs(np.asarray(space.wavenumbers, dtype=float))) ** (-decay)
+    c = (1.0 + np.abs(np.asarray(space.wavenumbers, dtype=float))) ** -2.0
     r = norm_h(space, c)
     return c * (radius / r)
 
@@ -338,7 +336,7 @@ def make_allen_cahn(
     k = basis.wavenumbers.astype(float)
     # the +u term rides in phi: Pi Sigma u = u on the alias-free grid
     form = GridForm(basis, phi=_allen_cahn_phi, symbol=-(k**2))
-    space = form.space(f"allen_cahn_{modes}", v_weights=1.0 + k**2)
+    space = form.space(v_weights=1.0 + k**2)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
@@ -389,7 +387,7 @@ def make_p_laplacian(
     def v_norm(u):
         return np.mean(np.abs(form.grid_values(u)) ** p, axis=-1) ** (1.0 / p)
 
-    space = form.space(f"p_laplacian_{modes}_p{p:g}", v_norm_fn=v_norm)
+    space = form.space(v_norm_fn=v_norm)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
@@ -416,14 +414,7 @@ def make_p_laplacian(
 
 
 def make_oracle_1d(kappa: float = 0.5, sigma: float = 0.5) -> ModelBundle:
-    space = SpaceSpec(
-        label="oracle_1d",
-        dimension=1,
-        modes=1,
-        h_weights=np.ones(1),
-        v_weights=np.ones(1),
-        wavenumbers=np.zeros(1, dtype=int),
-    )
+    space = SpaceSpec(h_weights=np.ones(1), v_weights=np.ones(1), wavenumbers=np.zeros(1))
     noise = NoiseSpec(q=np.ones(1), mu=float(sigma), lam=0.0)
     hsg = noise_growth_sq(space, noise)
     model = ModelSpec(

@@ -111,7 +111,8 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathRecord:
-    """One trajectory of (X^n, L^n) plus left-endpoint quadrature totals."""
+    """One trajectory of (X^n, L^n) plus left-endpoint quadrature totals, at
+    the level and method of the SchemeConfig that simulate_path was given."""
 
     times: np.ndarray  # (steps+1,)
     states: np.ndarray  # (steps+1, m)
@@ -122,8 +123,6 @@ class PathRecord:
     int_v_energy: float  # int ||X||_V^alpha dt
     sup_h: float
     sup_pen: float
-    n: float
-    method: str
 
 
 def brownian_increments(
@@ -383,7 +382,5 @@ def simulate_path(
         times=cfg.dt * np.arange(cfg.steps + 1),
         states=states,
         l_increments=l_increments,
-        n=cfg.n,
-        method=cfg.method,
         **{k: float(v) for k, v in totals.items()},
     )

@@ -16,7 +16,8 @@ Drift (viscosity on the Stokes term as in the momentum equation):
 
 with the nonlinear terms evaluated pseudo-spectrally on a 2(2*modes+1)^3
 grid.  The convection is taken in rotational form: (u . grad) u =
-omega x u + grad(|u|^2 / 2) with omega = curl u, and the Leray projection P
+omega x u + grad(|u|^2 / 2) with omega = curl u.  P is the projection onto
+the two polarizations perpendicular to k that packs every state, and it
 removes the gradient, whose coefficients i k (|u|^2/2)^_k are parallel to k.
 So only u and omega (6 fields) go to the grid, not u and its 9 derivatives.
 The grid is wider than 2/3-rule dealiasing needs: |u|^2 and omega x u have
@@ -81,20 +82,16 @@ _CHUNK_BYTES = 4 * 2**20
 
 @dataclass(frozen=True)
 class TamedSpec:
+    """Viscosity nu and taming threshold N; the resolution is the lattice's."""
+
     nu: float
     taming_n: float
-    modes: int
 
     def __post_init__(self):
         if not self.nu > 0:
             raise ConfigurationError("viscosity nu must be positive")
         if not self.taming_n > 0:
             raise ConfigurationError("taming threshold must be positive")
-        # modes = lattice radius: wavevectors 0 < |k|_inf <= modes are retained
-        if self.modes < 4:
-            raise ConfigurationError("tamed model needs at least 4 modes per dimension")
-        if self.modes > 8:
-            raise UnsupportedParameterError("resolution ceiling is 8 modes per dimension")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +128,11 @@ def _phases(k: np.ndarray, grid: int) -> np.ndarray:
 
 
 def build_lattice(modes: int = 4) -> TamedLattice:
-    TamedSpec(nu=1.0, taming_n=1.0, modes=modes)  # reuse the range validation
+    """The half lattice of radius modes: wavevectors 0 < |k|_inf <= modes."""
+    if modes < 4:
+        raise ConfigurationError("tamed model needs at least 4 modes per dimension")
+    if modes > 8:
+        raise UnsupportedParameterError("resolution ceiling is 8 modes per dimension")
     kmax = modes
     half = []
     for kx in range(-kmax, kmax + 1):
@@ -301,18 +302,18 @@ def _grid_to_box(lattice: TamedLattice, values: np.ndarray) -> np.ndarray:
 
 
 def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np.ndarray:
-    """Leray-projected coefficients of (u.grad)u + g_N(|u|^2)u, pseudo-spectral,
-    with the convection in rotational form.
+    """Coefficients (rows, L, 3) of (u.grad)u + g_N(|u|^2)u up to a gradient,
+    pseudo-spectral, with the convection in rotational form.
 
     (u.grad)u = omega x u + grad(|u|^2 / 2), omega = curl u, holds pointwise on
     the grid values.  |u|^2 has modes up to 2*modes, and on the 2(2*modes+1)
-    grid none of them aliases onto a retained mode, so the box analysis
-    returns the gradient's retained coefficients i k (|u|^2/2)^_k exactly;
-    they are parallel to k, and the Leray projection removes them.  So uh
-    (rows, L, 3) goes to the grid with its vorticity i k x uh, 6 fields rather
-    than the 12 of u and grad u, through the box synthesis; omega x u plus the
-    taming term, which reads the same grid values of u, is formed pointwise
-    and comes back through the box analysis.
+    grid none of them aliases onto a retained mode, so the gradient's retained
+    coefficients i k (|u|^2/2)^_k are exact, parallel to k, and dropped by the
+    polarization projection of state_from_uhat.  So uh (rows, L, 3) goes to
+    the grid with its vorticity i k x uh, 6 fields rather than the 12 of u and
+    grad u, through the box synthesis; omega x u plus the taming term, which
+    reads the same grid values of u, is formed pointwise and comes back
+    through the box analysis.
     """
     grid = _box_to_grid(lattice, _velocity_and_vorticity(lattice, uh))
     u, omega = grid[:, :3], grid[:, 3:]
@@ -323,12 +324,11 @@ def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np
         prod[:, i] += omega[:, j] * u[:, l]
         prod[:, i] -= omega[:, l] * u[:, j]
     del grid, u, omega  # the analysis runs without them
-    out = _grid_to_box(lattice, prod)
-    return leray_project(lattice, np.moveaxis(out, -2, -1))
+    return np.moveaxis(_grid_to_box(lattice, prod), -2, -1)
 
 
 def _nonstiff_block(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
-    """N(u) = -P((u.grad)u + g_N(|u|^2)u) in storage coordinates for one row block."""
+    """N(u) = -P((u.grad)u + g_N(|u|^2)u) for one row block; state_from_uhat is P."""
     uh = uhat_from_state(lattice, state)
     return state_from_uhat(lattice, -_nonlinear_hat(lattice, spec, uh))
 
@@ -372,17 +372,13 @@ def tamed_drift(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np
     return rhs
 
 
-def h1_space(modes: int = 4) -> SpaceSpec:
-    lattice = build_lattice(modes)
+def h1_space(lattice: TamedLattice) -> SpaceSpec:
+    """H = H^1 and V = H^2 on the lattice's storage coordinates."""
     ksq = np.repeat(lattice.ksq, 4)
     return SpaceSpec(
-        label=f"tamed_nse_{modes}",
-        dimension=3,
-        modes=modes,
         h_weights=1.0 + ksq,
         v_weights=(1.0 + ksq) ** 2,
-        wavenumbers=np.repeat(np.sqrt(lattice.ksq), 4),
-        transform=lattice,
+        wavenumbers=np.sqrt(ksq),
     )
 
 
@@ -396,9 +392,9 @@ def make_tamed_nse(
     q_decay: float = 2.0,
     x0_radius: float = 0.8,
 ) -> ModelBundle:
-    spec = TamedSpec(nu=nu, taming_n=taming_n, modes=modes)
-    space = h1_space(modes)
-    lattice: TamedLattice = space.transform
+    spec = TamedSpec(nu=nu, taming_n=taming_n)
+    lattice = build_lattice(modes)
+    space = h1_space(lattice)
     if noise_modes > space.n_coeffs:
         raise ConfigurationError("noise_modes cannot exceed the coefficient count")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)

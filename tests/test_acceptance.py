@@ -93,9 +93,6 @@ def test_criterion_01_projection_suite():
     for dim, pairs in groups:
         hw = rng.uniform(0.5, 2.0, size=dim)
         space = SpaceSpec(
-            label=f"accept-{dim}",
-            dimension=1,
-            modes=dim,
             h_weights=hw,
             v_weights=2.0 * hw,
         )

@@ -277,6 +277,42 @@ def test_estimates_and_oracle1d_step_one_oracle(tmp_path, monkeypatch, lines):
     assert seen["estimates"] == seen["oracle1d"], seen
 
 
+@pytest.mark.parametrize(
+    "lines, inequality, audits",
+    [
+        ([], {}, {"seed": 0}),
+        (
+            ["run.ineq_paths = 2", "run.test_paths = 12", "run.delta = 0.2",
+             "run.samples = 64", "run.h1_samples = 0"],
+            {"paths": 2, "test_count": 12, "delta": 0.2},
+            {"seed": 0, "count": 64, "h1_count": 0},
+        ),
+    ],
+    ids=["no run keys", "every run key"],
+)
+def test_studies_see_only_the_keywords_the_config_sets(
+    tmp_path, monkeypatch, lines, inequality, audits
+):
+    seen = {}
+
+    def record(name, result):
+        def stand_in(*args, **kwargs):
+            seen[name] = kwargs
+            return result
+
+        return stand_in
+
+    monkeypatch.setattr(cli, "inequality_study", record("inequality", None))
+    monkeypatch.setattr(cli, "run_all_audits", record("hypotheses", []))
+    # run.n_grid is the one run.* key the inequality study cannot do without
+    scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4"]
+    text = "\n".join(["model.name = oracle_1d", *scheme, *lines, ""])
+    config = load_config(write_conf(tmp_path, text))
+    for study in cli._studies(config, ("inequality", "hypotheses"), 0).values():
+        study()
+    assert seen == {"inequality": inequality, "hypotheses": audits}
+
+
 def test_explicit_large_n_dt_rejected(tmp_path):
     conf = ORACLE_CONF.replace("run.n_grid     = 1, 4, 16", "run.n_grid     = 1, 4, 500")
     cfg = load_config(write_conf(tmp_path, conf))
@@ -484,6 +520,12 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
         ("all", conf_with("run.n_grid", "1, -4, 16"), [], {}, "run.n_grid"),
         ("all", conf_with("run.n_grid", "1, nan"), [], {}, "run.n_grid"),
         ("all", conf_with("run.n_grid", "1, 101"), [], {}, "run.n_grid"),  # n dt = 1.01
+        ("oracle1d", ORACLE_CONF + "oracle.kappa = 3.0\n", [], {}, "oracle.kappa"),
+        ("all", ORACLE_CONF + "oracle.sigma = 2.0\n", [], {}, "oracle.sigma"),
+        ("all", conf_with("scheme.t_final", "1e300").replace("0.01", "1e-10"), [], {},
+         "scheme.t_final"),
+        ("all", conf_with("run.n_grid", "1,,16"), [], {}, "run.n_grid"),
+        ("all", conf_with("run.n_grid", "1, 4,"), [], {}, "run.n_grid"),
     ],
     ids=[
         "not utf-8",
@@ -496,6 +538,11 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
         "negative level",
         "nan level",
         "explicit n dt > 1",
+        "oracle.kappa on an oracle_1d config",
+        "oracle.sigma on an oracle_1d config",
+        "step count overflow",
+        "empty level",
+        "trailing comma",
     ],
 )
 def test_exit_code_2_names_the_key(

@@ -16,9 +16,6 @@ from reflectspde.hilbert import (
 
 def unit_space(m):
     return SpaceSpec(
-        label="flat",
-        dimension=1,
-        modes=m,
         h_weights=np.ones(m),
         v_weights=2.0 * np.ones(m),
     )
@@ -27,9 +24,6 @@ def unit_space(m):
 def weighted_space(m, rng):
     hw = rng.uniform(0.5, 3.0, size=m)
     return SpaceSpec(
-        label="weighted",
-        dimension=1,
-        modes=m,
         h_weights=hw,
         v_weights=hw * rng.uniform(1.0, 5.0, size=m),
     )
@@ -117,9 +111,6 @@ def test_embedding_const_quadratic_case():
 def test_v_norm_fn_override():
     m = 5
     space = SpaceSpec(
-        label="lp",
-        dimension=1,
-        modes=m,
         h_weights=np.ones(m),
         v_weights=None,
         v_norm_fn=lambda c: np.sum(np.abs(c), axis=-1),
@@ -141,13 +132,11 @@ def test_shape_validation():
 
 def test_space_spec_validation():
     with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 2, 4, np.ones(4), np.ones(4))
+        SpaceSpec(-np.ones(4), np.ones(4))
     with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 1, 4, -np.ones(4), np.ones(4))
+        SpaceSpec(np.ones(4), np.ones(3))
     with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 1, 4, np.ones(4), np.ones(3))
-    with pytest.raises(ConfigurationError):
-        SpaceSpec("bad", 1, 4, np.ones(4), None)  # no V norm at all
+        SpaceSpec(np.ones(4), None)  # no V norm at all
 
 
 def test_norm_of_tiny_and_huge_rows_is_rescaled():

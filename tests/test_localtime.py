@@ -19,7 +19,7 @@ from reflectspde.penalize import SchemeConfig, _brownian_block, _trajectory, sim
 
 
 def flat_space(m):
-    return SpaceSpec("flat", 1, m, np.ones(m), np.ones(m))
+    return SpaceSpec(np.ones(m), np.ones(m))
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_make_test_paths_structure():
 
 
 def test_make_test_paths_weighted_boundary_constant():
-    space = SpaceSpec("w", 1, 3, np.array([4.0, 1.0, 1.0]), np.ones(3))
+    space = SpaceSpec(np.array([4.0, 1.0, 1.0]), np.ones(3))
     paths = make_test_paths(space, seed=0, count=2, times=np.zeros(2))
     assert paths[1][0, 0] == pytest.approx(0.5)  # 1/sqrt(4) lands on the sphere
     assert norm_h(space, paths[1][0]) == pytest.approx(1.0)

@@ -327,7 +327,7 @@ def test_decay_profile_requires_wavenumbers():
             decay_profile_x0(bundle.space, radius=radius)
     from reflectspde.hilbert import SpaceSpec
 
-    bare = SpaceSpec("bare", 1, 4, np.ones(4), np.ones(4))
+    bare = SpaceSpec(np.ones(4), np.ones(4))
     with pytest.raises(ConfigurationError):
         decay_profile_x0(bare)
 

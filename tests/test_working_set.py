@@ -36,7 +36,7 @@ def test_h1_holds_one_profile_at_a_time():
 
 def test_tamed_drift_scratch_follows_the_chunk_budget():
     model = tamednse.make_tamed_nse(modes=4).model
-    lattice = model.space.transform
+    lattice = tamednse.build_lattice(4)
     rows = 3 * tamednse._chunk_rows(lattice) + 1
     states = FieldSampler(model.space, (0, 4)).sample(rows)
     peak = traced_peak(lambda: model.drift(0.0, states))
@@ -73,5 +73,5 @@ def test_explicit_step_scratch():
     # the cubic needs the grid values and one product buffer; the move, the
     # gap and the new state are built in place of one another, the new state
     # in the table, and the rows' noise (8 modes) is an eighth of a state
-    grid_buffer = rows * model.space.transform.grid_size * 8
+    grid_buffer = rows * model.grid_form.basis.grid_size * 8
     assert peak <= 2 * grid_buffer + states.nbytes, peak
