@@ -285,8 +285,10 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
     and every count the task reads are checked.
 
     The bundle and the scheme are built at most once: `hypotheses` builds no
-    scheme, and `oracle1d` builds no bundle; on an `oracle_1d` config it
-    binds the builder's arguments, so `estimates` steps the same oracle.
+    scheme, and `oracle1d` builds no bundle; it binds the oracle builder's
+    arguments, from the `model.*` keys of an `oracle_1d` config, so that
+    `estimates` steps the same oracle, and else from the `oracle.*` keys,
+    the builder's defaults filling in what is left out.
     """
     stepping = any(t != "hypotheses" for t in wanted)
     cfg, n_grid = _build_scheme(config, seed) if stepping else (None, None)
@@ -329,12 +331,16 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
         studies["hypotheses"] = audits
     if "oracle1d" in wanted:
         if config.get("model.name") == "oracle_1d":
-            oracle = inspect.signature(REGISTRY["oracle_1d"]).bind(**_model_kwargs(config)[1])
-            oracle.apply_defaults()
-            kappa, sigma = oracle.arguments["kappa"], oracle.arguments["sigma"]
+            given = _model_kwargs(config)[1]
         else:
-            kappa = float(config.get("oracle.kappa", 1.0))
-            sigma = float(config.get("oracle.sigma", 0.5))
+            given = {
+                key.removeprefix("oracle."): value
+                for key, value in config.values.items()
+                if key.startswith("oracle.")
+            }
+        oracle = inspect.signature(REGISTRY["oracle_1d"]).bind(**given)
+        oracle.apply_defaults()
+        kappa, sigma = oracle.arguments["kappa"], oracle.arguments["sigma"]
         paths = _count(config, "run.paths", 2)
         studies["oracle1d"] = lambda: oracle_compare_1d(kappa, sigma, cfg, n_grid, paths)
     return {task: studies[task] for task in wanted}

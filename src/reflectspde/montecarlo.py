@@ -312,7 +312,7 @@ def uniqueness_check(
 
 
 # --------------------------------------------------------------------------
-# 1-D oracle: the projection (clamp) scheme is the splitting step at n = inf
+# 1-D oracle: the projection (clamp) scheme is the kernel's level n = inf
 
 
 def oracle_compare_1d(
@@ -322,29 +322,28 @@ def oracle_compare_1d(
     n_grid,
     paths: int,
 ) -> Report:
-    """Penalized scalar runs vs the projection scheme on the same noise.
+    """Penalized scalar runs vs the projection scheme on the same noise, as
+    one stack whose last level is n = inf.
 
     Its failures are the failed (level, path) pairs."""
     n_grid = [float(n) for n in n_grid]
+    if not n_grid:
+        raise ConfigurationError("oracle study needs at least 1 penalization level")
     slices = _batches(paths)
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
-    model, x0 = bundle.model, bundle.x0
     dW = _brownian_block(cfg.seed, paths, 1, cfg.steps, cfg.dt)
-    projection = SchemeConfig(cfg.dt, cfg.steps, np.inf, "splitting")
 
     sup_diff = np.zeros((len(n_grid), paths))
-    tv_pen = np.zeros((len(n_grid), paths))
-    tv_or = np.zeros((1, paths))
-    for (x, dl, _, alive, put), (y, dl_or, _, alive_or, put_or) in zip(
-        _penalized_stack(model, cfg, n_grid, x0, dW),
-        _penalized_stack(model, projection, [np.inf], x0, dW),
+    tv = np.zeros((len(n_grid) + 1, paths))
+    for x, dl, _, alive, put in _penalized_stack(
+        bundle.model, cfg, n_grid + [np.inf], bundle.x0, dW
     ):
-        tv_pen += np.abs(np.take(dl[:, 0], put))
-        tv_or += np.abs(np.take(dl_or[:, 0], put_or))
-        terminal = np.abs(np.take(x[:, 0], put) - np.take(y[:, 0], put_or))
+        tv += np.abs(np.take(dl[:, 0], put))
+        stack = np.take(x[:, 0], put)
+        terminal = np.abs(stack[:-1] - stack[-1])
         np.maximum(sup_diff, terminal, out=sup_diff)
-    alive = alive[put] & alive_or[put_or]
-    tv_diff = np.abs(tv_pen - tv_or)
+    alive = alive[put[:-1]] & alive[put[-1]]
+    tv_diff = np.abs(tv[:-1] - tv[-1])
 
     rows = []
     for i, n in enumerate(n_grid):

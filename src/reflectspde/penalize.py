@@ -7,13 +7,17 @@ reflection process.  Two steppers are provided:
 explicit
     Euler-Maruyama transcription; the penalty increment is evaluated at the
     pre-step state, so dL_j = -n dt (X_j - pi(X_j)) exactly and the recorded
-    variation is n dt sum |X_j - pi(X_j)|.  Requires n dt <= 1.
+    variation is n dt sum |X_j - pi(X_j)|.  Requires n dt <= 1 at a
+    finite level.
 splitting
     Drift+noise move to an intermediate state, then the exact flow of
     r' = -n (r - 1)_+ applied to the H radius; stable for arbitrary n dt.
 
-At n = inf the splitting step is the projection (clamp) scheme: the excess
-factor exp(-n dt) is 0 and x-tilde is mapped onto the ball.
+At n = inf both steppers are the projection (clamp) scheme: the splitting
+step's excess factor exp(-n dt) is 0 and x-tilde is mapped onto the ball,
+x-tilde / max(|x-tilde|_H, 1).  An explicit stack may hold this level next to
+its finite ones: its rows take the clamp, every other row the pre-step
+penalty.
 
 Models with a stiff diagonal linear part declare linear_symbol; the
 drift+noise move then uses the Lawson integrating factor
@@ -25,16 +29,18 @@ ConfigurationError, then advances a (levels, paths, coeffs) stack on one
 Brownian block shared by all levels; `simulate_path` is its one-level,
 one-path case, and the ensemble studies are reductions over what it yields.
 Each explicit step reads the pre-step radius that the kernel's divergence
-check computed, so it computes one H norm per row per step; a splitting step
-computes two, of x-tilde and of the new state.
+check computed, so it computes one H norm per row per step; a splitting step,
+or an explicit step of a stack that holds n = inf, computes two, of x-tilde
+and of the new state.
 
 The kernel holds a path as one row while its level rows coincide.  The
 penalty vanishes inside the ball and every level reads the same noise, so
 for every n, X^n is the free solution up to the path's first exit: all
-levels take dL = 0 while the pre-step radius (explicit) or |x-tilde|_H
-(splitting) is at most 1.  At the first step at which the penalty acts on
-it, after the move and before the penalty, the path parts: its row is
-copied once per further level, each row then reads its own level's n dt,
+levels take dL = 0 while each radius their rules read is at most 1, the
+pre-step radius for a finite explicit level and |x-tilde|_H for a splitting
+level or the projection level.  At the first step at which one of them
+exceeds 1, after the move and before the penalty, the path parts: its row
+is copied once per further level, each row then reads its own level's n dt,
 and it never merges again.  So the move, the penalty, the divergence norm,
 the dead-row pinning and the studies' reductions all run on the rows (level
 0 of every path, then levels 1.. of the parted paths), not on the
@@ -71,8 +77,8 @@ BLOWUP_NORM = 1e10
 class SchemeConfig:
     """Time grid and one penalty level.
 
-    n is one number: a level >= 0, or inf (splitting only) for the
-    projection scheme.  The ensemble kernel checks each level of its grid
+    n is one number: a level >= 0, or inf for the projection scheme under
+    either method.  The ensemble kernel checks each level of its grid
     through `with_n`.
     """
 
@@ -93,7 +99,7 @@ class SchemeConfig:
             raise ConfigurationError("penalization level n must be >= 0")
         if self.method not in ("explicit", "splitting"):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.method == "explicit" and self.n * self.dt > 1.0 + 1e-12:
+        if self.method == "explicit" and np.isfinite(self.n) and self.n * self.dt > 1.0 + 1e-12:
             raise ConfigurationError(
                 f"explicit stepper needs n*dt <= 1 (got {self.n * self.dt:g}); "
                 "use method=splitting for large n"
@@ -190,8 +196,9 @@ def step_penalized(
     state and dW broadcast against each other.  r is the pre-step radius
     |state|_H, which the explicit step's penalty reads; it is computed from
     state when not given, and the splitting step, whose penalty acts on
-    x-tilde, ignores it.  No divergence check here: `_penalized_stack` makes
-    it once per step for every row.
+    x-tilde, ignores it.  At n = inf either method clamps x-tilde onto the
+    ball.  No divergence check here: `_penalized_stack` makes it once per
+    step for every row.
 
     rows is the kernel's row table, and state its rows in use: row q reads
     dW[rows.path[q]] and its own level's n dt, and cfg.n is not read.  After
@@ -204,23 +211,37 @@ def step_penalized(
         dW = np.take(dW, rows.path[: len(state)], axis=0)
     x_tilde = one_step_move(model, t, cfg.dt, state, dW)
     rate, out = np.multiply(cfg.n, cfg.dt), None
-    if cfg.method == "explicit":
-        if r is None:
-            r = norm_h(space, state)
+    if cfg.method == "splitting":
+        r_tilde = norm_h(space, x_tilde)
         if rows is not None:
-            state, r, x_tilde = rows.part(r > 1.0, state, r, x_tilde)
+            r_tilde, x_tilde = rows.part(r_tilde > 1.0, r_tilde, x_tilde)
             rate, out = rows.in_use()
-        dL, _ = penalty_gap(space, state, r)
-        dL *= (-rate)[..., None]
-        return np.add(x_tilde, dL, out=x_tilde if out is None else out), dL
-    r_tilde = norm_h(space, x_tilde)
+        excess = np.maximum(r_tilde - 1.0, 0.0)
+        scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
+        new = np.multiply(x_tilde, scale[..., None], out=out)
+        return new, new - x_tilde
+    if r is None:
+        r = norm_h(space, state)
+    arrays, acting = (state, r, x_tilde), r > 1.0
+    # of the explicit levels only the projection level reads |x-tilde|_H
+    projection = np.isinf(cfg.n if rows is None else rows.level_rate).any()
+    if projection:
+        r_tilde = norm_h(space, x_tilde)
+        arrays, acting = arrays + (r_tilde,), acting | (r_tilde > 1.0)
     if rows is not None:
-        r_tilde, x_tilde = rows.part(r_tilde > 1.0, r_tilde, x_tilde)
+        arrays = rows.part(acting, *arrays)
         rate, out = rows.in_use()
-    excess = np.maximum(r_tilde - 1.0, 0.0)
-    scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
-    new = np.multiply(x_tilde, scale[..., None], out=out)
-    return new, new - x_tilde
+    state, r, x_tilde = arrays[:3]
+    # the projection level takes no pre-step penalty: its rate is inf, and inf * 0 is NaN
+    clamp = np.isinf(rate)[..., None]
+    dL, _ = penalty_gap(space, state, r)
+    dL *= np.where(clamp, 0.0, -rate[..., None])
+    new = np.add(x_tilde, dL, out=out)
+    if projection:  # the splitting step at exp(-inf) = 0: x-tilde onto the ball
+        r_tilde = arrays[3]
+        np.copyto(new, x_tilde * (1.0 / np.maximum(r_tilde, 1.0))[..., None], where=clamp)
+        np.subtract(new, x_tilde, out=dL, where=clamp)
+    return new, dL
 
 
 class _Rows:

@@ -278,6 +278,23 @@ def test_estimates_and_oracle1d_step_one_oracle(tmp_path, monkeypatch, lines):
 
 
 @pytest.mark.parametrize(
+    "given", [{}, {"kappa": 2.0}, {"sigma": 0.1}], ids=["none", "kappa", "sigma"]
+)
+def test_oracle1d_takes_the_oracle_builders_defaults(tmp_path, monkeypatch, given):
+    # a non-oracle config: an oracle.* key it leaves out is make_oracle_1d's default
+    seen = []
+    monkeypatch.setattr(cli, "oracle_compare_1d", lambda *args: seen.append(args[:2]))
+    lines = [f"oracle.{keyword} = {value}" for keyword, value in given.items()]
+    scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2"]
+    text = "\n".join(["model.name = allen_cahn", *lines, *scheme, ""])
+    config = load_config(write_conf(tmp_path, text))
+    cli._studies(config, ("oracle1d",), 0)["oracle1d"]()
+    defaults = inspect.signature(REGISTRY["oracle_1d"]).parameters
+    want = {k: given.get(k, defaults[k].default) for k in ("kappa", "sigma")}
+    assert seen == [(want["kappa"], want["sigma"])]
+
+
+@pytest.mark.parametrize(
     "lines, inequality, audits",
     [
         ([], {}, {"seed": 0}),
@@ -579,10 +596,11 @@ def test_nan_level_rejected_and_inf_level_kept(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: run.n_grid: "), err
     assert not out.exists()
-    # inf is the projection level of the splitting stepper
-    text = conf_with("run.n_grid", "1, inf") + "scheme.method = splitting\n"
-    conf = write_conf(tmp_path, text, name="inf.conf")
-    assert run_cli(["oracle1d", "--config", conf, "--out", tmp_path / "inf"]) == 0
+    # inf is the projection level, under either method
+    for method in ("explicit", "splitting"):
+        text = conf_with("run.n_grid", "1, inf") + f"scheme.method = {method}\n"
+        conf = write_conf(tmp_path, text, name=f"{method}.conf")
+        assert run_cli(["oracle1d", "--config", conf, "--out", tmp_path / method]) == 0
 
 
 def test_cauchy_needs_two_levels(tmp_path):

@@ -95,18 +95,24 @@ def test_splitting_step_never_overshoots(radius, n, dt, seed):
 @given(
     kappa=st.floats(-2.0, 4.0),
     sigma=st.floats(0.0, 1.5),
+    n=st.sampled_from([0.0, 1.0, 16.0, 100.0]),
     steps=st.integers(1, 200),
     seed=st.integers(0, 2**16),
 )
-def test_projection_level_is_the_clamp_scheme(kappa, sigma, steps, seed):
+def test_projection_level_is_the_clamp_scheme(kappa, sigma, n, steps, seed):
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
     cfg = SchemeConfig(dt=0.01, steps=steps, n=np.inf, method="splitting", seed=seed)
     rec = simulate_path(bundle.model, cfg, bundle.x0)
     dW = brownian_increments(seed, 0, 1, steps, cfg.dt)[:, 0]
     ref = clamp_reference(kappa, sigma, bundle.x0[0], dW, cfg.dt)
-    assert np.max(np.abs(rec.states[:, 0] - ref)) <= 1e-12
     free = ref[:-1] + cfg.dt * kappa * ref[:-1] + sigma * dW
-    assert np.max(np.abs(np.abs(rec.l_increments[:, 0]) - np.abs(free - ref[1:]))) <= 1e-12
+    # the inf row of an explicit stack [n, inf], whose other row parts from it
+    explicit = SchemeConfig(dt=0.01, steps=steps, n=n, seed=seed)
+    block = dW[None, :, None]
+    states, dL, _, _ = _trajectory(bundle.model, explicit, [n, np.inf], bundle.x0, block)
+    for x, dl in ((rec.states, rec.l_increments), (states[:, 1, 0], dL[:, 1, 0])):
+        assert np.max(np.abs(x[:, 0] - ref)) <= 1e-12
+        assert np.max(np.abs(np.abs(dl[:, 0]) - np.abs(free - ref[1:]))) <= 1e-12
 
 
 # the oracle with a drift that hands back its own argument: a step that
@@ -213,6 +219,27 @@ def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, name, m
     assert seen["penalty_gap"] == ([4] * cfg.steps if method == "explicit" else [])
 
 
+@pytest.mark.parametrize("projection", [False, True], ids=["finite", "with-inf"])
+def test_explicit_stack_takes_the_x_tilde_norm_only_for_the_projection_level(
+    projection, monkeypatch
+):
+    calls = []
+
+    def counted(space, x):
+        calls.append(1)
+        return norm_h(space, x)
+
+    monkeypatch.setattr(penalize, "norm_h", counted)
+    bundle = MODELS["allen_cahn"]  # strong noise: paths leave the ball and part
+    cfg = SchemeConfig(dt=0.02, steps=30, n=0.0, seed=4)
+    levels = [1.0, 16.0, 50.0] + ([np.inf] if projection else [])
+    dW = _brownian_block(4, 3, bundle.noise.mode_count, cfg.steps, cfg.dt)
+    rows = [len(x) for x, *_ in _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)]
+    assert rows[-1] == 3 * len(levels)  # every path has parted
+    # x0's check, then per step the divergence norm, and |x-tilde|_H with inf
+    assert len(calls) == 1 + (2 if projection else 1) * cfg.steps
+
+
 @SETTINGS
 @given(
     method=st.sampled_from(["explicit", "splitting"]),
@@ -224,7 +251,7 @@ def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, name, m
 )
 def test_level_rows_coincide_until_the_first_penalty(method, levels, projection, paths, steps, seed):
     bundle = MODELS["allen_cahn"]
-    levels = [0.0] + levels + ([np.inf] if projection and method == "splitting" else [])
+    levels = [0.0] + levels + ([np.inf] if projection else [])
     cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
     dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
     penalized = np.zeros(paths, dtype=bool)
@@ -248,7 +275,7 @@ def test_run_estimates_is_a_reduction_over_the_trajectory(
 ):
     bundle = MODELS["allen_cahn"]
     model, space = bundle.model, bundle.space
-    levels = [0.0] + levels + ([np.inf] if projection and method == "splitting" else [])
+    levels = [0.0] + levels + ([np.inf] if projection else [])
     cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
     estimates, cauchy = run_estimates(model, cfg, levels, paths, x0=bundle.x0)
     dW = _brownian_block(seed, paths, model.noise.mode_count, steps, cfg.dt)
@@ -273,12 +300,15 @@ def test_run_estimates_is_a_reduction_over_the_trajectory(
         np.testing.assert_allclose(cauchy.column("est_supdiff2"), gaps.mean(axis=1), rtol=1e-12)
 
 
-def test_projection_level_needs_splitting():
-    with pytest.raises(ConfigurationError, match="splitting"):
-        SchemeConfig(dt=0.01, steps=10, n=np.inf, method="explicit")
-    assert SchemeConfig(dt=0.01, steps=10, n=np.inf, method="splitting").n == np.inf
-    with pytest.raises(ConfigurationError):
-        SchemeConfig(dt=0.01, steps=10, n=np.nan, method="splitting")
+@pytest.mark.parametrize("method", ["explicit", "splitting"])
+def test_projection_level_is_accepted_under_either_method(method):
+    assert SchemeConfig(dt=0.01, steps=10, n=np.inf, method=method).n == np.inf
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            SchemeConfig(dt=0.01, steps=10, n=bad, method=method)
+    if method == "explicit":  # a finite level still needs n dt <= 1
+        with pytest.raises(ConfigurationError, match="n\\*dt <= 1"):
+            SchemeConfig(dt=0.01, steps=10, n=101.0, method=method)
 
 
 def test_dead_rows_are_pinned_per_level():

@@ -108,6 +108,17 @@ def test_splitting_step_exact_radial_flow():
     assert dL == pytest.approx([-0.5], abs=1e-12)
 
 
+@pytest.mark.parametrize("method", ["explicit", "splitting"])
+def test_projection_step_clamps_x_tilde(method):
+    # x-tilde = 1.5 x: the clamp reads x-tilde, not the pre-step state
+    bundle = make_oracle_1d(kappa=1.0, sigma=0.0)
+    cfg = SchemeConfig(dt=0.5, steps=1, n=np.inf, method=method)
+    state = np.array([[0.9], [0.4], [-2.0]])
+    new, dL = step_penalized(state, 0.0, cfg, bundle.model, np.zeros(1))
+    assert new[:, 0] == pytest.approx([1.0, 0.6, -1.0], abs=1e-15)
+    assert dL[:, 0] == pytest.approx([-0.35, 0.0, 2.0], abs=1e-15)
+
+
 def test_step_inside_ball_is_untouched():
     bundle = silent_oracle()
     for method in ("explicit", "splitting"):
