@@ -1,4 +1,4 @@
-"""Reflection-measure accounting as reductions over the stepping kernel's arrays.
+"""Reflection-measure accounting as reductions over the stepping kernel's output.
 
 States (steps+1, *batch, m) and penalty increments dL (steps, *batch, m)
 carry time on axis 0, any batch axes (levels, paths) between, and
@@ -8,6 +8,8 @@ against a family of ball-valued test paths, and the mass of reflection away
 from the unit sphere.  Riemann-Stieltjes sums use left endpoints, as the
 stepper does.  The reflection mass over radii is one histogram over the
 same arrays: ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
+`inequality_study` takes the same sums as a running reduction over the
+kernel's steps, against the test family's factors, and holds no time axis.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .hilbert import SpaceSpec, norm_h
 from .montecarlo import Report
-from .penalize import _brownian_block, _trajectory
+from .penalize import _brownian_block, _penalized_stack
 
 __all__ = [
     "total_variation",
@@ -97,6 +99,39 @@ def boundary_leak(
     return np.sum(bump * norm_h(space, l_increments), axis=0)
 
 
+def _test_factors(space: SpaceSpec, seed: int, count: int, times: np.ndarray):
+    """make_test_paths' family as (shapes (len(times), 5), coeffs (count, 5, m)):
+    member f is shapes @ coeffs[f], drawn in make_test_paths' order."""
+    if count < 1:
+        raise ConfigurationError("count must be >= 1")
+    times = np.asarray(times, dtype=float)
+    m = space.n_coeffs
+    coeffs = np.zeros((count, 5, m))
+    constants = [0, m - 1][: count - 1]  # the members after the zero path
+    filled = 1 + len(constants)
+    coeffs[np.arange(1, filled), 0, constants] = 1.0 / np.sqrt(space.h_weights[constants])
+
+    rng = np.random.default_rng(seed)
+    span = times[-1] - times[0] if times.shape[0] > 1 else 1.0
+    angle = np.pi * ((times - times[0]) / (span if span > 0 else 1.0))
+    shapes = np.stack(
+        [np.ones_like(angle), np.sin(angle), np.cos(angle), np.sin(2 * angle), np.cos(2 * angle)],
+        axis=-1,
+    )
+    active = min(6, m)
+    w = space.h_weights[:active]
+    # one member's curve at a time, on its active columns (it is zero beyond)
+    curve, squares = np.empty((len(times), active)), np.empty(len(times))
+    for member in coeffs[filled:]:
+        member[:, :active] = rng.standard_normal((5, active))
+        radius = rng.uniform(0.15, 1.0)
+        np.matmul(shapes, member[:, :active], out=curve)
+        sup = np.sqrt(np.max(np.einsum("tm,m,tm->t", curve, w, curve, out=squares)))
+        if sup > 0:
+            member *= radius / sup
+    return shapes, coeffs
+
+
 def make_test_paths(space: SpaceSpec, seed: int, count: int, times: np.ndarray) -> np.ndarray:
     """Seeded (count, len(times), m) family of continuous ball-valued test paths.
 
@@ -105,43 +140,7 @@ def make_test_paths(space: SpaceSpec, seed: int, count: int, times: np.ndarray) 
     curves rescaled to a random sup radius <= 1.  Values at grid points lie
     in the ball, hence so does the piecewise-linear interpolant (convexity).
     """
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
-    times = np.asarray(times, dtype=float)
-    n_t = times.shape[0]
-    m = space.n_coeffs
-    family = np.zeros((count, n_t, m))
-    filled = 1  # member 0 is the zero path
-
-    for idx in (0, m - 1):
-        if filled >= count:
-            break
-        family[filled, :, idx] = 1.0 / np.sqrt(space.h_weights[idx])
-        filled += 1
-
-    rng = np.random.default_rng(seed)
-    span = times[-1] - times[0] if n_t > 1 else 1.0
-    tau = (times - times[0]) / (span if span > 0 else 1.0)
-    # low-frequency shape functions in time
-    shapes = np.stack(
-        [
-            np.ones_like(tau),
-            np.sin(np.pi * tau),
-            np.cos(np.pi * tau),
-            np.sin(2.0 * np.pi * tau),
-            np.cos(2.0 * np.pi * tau),
-        ],
-        axis=-1,
-    )  # (n_t, 5)
-    active = min(6, m)
-    for curve in family[filled:]:
-        coeffs = rng.standard_normal((5, active))
-        curve[:, :active] = shapes @ coeffs
-        radius = rng.uniform(0.15, 1.0)
-        sup = np.max(norm_h(space, curve))
-        if sup > 0:
-            curve *= radius / sup
-    return family
+    return np.matmul(*_test_factors(space, seed, count, times))
 
 
 class InequalityRow(NamedTuple):
@@ -169,22 +168,36 @@ def inequality_study(
     path, the total variation of L^n, the minimum over the test-path family
     (seeded by cfg.seed) of the variational gap, and the boundary leak at
     delta.  A path that blows up yields a NaN row and counts as a failure.
+    The sums run over the kernel's steps; per row, the moment sum_j shapes(t_j)
+    (x) w dL_j gives each test member's cross term in one contraction.
     """
-    space = model.space
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError("delta must lie in (0, 1)")
+    space, w = model.space, model.space.h_weights
     n_grid = [float(n) for n in n_grid]
-    times = np.arange(cfg.steps + 1) * cfg.dt
-    tests = make_test_paths(space, cfg.seed, test_count, times)
     dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
-    states, l_increments, _, alive = _trajectory(model, cfg, n_grid, x0, dW)
+    kernel = _penalized_stack(model, cfg, n_grid, x0, dW)  # checks x0 before it is read
+    shapes, coeffs = _test_factors(space, cfg.seed, test_count, np.arange(cfg.steps + 1) * cfg.dt)
 
-    table = np.stack(
-        [
-            total_variation(space, l_increments),
-            variational_gap(space, states, l_increments, tests).min(axis=-1),
-            boundary_leak(space, states, l_increments, delta),
-        ],
-        axis=-1,
-    )
+    shape = (len(n_grid), paths)
+    x, r = x0, np.full(shape, norm_h(space, x0))  # the pre-step stack and radii
+    tv, leak, own = np.zeros((3,) + shape)
+    moment = np.zeros(shape + coeffs.shape[1:])
+    for j, (x_rows, dL_rows, r_rows, alive, put) in enumerate(kernel):
+        dL = dL_rows[put]
+        size = norm_h(space, dL)
+        tv += size
+        leak += np.where(r < 1.0 - delta, (1.0 - delta - r) ** 2, 0.0) * size
+        w_dl = w * dL
+        own += np.einsum("...m,...m->...", x, w_dl)
+        moment += shapes[j, :, None] * w_dl[..., None, :]
+        # the pre-step state and radius of the next step; a failed row is zero
+        x = x_rows[put]
+        r = np.take(np.where(alive, r_rows, 0.0), put)
+    alive = alive[put]
+    gaps = np.einsum("fsm,...sm->...f", coeffs, moment) - own[..., None]
+
+    table = np.stack([tv, gaps.min(axis=-1), leak], axis=-1)
     table[~alive] = np.nan  # dead rows were pinned to zero by the kernel
     rows = [
         InequalityRow(n, i, *map(float, table[li, i]))

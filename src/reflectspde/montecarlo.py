@@ -19,11 +19,11 @@ meaningful at modest path counts.  All levels and paths of a study advance
 together as one (levels, paths, coeffs) stack in `penalize._penalized_stack`,
 which checks their inputs; each study is a reduction over what it yields.
 The kernel yields one row per path while the path's levels coincide, and
-the studies reduce on those rows: radii and V energies are taken per row and
-gathered to the stack through the kernel's map `put`, and the Cauchy gaps
-are taken over the parted paths only, since a merged path's level
-differences are exactly 0.  A bad argument to any study raises
-ConfigurationError, which is a ValueError.
+the studies reduce on those rows as they come, keeping no time axis: radii
+and V energies are taken per row, gathered through the kernel's map `put`
+and summed, and the Cauchy gaps are taken over the parted paths only, since
+a merged path's level differences are exactly 0.  A bad argument to any
+study raises ConfigurationError, which is a ValueError.
 
 Determinism: every reduction runs in a fixed order, so results are
 byte-identical across reruns.  Standard errors are the standard deviation
@@ -56,7 +56,6 @@ from .penalize import (
     SchemeConfig,
     _brownian_block,
     _penalized_stack,
-    _radial_totals,
     simulate_path,
 )
 
@@ -215,14 +214,24 @@ def run_estimates(
     kernel = _penalized_stack(model, cfg, n_grid, x0, dW)
 
     shape = (len(n_grid), paths)
-    radii = np.empty((cfg.steps + 1,) + shape)
-    energy = np.empty((cfg.steps + 1,) + shape)
-    radii[0] = norm_h(space, x0)
-    energy[0] = v_energy(space, x0, model.alpha)
+    # pre-step |X|_H and ||X||_V^alpha per (level, path), the left-endpoint
+    # sums (times dt at the end) and the sups, which include t = 0
+    r = np.full(shape, norm_h(space, x0))
+    energy = np.full(shape, v_energy(space, x0, model.alpha))
+    pen, pen_sq, weighted_pen, v_int = (np.zeros(shape) for _ in range(4))
+    sup_h, sup_pen = r.copy(), np.maximum(r - 1.0, 0.0)
     sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
-    for j, (x, _dL, r, alive, put) in enumerate(kernel, start=1):
-        np.take(r, put, out=radii[j])
-        np.take(v_energy(space, x, model.alpha), put, out=energy[j])
+    for x, _dL, r_rows, alive, put in kernel:
+        excess = np.maximum(r - 1.0, 0.0)
+        pen += excess
+        pen_sq += excess**2
+        weighted_pen += r**3 * excess
+        v_int += energy
+        # a failed row reads radius 0: the radius it died at may overflow r^3
+        r = np.take(np.where(alive, r_rows, 0.0), put)
+        energy = np.take(v_energy(space, x, model.alpha), put)
+        np.maximum(sup_h, r, out=sup_h)
+        np.maximum(sup_pen, r - 1.0, out=sup_pen)
         # a merged path's level rows are one row, so its differences are
         # exactly 0; squared, by inner_h, to skip norm_h's underflow recheck
         parted = np.flatnonzero(put[0] != put[-1])
@@ -231,8 +240,6 @@ def run_estimates(
             diff = stack[:-1] - stack[1:]
             sup_diff2[:, parted] = np.maximum(sup_diff2[:, parted], inner_h(space, diff, diff))
     alive = alive[put]
-    radii[:, ~alive] = 0.0  # the radius a failed row died at may overflow r^3
-    totals = _radial_totals(radii, energy, cfg.dt)
 
     rows = []
     for i, n in enumerate(n_grid):
@@ -240,12 +247,12 @@ def run_estimates(
         cells = {"n": n, "failures": int(np.count_nonzero(~ok))}
         n_scale = n if np.isfinite(n) else np.nan  # inf * 0 at the projection level
         for column, values, scale in (
-            ("sup4", totals["sup_h"][i] ** 4, 1.0),
-            ("weighted_pen", totals["int_weighted_pen"][i], n_scale),
-            ("var2", (n_scale * totals["int_pen"][i]) ** 2, 1.0),
-            ("pen_l2", totals["int_pen_sq"][i], n_scale),
-            ("v_energy", totals["int_v_energy"][i], 1.0),
-            ("pen_sup4", totals["sup_pen"][i] ** 4, 1.0),
+            ("sup4", sup_h[i] ** 4, 1.0),
+            ("weighted_pen", cfg.dt * weighted_pen[i], n_scale),
+            ("var2", (n_scale * (cfg.dt * pen[i])) ** 2, 1.0),
+            ("pen_l2", cfg.dt * pen_sq[i], n_scale),
+            ("v_energy", cfg.dt * v_int[i], 1.0),
+            ("pen_sup4", sup_pen[i] ** 4, 1.0),
         ):
             est, se = _mean_and_se(values, ok, slices)
             cells[f"est_{column}"], cells[f"se_{column}"] = scale * est, scale * se

@@ -44,20 +44,23 @@ is copied once per further level, each row then reads its own level's n dt,
 and it never merges again.  So the move, the penalty, the divergence norm,
 the dead-row pinning and the studies' reductions all run on the rows (level
 0 of every path, then levels 1.. of the parted paths), not on the
-levels x paths stack; the (L, M) map `put` takes the stack to the rows, and
-`_trajectory` is the one place that builds the stack.  The rows are kept in
-arrays of the full capacity L * M, and rows yielded by the kernel are valid
-until it is resumed.  With one level the rows are the paths, in order.
+levels x paths stack; the (L, M) map `put` takes the stack to the rows.
+The studies reduce each step's rows as they come and keep no time axis;
+`_trajectory` builds the whole stack on the time grid for `simulate_path` and
+the tests.  The rows are kept in arrays of the full capacity L * M, and rows
+yielded by the kernel are valid until it is resumed.  With one level the
+rows are the paths, in order.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .hilbert import SpaceSpec, norm_h, penalty_gap, v_energy
+from .hilbert import SpaceSpec, norm_h, penalty_gap
 from .models import ModelSpec, apply_noise
 
 __all__ = [
@@ -117,18 +120,12 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathRecord:
-    """One trajectory of (X^n, L^n) plus left-endpoint quadrature totals, at
-    the level and method of the SchemeConfig that simulate_path was given."""
+    """One trajectory of (X^n, L^n), at the level and method of the
+    SchemeConfig that simulate_path was given."""
 
     times: np.ndarray  # (steps+1,)
     states: np.ndarray  # (steps+1, m)
     l_increments: np.ndarray  # (steps, m)
-    int_pen: float  # int |X - pi(X)|_H dt
-    int_pen_sq: float  # int |X - pi(X)|_H^2 dt
-    int_weighted_pen: float  # int |X|_H^2 (X, X - pi(X)) dt
-    int_v_energy: float  # int ||X||_V^alpha dt
-    sup_h: float
-    sup_pen: float
 
 
 def brownian_increments(
@@ -148,9 +145,16 @@ def brownian_increments(
 
 
 def _brownian_block(seed: int, paths: int, mode_count: int, steps: int, dt: float) -> np.ndarray:
-    """(paths, steps, mode_count) increments of path indices 0..paths-1."""
+    """(paths, steps, mode_count) increments of path indices 0..paths-1; a
+    block larger than physical memory is refused before it is allocated."""
     if paths < 1:
         raise ConfigurationError(f"paths must be >= 1, got {paths}")
+    size = int(paths) * int(steps) * int(mode_count) * 8
+    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ConfigurationError(
+            f"noise block ({paths}, {steps}, {mode_count}) of {size / 2**30:.4g} GiB "
+            "exceeds physical memory"
+        )
     block = np.empty((paths, steps, mode_count))
     for i in range(paths):
         block[i] = brownian_increments(seed, i, mode_count, steps, dt)
@@ -360,25 +364,6 @@ def _trajectory(model, cfg, levels, x0, dW):
     return states, dL, radii, alive[put]
 
 
-def _radial_totals(r: np.ndarray, v_energy: np.ndarray, dt: float) -> dict:
-    """Left-endpoint integrals and sups along the time axis 0.
-
-    r and v_energy hold |X|_H and ||X||_V^alpha at every grid time, shape
-    (steps+1, ...).  The integrands are functions of r alone:
-    |X - pi(X)| = (r-1)^+ and |X|^2 (X, X - pi(X)) = r^3 (r-1)^+.
-    """
-    excess = np.maximum(r - 1.0, 0.0)
-    left_r, left_e = r[:-1], excess[:-1]
-    return {
-        "int_pen": dt * np.sum(left_e, axis=0),
-        "int_pen_sq": dt * np.sum(left_e**2, axis=0),
-        "int_weighted_pen": dt * np.sum(left_r**3 * left_e, axis=0),
-        "int_v_energy": dt * np.sum(v_energy[:-1], axis=0),
-        "sup_h": np.max(r, axis=0),
-        "sup_pen": np.max(excess, axis=0),
-    }
-
-
 def simulate_path(
     model: ModelSpec,
     cfg: SchemeConfig,
@@ -386,7 +371,7 @@ def simulate_path(
     path_index: int = 0,
     dW: np.ndarray | None = None,
 ) -> PathRecord:
-    """One trajectory with all accumulators; raises BlowUpError on divergence.
+    """One trajectory; raises BlowUpError on divergence.
 
     Deterministic given (cfg.seed, path_index); dW may be supplied explicitly
     for coupling experiments and must then have shape (steps, K).
@@ -398,10 +383,4 @@ def simulate_path(
     if not alive[0, 0]:
         step = int(np.argmin(radii[1:] <= BLOWUP_NORM)) + 1  # the first step it left
         raise BlowUpError(step, step * cfg.dt, radii[step])
-    totals = _radial_totals(radii, v_energy(model.space, states, model.alpha), cfg.dt)
-    return PathRecord(
-        times=cfg.dt * np.arange(cfg.steps + 1),
-        states=states,
-        l_increments=l_increments,
-        **{k: float(v) for k, v in totals.items()},
-    )
+    return PathRecord(cfg.dt * np.arange(cfg.steps + 1), states, l_increments)

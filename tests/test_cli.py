@@ -513,6 +513,20 @@ def test_exit_code_2_on_delta_outside_unit_interval(tmp_path, capsys, delta):
     assert not out.exists()  # rejected before any study ran
 
 
+def test_exit_code_2_on_a_noise_block_larger_than_memory(tmp_path, capsys):
+    # 10^12 steps of 6 one-mode paths: the (6, 10^12, 1) noise block is 48 TB,
+    # which is refused before it is allocated
+    conf = ORACLE_CONF.replace("scheme.dt      = 0.01", "scheme.dt      = 1e-6").replace(
+        "scheme.t_final = 0.5   # 50 steps", "scheme.t_final = 1e6"
+    )
+    out = tmp_path / "out"
+    assert run_cli(["oracle1d", "--config", write_conf(tmp_path, conf), "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: noise block (6, 1000000000000, 1)"), err
+    assert "physical memory" in err[0]
+    assert not (out / "oracle1d.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", sorted(k for k, cast in _SCHEMA.items() if cast is _FLOAT))
 def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):

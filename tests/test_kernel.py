@@ -311,6 +311,34 @@ def test_projection_level_is_accepted_under_either_method(method):
             SchemeConfig(dt=0.01, steps=10, n=101.0, method=method)
 
 
+@pytest.mark.parametrize("method", ["explicit", "splitting"])
+def test_projection_level_penetrates_by_rounding_only(method):
+    # The clamp is x~ * fl(1 / fl(|x~|_H)).  A weighted sum of m squares
+    # w_i x_i x_i is computed with relative error at most gamma_{m+1}, about
+    # (m + 1) u with u = eps / 2 (two products per term, m - 1 additions;
+    # Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), and
+    # the square root halves that and adds u, so a computed H norm is off by
+    # at most (m + 3) u / 2 relatively.  The clamp's radius is then 1 up to
+    # that error in |x~|_H, u in the reciprocal and u in the scaled
+    # coefficients, and the kernel's norm of the clamped state adds one more
+    # norm error: r - 1 <= (m + 3) u + 2 u = (m + 5) eps / 2 to first order.
+    # Twice that covers the second-order terms.
+    bundle = make_allen_cahn(modes=8, mu=1.5)  # strong noise: paths reach the sphere
+    m, dt, steps, paths = bundle.space.n_coeffs, 0.02, 50, 4
+    bound = (m + 5) * np.finfo(float).eps
+    levels = [1.0, 16.0, np.inf]
+    cfg = SchemeConfig(dt=dt, steps=steps, n=1.0, method=method, seed=1)
+    dW = _brownian_block(cfg.seed, paths, bundle.model.noise.mode_count, steps, dt)
+    _, dL, radii, alive = _trajectory(bundle.model, cfg, levels, bundle.x0, dW)
+    assert alive.all()
+    assert np.all(np.any(dL[:, -1] != 0.0, axis=(0, 2)))  # every path was clamped
+    penetration = np.max(np.maximum(radii - 1.0, 0.0), axis=0)
+    assert np.all(penetration[0] > 0.1)  # the weakest level leaves the ball
+    assert np.all(penetration[-1] <= bound), (penetration[-1], bound)
+    estimates, _ = run_estimates(bundle.model, cfg, levels, paths, x0=bundle.x0)
+    assert estimates.rows[-1].est_pen_sup4 <= bound**4
+
+
 def test_dead_rows_are_pinned_per_level():
     # the outward oracle diverges at the weak level only; the strong level,
     # on the same noise, keeps its row alive

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reflectspde.errors import ConfigurationError
 from reflectspde.hilbert import SpaceSpec, norm_h, penalty_gap, project_ball
 from reflectspde.localtime import (
+    _test_factors,
     boundary_leak,
     inequality_study,
     make_test_paths,
@@ -173,6 +174,15 @@ def test_reductions_at_a_subnormal_level():
     check_reductions("allen_cahn", "explicit", [2.2250738585e-313], 1, 3, 1, 4)
 
 
+def gap_scale(space, X, d, magnitude):
+    """sum_j,i w_i (|X_ji| + magnitude_ji) |dL_ji| per test: the absolute
+    terms of a gap computed against tests bounded entrywise by magnitude.
+    By Cauchy-Schwarz it is at most sum_j (|X_j|_H + |phi_j|_H) |dL_j|_H when
+    magnitude is |phi|, and it squares no tiny dL."""
+    w_dl = space.h_weights * np.abs(d)
+    return np.sum((np.abs(X[:-1]) + magnitude[:, :-1]) * w_dl, axis=(1, 2))
+
+
 def check_reductions(name, method, levels, paths, steps, seed, count):
     bundle = BUNDLES[name]
     space = bundle.space
@@ -193,21 +203,70 @@ def check_reductions(name, method, levels, paths, steps, seed, count):
         for i in range(paths):
             X, d = states[:, li, i], dL[:, li, i]
             want_tv, want_gaps, want_leak = per_path_reference(space, X, d, tests, 0.1)
-            # sum_j,i w_i (|X_ji| + |phi_ji|) |dL_ji|: by Cauchy-Schwarz at most
-            # sum_j (|X_j|_H + |phi_j|_H) |dL_j|_H, and it squares no tiny dL
-            w_dl = space.h_weights * np.abs(d)
-            scale = np.sum((np.abs(X[:-1]) + np.abs(tests[:, :-1])) * w_dl, axis=(1, 2))
             # a product that lands below the normal range errs by up to half
             # the smallest subnormal, absolutely, and a sum of subnormals is
             # exact.  Per summed term (steps * m of them) the reduction rounds
             # three products (w dL, then X and phi times it) and the reference
             # one (w (phi - X) times dL): at most (3 + 1) / 2 = 2 of them apart
             tiny = 2 * d.size * np.finfo(float).smallest_subnormal
-            bound = 1e-12 * scale + tiny
+            bound = 1e-12 * gap_scale(space, X, d, np.abs(tests)) + tiny
             assert np.all(abs(gaps[li, i] - want_gaps) <= bound), (gaps[li, i], want_gaps)
             assert abs(single[li, i] - want_gaps[-1]) <= bound[-1]
             assert abs(tv[li, i] - want_tv) <= 1e-12 * want_tv
             assert abs(leak[li, i] - want_leak) <= 1e-12 * want_leak
+
+
+@REDUCTION_SETTINGS
+@given(
+    name=st.sampled_from(sorted(BUNDLES)),
+    method=st.sampled_from(["explicit", "splitting"]),
+    data=st.data(),
+    paths=st.integers(1, 3),
+    steps=st.integers(1, 32),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 9),
+)
+def test_streamed_study_equals_dense_reference(name, method, data, paths, steps, seed, count):
+    level = EXPLICIT_LEVELS if method == "explicit" else SPLITTING_LEVELS
+    levels = data.draw(st.lists(st.one_of(level, st.just(np.inf)), min_size=1, max_size=3))
+    bundle = BUNDLES[name]
+    space = bundle.space
+    cfg = SchemeConfig(dt=DT, steps=steps, n=levels[0], method=method, seed=seed)
+    rows, failures = inequality_study(
+        bundle.model, cfg, bundle.x0, levels, paths=paths, test_count=count, delta=0.1
+    )
+    table = np.array(rows)[:, 2:].reshape(len(levels), paths, 3)
+
+    dW = _brownian_block(seed, paths, bundle.model.noise.mode_count, steps, DT)
+    states, dL, _, alive = _trajectory(bundle.model, cfg, levels, bundle.x0, dW)
+    times = DT * np.arange(steps + 1)
+    tests = make_test_paths(space, seed, count, times)
+    assert failures == np.count_nonzero(~alive)
+    assert np.all(np.isnan(table[~alive]))
+    want_tv = total_variation(space, dL)
+    want_gap = variational_gap(space, states, dL, tests).min(axis=-1)
+    want_leak = boundary_leak(space, states, dL, 0.1)
+
+    # The study sums each member's cross term as sum_s,i coeffs_si moment_si,
+    # with moment = sum_j shapes_js w_i dL_ji: its absolute terms are bounded
+    # by |shapes| @ |coeffs| >= |phi| in place of |phi|, which gap_scale takes.
+    # Products below the normal range (see check_reductions) are rounded per
+    # (j, i) once for w dL, once against X and five times against the shapes,
+    # and five per (s, i) against coeffs (<= 5 * d.size); the dense reference
+    # rounds three per (j, i).  Each error is carried on by a factor of at
+    # most carry, so the two differ by at most 15 / 2 * carry * d.size of them.
+    shapes, coeffs = _test_factors(space, seed, count, times)
+    magnitude = np.abs(shapes) @ np.abs(coeffs)
+    for li, i in zip(*np.nonzero(alive)):
+        X, d = states[:, li, i], dL[:, li, i]
+        tv, gap, leak = table[li, i]
+        carry = max(1.0, np.max(np.abs(X)), np.max(magnitude), np.max(np.abs(coeffs)))
+        tiny = 7.5 * carry * d.size * np.finfo(float).smallest_subnormal
+        # min_f a_f and min_f b_f differ by at most max_f |a_f - b_f|
+        bound = np.max(1e-12 * gap_scale(space, X, d, magnitude) + tiny)
+        assert abs(gap - want_gap[li, i]) <= bound, (gap, want_gap[li, i], bound)
+        assert abs(tv - want_tv[li, i]) <= 1e-12 * want_tv[li, i]
+        assert abs(leak - want_leak[li, i]) <= 1e-12 * want_leak[li, i]
 
 
 @REDUCTION_SETTINGS
@@ -268,3 +327,11 @@ def test_inequality_study_rows():
         inequality_study(bundle.model, cfg, bundle.x0, [])
     with pytest.raises(ConfigurationError):
         inequality_study(bundle.model, cfg, bundle.x0, [10.0], paths=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.5])
+def test_inequality_study_rejects_delta_outside_unit_interval(delta):
+    bundle = make_oracle_1d(kappa=1.0, sigma=0.3)
+    cfg = SchemeConfig(dt=0.01, steps=10, n=1.0, seed=5)
+    with pytest.raises(ConfigurationError, match="delta"):
+        inequality_study(bundle.model, cfg, bundle.x0, [10.0], paths=2, delta=delta)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reflectspde.errors import ConfigurationError
-from reflectspde.hilbert import norm_h
+from reflectspde.hilbert import norm_h, norm_v
 from reflectspde.models import make_allen_cahn, make_oracle_1d
 from reflectspde.montecarlo import (
     Report,
@@ -151,29 +151,28 @@ def test_projection_level_leaves_n_scaled_cells_undefined():
 
 def test_ensemble_matches_single_path_statistics():
     bundle = make_allen_cahn(modes=8, mu=1.5)
-    cfg = SchemeConfig(dt=0.005, steps=60, n=16.0, seed=6)
+    space, n, dt = bundle.space, 16.0, 0.005
+    cfg = SchemeConfig(dt=dt, steps=60, n=n, seed=6)
     paths = 8
-    report, _ = run_estimates(bundle.model, cfg, [16.0], paths=paths, x0=bundle.x0)
-    recs = [
-        simulate_path(bundle.model, cfg, bundle.x0, path_index=i) for i in range(paths)
-    ]
+    report, _ = run_estimates(bundle.model, cfg, [n], paths=paths, x0=bundle.x0)
+    columns = ("sup4", "weighted_pen", "var2", "pen_l2", "v_energy", "pen_sup4")
+    want = {column: [] for column in columns}
+    for i in range(paths):
+        states = simulate_path(bundle.model, cfg, bundle.x0, path_index=i).states
+        # each estimator's integrand at every grid time, written out from the
+        # radial identities |X - pi(X)|_H = (r-1)^+ and (X, X - pi(X))_H = r (r-1)^+
+        r = norm_h(space, states)
+        e = np.maximum(r - 1.0, 0.0)
+        want["sup4"].append(np.max(r) ** 4)
+        want["weighted_pen"].append(n * sum(dt * r[j] ** 2 * r[j] * e[j] for j in range(60)))
+        want["var2"].append((n * sum(dt * e[j] for j in range(60))) ** 2)
+        want["pen_l2"].append(n * sum(dt * e[j] ** 2 for j in range(60)))
+        energy = norm_v(space, states) ** bundle.model.alpha
+        want["v_energy"].append(sum(dt * energy[j] for j in range(60)))
+        want["pen_sup4"].append(np.max(e) ** 4)
     row = report.rows[0]
-    assert row.est_sup4 == pytest.approx(np.mean([r.sup_h**4 for r in recs]), rel=1e-10)
-    assert row.est_weighted_pen == pytest.approx(
-        16.0 * np.mean([r.int_weighted_pen for r in recs]), rel=1e-10
-    )
-    assert row.est_var2 == pytest.approx(
-        np.mean([(16.0 * r.int_pen) ** 2 for r in recs]), rel=1e-10
-    )
-    assert row.est_pen_l2 == pytest.approx(
-        16.0 * np.mean([r.int_pen_sq for r in recs]), rel=1e-10
-    )
-    assert row.est_v_energy == pytest.approx(
-        np.mean([r.int_v_energy for r in recs]), rel=1e-10
-    )
-    assert row.est_pen_sup4 == pytest.approx(
-        np.mean([r.sup_pen**4 for r in recs]), rel=1e-10
-    )
+    for column, values in want.items():
+        assert getattr(row, f"est_{column}") == pytest.approx(np.mean(values), rel=1e-10), column
 
 
 def test_multi_level_run_equals_single_level_runs():
@@ -200,7 +199,7 @@ def test_one_divergence_threshold():
     assert report.rows[0].failures == 0
     assert report.rows[0].est_sup4 == pytest.approx((1e8 + 0.5) ** 4, rel=1e-12)
     rec = simulate_path(bundle.model, cfg, bundle.x0)
-    assert rec.sup_h == pytest.approx(1e8 + 0.5, rel=1e-12)
+    assert np.max(norm_h(bundle.space, rec.states)) == pytest.approx(1e8 + 0.5, rel=1e-12)
 
 
 def test_cauchy_drops_a_path_failing_at_any_level():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reflectspde.errors import BlowUpError, ConfigurationError
+from reflectspde.hilbert import inner_h, norm_h, norm_v, penalty_gap, v_energy
 from reflectspde.models import NoiseSpec, make_allen_cahn, make_oracle_1d
 from reflectspde.penalize import (
     SchemeConfig,
@@ -167,11 +168,14 @@ def test_constant_path_without_forcing():
     rec = simulate_path(bundle.model, cfg, np.array([0.5]))
     assert np.all(rec.states == 0.5)
     assert np.all(rec.l_increments == 0.0)
-    assert rec.int_pen == 0.0
-    assert rec.sup_h == 0.5
-    assert rec.sup_pen == 0.0
+    r = norm_h(bundle.space, rec.states)
+    excess = np.maximum(r - 1.0, 0.0)
+    assert cfg.dt * np.sum(excess[:-1]) == 0.0  # int |X - pi(X)|_H dt
+    assert np.max(r) == 0.5
+    assert np.max(excess) == 0.0
     # left-endpoint V energy: dt * steps * |0.5|^2
-    assert rec.int_v_energy == pytest.approx(0.25, abs=1e-15)
+    energy = v_energy(bundle.space, rec.states[:-1], bundle.model.alpha)
+    assert cfg.dt * np.sum(energy) == pytest.approx(0.25, abs=1e-15)
     assert rec.times[-1] == pytest.approx(1.0)
 
 
@@ -204,22 +208,25 @@ def test_penalty_accumulators_match_states():
     bundle = make_allen_cahn(modes=8, mu=1.2)  # strong noise to force exits
     cfg = SchemeConfig(dt=0.01, steps=100, n=4.0, seed=1)
     rec = simulate_path(bundle.model, cfg, bundle.x0)
-    from reflectspde.hilbert import norm_h, norm_v
+    space, left = bundle.space, rec.states[:-1]
 
-    r = norm_h(bundle.space, rec.states[:-1])
+    r = norm_h(space, left)
     e = np.maximum(r - 1.0, 0.0)
-    assert rec.sup_pen > 0.0  # the forcing actually pushed outside
-    assert rec.int_pen == pytest.approx(0.01 * np.sum(e), rel=1e-12)
-    assert rec.int_pen_sq == pytest.approx(0.01 * np.sum(e**2), rel=1e-12)
-    assert rec.int_weighted_pen == pytest.approx(0.01 * np.sum(r**3 * e), rel=1e-12)
-    assert rec.int_v_energy == pytest.approx(
-        0.01 * np.sum(norm_v(bundle.space, rec.states[:-1]) ** 2), rel=1e-12
-    )
-    # explicit scheme: dL = -n dt gap(state) exactly
-    from reflectspde.hilbert import penalty_gap
-
-    gaps = penalty_gap(bundle.space, rec.states[:-1])[0]
+    assert np.max(e) > 0.0  # the forcing actually pushed outside
+    # explicit scheme: dL_j = -n dt (X_j - pi(X_j)) exactly, a radial vector
+    # of H norm n dt (r_j - 1)^+, so each left-endpoint penalty integral is a
+    # sum over the recorded increments
+    gaps = penalty_gap(space, left)[0]
     assert np.max(np.abs(rec.l_increments + 4.0 * 0.01 * gaps)) < 1e-15
+    dl = norm_h(space, rec.l_increments)
+    assert 0.01 * np.sum(e) == pytest.approx(np.sum(dl) / 4.0, rel=1e-12)
+    assert 0.01 * np.sum(e**2) == pytest.approx(np.sum(dl**2) / (4.0 * 4.0 * 0.01), rel=1e-12)
+    # r^3 (r-1)^+ = r^2 (X, X - pi(X))_H = -r^2 (X, dL)_H / (n dt)
+    pairing = inner_h(space, left, rec.l_increments)
+    assert 0.01 * np.sum(r**3 * e) == pytest.approx(-np.sum(r**2 * pairing) / 4.0, rel=1e-12)
+    assert 0.01 * np.sum(v_energy(space, left, bundle.model.alpha)) == pytest.approx(
+        0.01 * np.sum(norm_v(space, left) ** 2), rel=1e-12
+    )
 
 
 def test_simulate_path_guards():
@@ -245,8 +252,8 @@ def test_splitting_never_overshoots():
     bundle = make_oracle_1d(kappa=3.0, sigma=0.8)
     cfg = SchemeConfig(dt=0.01, steps=200, n=1e6, method="splitting", seed=3)
     rec = simulate_path(bundle.model, cfg, np.array([0.9]))
-    assert rec.sup_h <= 1.0 + 1e-6
+    assert np.max(norm_h(bundle.space, rec.states)) <= 1.0 + 1e-6
 
     noise = NoiseSpec(q=np.ones(1), mu=0.8, lam=0.0)
     rec2 = simulate_path(dataclasses.replace(bundle.model, noise=noise), cfg, np.array([0.9]))
-    assert rec2.sup_h <= 1.0 + 1e-6
+    assert np.max(norm_h(bundle.space, rec2.states)) <= 1.0 + 1e-6

@@ -1,5 +1,6 @@
 """Traced working sets of the audit, tamed-drift, variational-gap and stepping
-hot paths stay bounded.
+hot paths stay bounded, and the studies' do not grow with the horizon beyond
+their noise block.
 
 numpy reports its array allocations to tracemalloc, so the traced peak of a
 call is the numpy scratch it holds at once.
@@ -12,8 +13,9 @@ import numpy as np
 from reflectspde import tamednse
 from reflectspde.hilbert import norm_h
 from reflectspde.hypotheses import FieldSampler, check_hemicontinuity
-from reflectspde.localtime import make_test_paths, variational_gap
+from reflectspde.localtime import inequality_study, make_test_paths, variational_gap
 from reflectspde.models import make_allen_cahn
+from reflectspde.montecarlo import run_estimates
 from reflectspde.penalize import SchemeConfig, _Rows, step_penalized
 
 
@@ -75,3 +77,53 @@ def test_explicit_step_scratch():
     # in the table, and the rows' noise (8 modes) is an eighth of a state
     grid_buffer = rows * model.grid_form.basis.grid_size * 8
     assert peak <= 2 * grid_buffer + states.nbytes, peak
+
+
+LEVELS = [1.0, 4.0, 16.0]
+
+
+def horizon_growth(study, paths, time_columns):
+    """How much the traced peak of study(bundle, cfg) grows from 50 steps to
+    1000, and the growth allowed to it.
+
+    Allowed are the (paths, steps, K) noise block's own growth; the growth of
+    one path's draw and its scaled copy (`brownian_increments`), which exist
+    while the block is filled; time_columns float vectors on the time grid;
+    and one step of the kernel with every (level, path) row parted, which at
+    50 steps may still be merged.  That step's scratch is bounded as in
+    test_explicit_step_scratch (two grid buffers and a state) plus four more
+    states for the studies' per-step gathers and differences.
+    """
+    bundle = make_allen_cahn(modes=8, mu=1.2)  # strong noise: paths part
+    model = bundle.model
+    study(bundle, SchemeConfig(dt=1e-3, steps=5, n=1.0))  # first-call caches
+    short, long = (
+        traced_peak(lambda: study(bundle, SchemeConfig(dt=1e-3, steps=s, n=1.0, seed=3)))
+        for s in (50, 1000)
+    )
+    grown = 950 * 8  # bytes per float vector on the time grid
+    rows, m = len(LEVELS) * paths, model.space.n_coeffs
+    step = rows * (2 * model.grid_form.basis.grid_size + 5 * m) * 8
+    noise = paths * model.noise.mode_count * grown
+    return long - short, noise + 2 * noise // paths + time_columns * grown + step
+
+
+def test_run_estimates_holds_no_time_axis():
+    # its reductions are (levels, paths) accumulators, so no time column
+    growth, allowed = horizon_growth(
+        lambda b, cfg: run_estimates(b.model, cfg, LEVELS, 10, x0=b.x0), 10, 0
+    )
+    assert growth <= allowed, (growth, allowed)
+
+
+def test_inequality_study_holds_no_time_axis():
+    # the factored test family keeps the (steps+1, 5) time shapes; with the
+    # grid and the angle, building them (five columns and their stack, one
+    # doubled angle) or sizing the members (the shapes, one member's
+    # (steps+1, 6) curve and its squared radii) holds at most 14 columns
+    growth, allowed = horizon_growth(
+        lambda b, cfg: inequality_study(b.model, cfg, b.x0, LEVELS, paths=2, test_count=20),
+        2,
+        14,
+    )
+    assert growth <= allowed, (growth, allowed)
