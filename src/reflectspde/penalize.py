@@ -139,9 +139,15 @@ def brownian_increments(
     """
     if mode_count < 1 or steps < 1:
         raise ConfigurationError("mode_count and steps must be >= 1")
-    bits = np.random.Philox(np.random.SeedSequence((int(seed), int(path_index))))
-    rng = np.random.Generator(bits)
-    return np.sqrt(dt) * rng.standard_normal((steps, mode_count))
+    dW = _path_generator(seed, path_index).standard_normal((steps, mode_count))
+    dW *= np.sqrt(dt)
+    return dW
+
+
+def _path_generator(seed: int, path_index: int) -> np.random.Generator:
+    """The counter-based generator of path path_index's increments."""
+    key = np.random.SeedSequence((int(seed), int(path_index)))
+    return np.random.Generator(np.random.Philox(key))
 
 
 def _brownian_block(seed: int, paths: int, mode_count: int, steps: int, dt: float) -> np.ndarray:
@@ -149,6 +155,8 @@ def _brownian_block(seed: int, paths: int, mode_count: int, steps: int, dt: floa
     block larger than physical memory is refused before it is allocated."""
     if paths < 1:
         raise ConfigurationError(f"paths must be >= 1, got {paths}")
+    if mode_count < 1 or steps < 1:
+        raise ConfigurationError("mode_count and steps must be >= 1")
     size = int(paths) * int(steps) * int(mode_count) * 8
     if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         raise ConfigurationError(
@@ -156,8 +164,9 @@ def _brownian_block(seed: int, paths: int, mode_count: int, steps: int, dt: floa
             "exceeds physical memory"
         )
     block = np.empty((paths, steps, mode_count))
-    for i in range(paths):
-        block[i] = brownian_increments(seed, i, mode_count, steps, dt)
+    for i in range(paths):  # brownian_increments' draws, made in place
+        _path_generator(seed, i).standard_normal(out=block[i])
+        block[i] *= np.sqrt(dt)
     return block
 
 

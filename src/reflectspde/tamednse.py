@@ -39,6 +39,13 @@ pair along x that weights kx > 0 twice for its absent -kx.  The products come
 back by the conjugate passes, keeping only the box.  These O(G * modes)
 matrices touch only the box, where full-grid FFTs would transform a cube that
 is mostly zero.
+
+The drift runs in row chunks that share one workspace per call: two flat
+float buffers of 6 and 5 grid fields per row.  Each transform stage writes
+into a view of the buffer its input is not in (box, kz, ky, real/imag and
+grid alternate p1, p2, p1, p2, p1; |u|^2, g_N and the products go to p2; the
+analysis to p1, p2, p1, p2), so no chunk pages in scratch of its own, and
+no result is a view of the workspace.
 """
 
 from __future__ import annotations
@@ -70,13 +77,15 @@ __all__ = [
     "make_tamed_nse",
 ]
 
-# The drift runs in row chunks whose transform scratch (_row_scratch_bytes
+# The drift runs in row chunks whose transform workspace (_row_scratch_bytes
 # per row, at least one row) fits in this budget: at 4 modes a row holds
-# 0.47 MB (traced), so a chunk holds 8 rows.  On a 2-core x86 host at one
-# BLAS thread, the tamed constant stability at counts (50, 100) ran fastest
-# at 3-6 MB (5-11 rows), 12-27 % slower at 1-2 MB (1-3 rows), and 45 %
-# slower at 12 MB (22 rows), where the blocks page-fault their scratch in
-# afresh (about 17 000 minor faults per run, none at 6 MB and below).
+# 0.51 MB, so a chunk holds 8 rows.  The workspace is allocated once per call
+# and shared by its chunks.  On a 2-core x86 host at one BLAS thread, after
+# the 1-D audits of the audits benchmark in the same process, the tamed
+# constant stability at counts (50, 100) ran in 0.13-0.15 s at 2-4 MB (4-8
+# rows), 0.15-0.17 s at 6 MB (12 rows) and 0.16-0.19 s at 8-12 MB (16-24
+# rows).  At 4 MB it takes about 1 700 minor faults per run; when every
+# chunk allocated its own scratch it took about 27 000 and 0.24 s.
 _CHUNK_BYTES = 4 * 2**20
 
 
@@ -217,21 +226,29 @@ def leray_project(lattice: TamedLattice, uhat: np.ndarray) -> np.ndarray:
 
 
 def taming_g(r: np.ndarray | float, spec: TamedSpec) -> np.ndarray | float:
-    """0 on [0,N]; (r-N)/nu beyond N+1; C^1 cubic Hermite bridge between.  Built
-    in place as ((2 - t) t^2 + max(s - 1, 0)) / nu, s = r - N, t = clip(s, 0, 1)."""
+    """0 on [0,N]; (r-N)/nu beyond N+1; C^1 cubic Hermite bridge between."""
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ModelEvaluationError("taming function argument must be nonnegative")
-    s = np.atleast_1d(arr - spec.taming_n)
-    t = np.clip(s, 0.0, 1.0)
-    np.maximum(np.subtract(s, 1.0, out=s), 0.0, out=s)
-    out = np.subtract(2.0, t)
-    out *= t  # products: libm pow is far slower
-    out *= t
-    out += s
-    out /= spec.nu
-    out = out.reshape(arr.shape)
-    return float(out) if np.isscalar(r) else out
+    g = np.array(arr, ndmin=1)
+    _taming_g_into(g, *np.empty((2,) + g.shape), spec)
+    g = g.reshape(arr.shape)
+    return float(g) if np.isscalar(r) else g
+
+
+def _taming_g_into(r: np.ndarray, t: np.ndarray, w: np.ndarray, spec: TamedSpec) -> np.ndarray:
+    """Overwrite r >= 0 with g_N(r) = ((2 - t) t^2 + max(s - 1, 0)) / nu,
+    s = r - N, t = clip(s, 0, 1), using t and w (r's shape) as scratch; r is
+    not checked, so a sum of squares pays no negativity pass."""
+    np.subtract(r, spec.taming_n, out=r)
+    np.clip(r, 0.0, 1.0, out=t)
+    np.subtract(2.0, t, out=w)
+    w *= t  # products: libm pow is far slower
+    w *= t
+    np.maximum(np.subtract(r, 1.0, out=r), 0.0, out=r)
+    r += w
+    r /= spec.nu
+    return r
 
 
 # --------------------------------------------------------------------------
@@ -257,11 +274,32 @@ def state_from_uhat(lattice: TamedLattice, uhat: np.ndarray) -> np.ndarray:
     return s4.reshape(*s4.shape[:-2], lattice.n_coeffs)
 
 
-def _velocity_and_vorticity(lattice: TamedLattice, uh: np.ndarray) -> np.ndarray:
-    """(rows, L, 3) velocity coefficients -> (rows, 6, L): u, then i k x u."""
+# Real grid fields (G^3 floats) per row in the workspace's buffers p1 and p2,
+# each sized by the most that is live in it at once: u and omega in p1;
+# |u|^2, g_N's scratch and the three products in p2.
+_P1, _P2 = 6, 5
+
+
+def _workspace(lattice: TamedLattice, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (p1, p2) scratch of _nonlinear_hat for blocks of up to rows rows."""
+    g3 = lattice.grid_size**3
+    return np.empty(rows * _P1 * g3), np.empty(rows * _P2 * g3)
+
+
+def _view(buf: np.ndarray, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """The leading items of the flat float buffer buf as an array of shape and
+    dtype (complex takes two floats an item)."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize // buf.itemsize
+    return buf[:size].view(dtype).reshape(shape)
+
+
+def _velocity_and_vorticity(
+    lattice: TamedLattice, uh: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """(rows, L, 3) velocity coefficients -> (rows, 6, L) in buf: u, then i k x u."""
     kf = lattice.kvecs.T.astype(float)  # (3, L)
     coef = np.moveaxis(uh, -1, -2)
-    fields = np.empty((uh.shape[0], 6, lattice.n_half), dtype=complex)
+    fields = _view(buf, (uh.shape[0], 6, lattice.n_half), complex)
     fields[:, :3] = coef
     for i in range(3):  # cyclic (i, j, l): omega_i = i (k_j u_l - k_l u_j)
         j, l = (i + 1) % 3, (i + 2) % 3
@@ -269,39 +307,67 @@ def _velocity_and_vorticity(lattice: TamedLattice, uh: np.ndarray) -> np.ndarray
     return fields
 
 
-def _box_to_grid(lattice: TamedLattice, fields: np.ndarray) -> np.ndarray:
-    """Half-lattice fields (rows, F, L) -> real grid values (rows, F, G, G*G)
-    indexed (x, y, z): scatter into the retained box, then one 1-D synthesis
-    per axis, kz and ky complex, kx real."""
+def _box_to_grid(
+    lattice: TamedLattice, fields: np.ndarray, p1: np.ndarray, p2: np.ndarray
+) -> np.ndarray:
+    """Half-lattice fields (rows, F, L), held in p2 -> real grid values
+    (rows, F, G, G*G) in p1, indexed (x, y, z): scatter into the retained box,
+    then one 1-D synthesis per axis, kz and ky complex, kx real.  The stages
+    alternate between the buffers: box p1, kz p2, ky p1, real/imag p2, grid p1."""
     m, g = lattice.modes, lattice.grid_size
     side, nx = 2 * m + 1, m + 1
     rows, nf = fields.shape[:2]
-    a = np.zeros((rows, nf, nx * side * side), dtype=complex)
+    a = _view(p1, (rows, nf, nx * side * side), complex)
+    a.fill(0.0)
     a[..., lattice.box_idx] = fields
     a[..., lattice.conj_idx] = np.conj(fields[..., lattice.plane_rows])
-    a = a.reshape(rows, nf * nx * side, side) @ lattice.synthesis_yz  # kz -> z
-    a = lattice.synthesis_yz.T @ a.reshape(rows, nf * nx, side, g)  # ky -> y
-    a = a.reshape(rows, nf, nx, g * g)
-    a = np.concatenate([a.real, a.imag], axis=2)
-    return lattice.synthesis_x @ a  # kx -> x
+    a = np.matmul(  # kz -> z
+        a.reshape(rows, nf * nx * side, side),
+        lattice.synthesis_yz,
+        out=_view(p2, (rows, nf * nx * side, g), complex),
+    )
+    a = np.matmul(  # ky -> y
+        lattice.synthesis_yz.T,
+        a.reshape(rows, nf * nx, side, g),
+        out=_view(p1, (rows, nf * nx, g, g), complex),
+    ).reshape(rows, nf, nx, g * g)
+    b = np.concatenate([a.real, a.imag], axis=2, out=_view(p2, (rows, nf, 2 * nx, g * g)))
+    return np.matmul(lattice.synthesis_x, b, out=_view(p1, (rows, nf, g, g * g)))  # kx -> x
 
 
-def _grid_to_box(lattice: TamedLattice, values: np.ndarray) -> np.ndarray:
-    """Real grid values (rows, F, G, G*G) -> half-lattice coefficients
-    (rows, F, L): the conjugate passes of _box_to_grid, keeping only the box."""
+def _grid_to_box(
+    lattice: TamedLattice, values: np.ndarray, p1: np.ndarray, p2: np.ndarray
+) -> np.ndarray:
+    """Real grid values (rows, F, G, G*G), held in p2 -> half-lattice
+    coefficients (rows, F, L): the conjugate passes of _box_to_grid, keeping
+    only the box, through p1, p2, p1 and p2."""
     m, g = lattice.modes, lattice.grid_size
     side, nx = 2 * m + 1, m + 1
     rows, nf = values.shape[:2]
-    b = lattice.analysis_x @ values  # x -> kx: real and imaginary parts
-    c = np.empty((rows, nf, nx, g * g), dtype=complex)
+    # x -> kx: real and imaginary parts
+    b = np.matmul(lattice.analysis_x, values, out=_view(p1, (rows, nf, 2 * nx, g * g)))
+    c = _view(p2, (rows, nf, nx, g * g), complex)
     c.real = b[:, :, :nx]
     c.imag = b[:, :, nx:]
-    c = lattice.analysis_yz @ c.reshape(rows, nf * nx, g, g)  # y -> ky
-    c = c.reshape(rows, nf * nx * side, g) @ lattice.analysis_yz.T  # z -> kz
+    c = np.matmul(  # y -> ky
+        lattice.analysis_yz,
+        c.reshape(rows, nf * nx, g, g),
+        out=_view(p1, (rows, nf * nx, side, g), complex),
+    )
+    c = np.matmul(  # z -> kz
+        c.reshape(rows, nf * nx * side, g),
+        lattice.analysis_yz.T,
+        out=_view(p2, (rows, nf * nx * side, side), complex),
+    )
     return c.reshape(rows, nf, -1)[..., lattice.box_idx]
 
 
-def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np.ndarray:
+def _nonlinear_hat(
+    lattice: TamedLattice,
+    spec: TamedSpec,
+    uh: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Coefficients (rows, L, 3) of (u.grad)u + g_N(|u|^2)u up to a gradient,
     pseudo-spectral, with the convection in rotational form.
 
@@ -313,33 +379,38 @@ def _nonlinear_hat(lattice: TamedLattice, spec: TamedSpec, uh: np.ndarray) -> np
     the grid with its vorticity i k x uh, 6 fields rather than the 12 of u and
     grad u, through the box synthesis; omega x u plus the taming term, which
     reads the same grid values of u, is formed pointwise and comes back
-    through the box analysis.
+    through the box analysis.  work is the (p1, p2) scratch of _workspace for
+    at least uh's rows, allocated here when absent; the result never views it.
     """
-    grid = _box_to_grid(lattice, _velocity_and_vorticity(lattice, uh))
+    rows, g = uh.shape[0], lattice.grid_size
+    p1, p2 = _workspace(lattice, rows) if work is None else work
+    grid = _box_to_grid(lattice, _velocity_and_vorticity(lattice, uh, p2), p1, p2)
     u, omega = grid[:, :3], grid[:, 3:]
-    # one expression, so |u|^2 and g_N are freed once read: the peak stays at 10 fields
-    prod = taming_g(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2], spec)[:, None] * u
+    w = _view(p2, (rows, _P2, g, g * g))
+    r, t, prod = w[:, 0], w[:, 1], w[:, 2:]
+    np.multiply(u[:, 0], u[:, 0], out=r)
+    for i in (1, 2):
+        r += np.multiply(u[:, i], u[:, i], out=t)
+    np.multiply(_taming_g_into(r, t, prod[:, 0], spec)[:, None], u, out=prod)
     for i in range(3):  # cyclic (i, j, l): (omega x u)_i = omega_j u_l - omega_l u_j
         j, l = (i + 1) % 3, (i + 2) % 3
-        prod[:, i] += omega[:, j] * u[:, l]
-        prod[:, i] -= omega[:, l] * u[:, j]
-    del grid, u, omega  # the analysis runs without them
-    return np.moveaxis(_grid_to_box(lattice, prod), -2, -1)
+        prod[:, i] += np.multiply(omega[:, j], u[:, l], out=t)
+        prod[:, i] -= np.multiply(omega[:, l], u[:, j], out=t)
+    return np.moveaxis(_grid_to_box(lattice, prod, p1, p2), -2, -1)
 
 
-def _nonstiff_block(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
+def _nonstiff_block(
+    lattice: TamedLattice, spec: TamedSpec, state: np.ndarray, work: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """N(u) = -P((u.grad)u + g_N(|u|^2)u) for one row block; state_from_uhat is P."""
     uh = uhat_from_state(lattice, state)
-    return state_from_uhat(lattice, -_nonlinear_hat(lattice, spec, uh))
+    return state_from_uhat(lattice, -_nonlinear_hat(lattice, spec, uh, work))
 
 
 def _row_scratch_bytes(lattice: TamedLattice) -> int:
-    """Peak scratch per row of _nonlinear_hat, traced with tracemalloc: 10.1
-    real grid fields (10.09 at 4 modes, 10.00 at 8), between the box transforms,
-    where the six grid fields of u and omega live with four more (|u|^2 and
-    taming_g's three, then g_N and the products).  The synthesis holds about
-    9.3 fields and the analysis about 7."""
-    return round(10.1 * lattice.grid_size**3 * 8)
+    """Scratch per row of _nonlinear_hat: the _P1 + _P2 grid fields of its
+    workspace."""
+    return (_P1 + _P2) * lattice.grid_size**3 * 8
 
 
 def _chunk_rows(lattice: TamedLattice) -> int:
@@ -347,13 +418,15 @@ def _chunk_rows(lattice: TamedLattice) -> int:
 
 
 def _chunked(lattice: TamedLattice, spec: TamedSpec, state: np.ndarray) -> np.ndarray:
-    """N(u) for states of any leading shape, in blocks of _chunk_rows rows."""
+    """N(u) for states of any leading shape, in blocks of _chunk_rows rows
+    that share one workspace, allocated once per call."""
     state = np.asarray(state, dtype=float)
     flat = state.reshape(-1, state.shape[-1])
     out = np.empty_like(flat)
     rows = _chunk_rows(lattice)
+    work = _workspace(lattice, min(rows, flat.shape[0]))
     for lo in range(0, flat.shape[0], rows):
-        out[lo : lo + rows] = _nonstiff_block(lattice, spec, flat[lo : lo + rows])
+        out[lo : lo + rows] = _nonstiff_block(lattice, spec, flat[lo : lo + rows], work)
     return out.reshape(state.shape)
 
 

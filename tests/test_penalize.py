@@ -10,6 +10,7 @@ from reflectspde.hilbert import inner_h, norm_h, norm_v, penalty_gap, v_energy
 from reflectspde.models import NoiseSpec, make_allen_cahn, make_oracle_1d
 from reflectspde.penalize import (
     SchemeConfig,
+    _brownian_block,
     brownian_increments,
     one_step_move,
     simulate_path,
@@ -47,6 +48,17 @@ def test_brownian_increments_validation():
         brownian_increments(0, 0, 0, 10, 0.01)
     with pytest.raises(ConfigurationError):
         brownian_increments(0, 0, 3, 0, 0.01)
+
+
+def test_noise_block_rows_are_the_paths_increments():
+    # the block is drawn in place, path by path, from the same keyed streams
+    block = _brownian_block(5, 4, 3, 50, 1e-3)
+    for i in range(4):
+        assert np.array_equal(block[i], brownian_increments(5, i, 3, 50, 1e-3))
+    with pytest.raises(ConfigurationError):
+        _brownian_block(0, 2, 0, 10, 0.01)
+    with pytest.raises(ConfigurationError):
+        _brownian_block(0, 2, 3, 0, 0.01)
 
 
 # --------------------------------------------------------------------------

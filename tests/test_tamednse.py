@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectspde import tamednse
+from reflectspde.cli import main
 from reflectspde.errors import (
     ConfigurationError,
     ModelEvaluationError,
@@ -184,6 +185,41 @@ def test_taming_c1_matching():
     assert np.all(np.diff(vals) >= -1e-12)  # monotone profile
 
 
+def allocating_taming_g(r, spec):
+    """Reference: the profile built in fresh arrays, one operation at a time,
+    in the order the in-place form takes them."""
+    s = r - spec.taming_n
+    t = np.clip(s, 0.0, 1.0)
+    out = (2.0 - t) * t * t
+    return (out + np.maximum(s - 1.0, 0.0)) / spec.nu
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nu=st.floats(0.05, 20.0),
+    taming_n=st.floats(1e-3, 100.0),
+    # offsets from N: below it (down to r = 0), across the bridge, beyond it
+    offsets=st.lists(
+        st.one_of(st.floats(-1.0, 0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e3)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_in_place_taming_equals_taming_g(nu, taming_n, offsets):
+    spec = TamedSpec(nu=nu, taming_n=taming_n)
+    off = np.array(offsets)
+    r = np.where(off < 0.0, (1.0 + off) * taming_n, taming_n + off)
+    want = taming_g(r, spec)
+    assert np.array_equal(want, allocating_taming_g(r, spec))
+    assert [taming_g(float(x), spec) for x in r] == want.tolist()
+    # as the drift calls it: strided views of one buffer, scratch holding garbage
+    buf = np.full((3, 2 * r.size), np.nan)
+    inplace, t, w = buf[0, ::2], buf[1, 1::2], buf[2, ::2]
+    inplace[:] = r
+    assert tamednse._taming_g_into(inplace, t, w, spec) is inplace
+    assert np.array_equal(inplace, want)
+
+
 # --------------------------------------------------------------------------
 # drift identities
 
@@ -345,8 +381,69 @@ def test_drift_bit_equal_across_chunkings(lattice, monkeypatch):
     assert np.array_equal(results[0], results[2])
 
 
+def test_drift_result_never_views_the_workspace(lattice):
+    # a later call on another batch must leave an earlier result as it was:
+    # the workspace belongs to one call, and no result is a view of it
+    spec = TamedSpec(nu=1.0, taming_n=0.5)
+    rows = 2 * tamednse._chunk_rows(lattice) + 3  # three chunks, the last partial
+    first, second = (
+        np.stack(
+            [
+                state_from_uhat(lattice, random_divfree_uhat(lattice, seed=s, scale=scale))
+                for s in seeds
+            ]
+        )
+        for seeds, scale in ((range(rows), 0.2), (range(rows, 2 * rows), 0.4))
+    )
+    results = [tamed_drift(lattice, spec, first), tamednse._chunked(lattice, spec, first)]
+    kept = [a.copy() for a in results]
+    tamed_drift(lattice, spec, second)
+    tamednse._chunked(lattice, spec, second)
+    for got, want in zip(results, kept):
+        assert np.array_equal(got, want)
+    # and within a call: blocks share the workspace, not their results
+    work = tamednse._workspace(lattice, 2)
+    uh = [uhat_from_state(lattice, batch[:2]) for batch in (first, second)]
+    hat = _nonlinear_hat(lattice, spec, uh[0], work)
+    kept = hat.copy()
+    _nonlinear_hat(lattice, spec, uh[1], work)
+    assert np.array_equal(hat, kept)
+    assert np.array_equal(kept, _nonlinear_hat(lattice, spec, uh[0]))
+
+
 # --------------------------------------------------------------------------
 # model bundle and penalized reflection
+
+
+# frozen from the drift built in fresh arrays, one chunk at a time, before the
+# chunks shared a workspace; the workspace must reproduce it bit for bit.  H1
+# compares drifts along a line, so it shows a change of rounding that the
+# sampled maxima of H2-H5 can miss; four H1 profiles (8196 drift rows) show
+# it and keep the run near 5 s, where the default 16 would take 20 s
+TAMED_AUDIT_CONF = """\
+model.name = tamed_nse
+model.modes = 4
+model.taming_n = 0.5
+scheme.seed = 3
+run.samples = 16
+run.h1_samples = 4
+"""
+TAMED_AUDIT_CSV = """\
+hypothesis,margin,constant,seed
+H1,1.4617100492342705e-06,1.282684962689018e-05,3
+H2,37.826471271399839,-0.00012014937057826258,3
+H3,17.589465761720618,-6.0559228429922847,3
+H4,8.0695940246061895,0.75956738628276188,3
+H5,8.0156497663842092,0,3
+"""
+
+
+def test_tamed_audit_artifact_is_frozen(tmp_path):
+    conf = tmp_path / "tamed.conf"
+    conf.write_text(TAMED_AUDIT_CONF)
+    out = tmp_path / "out"
+    assert main(["hypotheses", "--config", str(conf), "--out", str(out)]) == 0
+    assert (out / "hypotheses.csv").read_bytes() == TAMED_AUDIT_CSV.encode("ascii")
 
 
 def test_make_tamed_nse_bundle():

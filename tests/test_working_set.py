@@ -86,11 +86,10 @@ def horizon_growth(study, paths, time_columns):
     """How much the traced peak of study(bundle, cfg) grows from 50 steps to
     1000, and the growth allowed to it.
 
-    Allowed are the (paths, steps, K) noise block's own growth; the growth of
-    one path's draw and its scaled copy (`brownian_increments`), which exist
-    while the block is filled; time_columns float vectors on the time grid;
-    and one step of the kernel with every (level, path) row parted, which at
-    50 steps may still be merged.  That step's scratch is bounded as in
+    Allowed are the (paths, steps, K) noise block's own growth, which is
+    drawn in place; time_columns float vectors on the time grid; and one step
+    of the kernel with every (level, path) row parted, which at 50 steps may
+    still be merged.  That step's scratch is bounded as in
     test_explicit_step_scratch (two grid buffers and a state) plus four more
     states for the studies' per-step gathers and differences.
     """
@@ -105,7 +104,7 @@ def horizon_growth(study, paths, time_columns):
     rows, m = len(LEVELS) * paths, model.space.n_coeffs
     step = rows * (2 * model.grid_form.basis.grid_size + 5 * m) * 8
     noise = paths * model.noise.mode_count * grown
-    return long - short, noise + 2 * noise // paths + time_columns * grown + step
+    return long - short, noise + time_columns * grown + step
 
 
 def test_run_estimates_holds_no_time_axis():
@@ -114,6 +113,30 @@ def test_run_estimates_holds_no_time_axis():
         lambda b, cfg: run_estimates(b.model, cfg, LEVELS, 10, x0=b.x0), 10, 0
     )
     assert growth <= allowed, (growth, allowed)
+
+
+def test_run_estimates_draws_its_noise_block_in_place():
+    # the (paths, steps, K) block lives through the whole run, and filling it
+    # may hold nothing else of a path's size: one path's (steps, K) draw is
+    # 64000 B here.  The rest of the study's working set does not depend on
+    # the horizon, so it is read off the 50-step run (its peak less its
+    # block), plus one kernel step with every (level, path) row parted, as in
+    # horizon_growth, since at 50 steps the rows may still be merged
+    bundle = make_allen_cahn(modes=8, mu=1.2)
+    model, paths = bundle.model, 10
+    run_estimates(model, SchemeConfig(dt=1e-3, steps=5, n=1.0), LEVELS, paths, x0=bundle.x0)
+    short, long = (
+        traced_peak(
+            lambda: run_estimates(
+                model, SchemeConfig(dt=1e-3, steps=s, n=1.0, seed=3), LEVELS, paths, x0=bundle.x0
+            )
+        )
+        for s in (50, 1000)
+    )
+    block = paths * model.noise.mode_count * 8  # bytes per step
+    rows, m = len(LEVELS) * paths, model.space.n_coeffs
+    step = rows * (2 * model.grid_form.basis.grid_size + 5 * m) * 8
+    assert long <= 1000 * block + (short - 50 * block) + step, (long, short)
 
 
 def test_inequality_study_holds_no_time_axis():
