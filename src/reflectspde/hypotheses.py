@@ -6,6 +6,17 @@ estimated constant, and the witness achieving the worst margin.  A finite
 sample can only falsify a universally quantified hypothesis or fail to do
 so; every report carries that caveat in its note field.
 
+Each hypothesis has one evaluator, EVALUATORS[name](model, *fields), which
+returns (margins, constants) with one entry per sample: the signed margin of
+the declared inequality and the constant that sample needs, NaN where it
+defines none.  The fields are per-sample rows followed by any inputs that
+every sample shares (H4's probe directions).  A report keeps the worst
+margin, the largest defined constant (0.0 when no sample defines one) and,
+as the witness, the worst sample's fields followed by the shared ones, so
+evaluating the witness replays the reported margin.  H1's evaluator loops
+over h1_jump_and_margin, which replays one triple (u, v, x).  The audits,
+witness replay and constant_stability all read these evaluators.
+
 Sampling law: Gaussian coefficients with configurable spectral decay,
 rescaled cyclically to H radii {0.5, 1, 2, 4} so both the inside and the
 outside of the unit ball are probed.
@@ -17,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelEvaluationError
+from .errors import ConfigurationError, ModelEvaluationError
 from .hilbert import SpaceSpec, norm_h, norm_v
 from .models import ModelSpec, dual_pairing, hs_diff_sq, hs_norm_sq, vstar_norm
 
@@ -119,32 +130,44 @@ def _jump_from_profile(f: np.ndarray) -> tuple[float, float, float]:
     return jump, tol, tol - jump
 
 
-def h2_values(
-    model: ModelSpec, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(measured, bound): 2<A(u)-A(v),u-v> + ||B(u)-B(v)||^2 vs declared."""
+Evaluation = tuple[np.ndarray, np.ndarray]  # (margins, constants), one entry per sample
+
+
+def evaluate_h1(model: ModelSpec, u: np.ndarray, v: np.ndarray, x: np.ndarray) -> Evaluation:
+    """Per triple: the jump margin and the measured jump (h1_jump_and_margin)."""
+    jumps, _tols, margins = np.array(
+        [h1_jump_and_margin(model, *triple) for triple in zip(u, v, x)]
+    ).T
+    return margins, jumps
+
+
+def evaluate_h2(model: ModelSpec, u: np.ndarray, v: np.ndarray) -> Evaluation:
+    """Per pair: (c0 + rho(u) + rho(v))|u-v|^2 - 2<A(u)-A(v),u-v> - ||B(u)-B(v)||^2,
+    and the measured over the declared term where the latter exceeds 1e-12."""
     d = u - v
-    au = _drift(model, u)
-    av = _drift(model, v)
-    measured = 2.0 * dual_pairing(au - av, d) + hs_diff_sq(model.space, model.noise, u, v)
-    dh2 = norm_h(model.space, d) ** 2
-    bound = (model.c0 + model.rho(u) + model.rho(v)) * dh2
-    return measured, bound
+    measured = 2.0 * dual_pairing(_drift(model, u) - _drift(model, v), d) + hs_diff_sq(
+        model.space, model.noise, u, v
+    )
+    bound = (model.c0 + model.rho(u) + model.rho(v)) * norm_h(model.space, d) ** 2
+    ratio = np.divide(measured, bound, out=np.full(np.shape(bound), np.nan), where=bound > 1e-12)
+    return bound - measured, ratio
 
 
-def h3_values(model: ModelSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(measured, bound): 2<A(u),u> + ||B(u)||^2 vs C0(1+|u|^2) - c ||u||_V^alpha."""
-    measured = 2.0 * dual_pairing(_drift(model, u), u) + hs_norm_sq(model.space, model.noise, u)
-    bound = model.c0 * (1.0 + norm_h(model.space, u) ** 2) - model.c * norm_v(
-        model.space, u
-    ) ** model.alpha
-    return measured, bound
+def evaluate_h3(model: ModelSpec, u: np.ndarray) -> Evaluation:
+    """Per sample: C0(1+|u|^2) - c ||u||_V^alpha - 2<A(u),u> - ||B(u)||^2, and
+    the least C0 that certifies the sample at the declared c and alpha."""
+    space = model.space
+    measured = 2.0 * dual_pairing(_drift(model, u), u) + hs_norm_sq(space, model.noise, u)
+    coercive = model.c * norm_v(space, u) ** model.alpha
+    energy = 1.0 + norm_h(space, u) ** 2
+    return model.c0 * energy - coercive - measured, (measured + coercive) / energy
 
 
-def h4_values(
+def evaluate_h4(
     model: ModelSpec, u: np.ndarray, probes: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, envelope): ||A(u)||_{V*}^{alpha/(alpha-1)} vs (1+||u||_V^a)(1+|u|^b).
+) -> Evaluation:
+    """Per sample: growth_c (1+||u||_V^alpha)(1+|u|^beta) - ||A(u)||_{V*}^{alpha/(alpha-1)},
+    and the dual-norm power over its envelope.
 
     For quadratic V the dual norm is exact (reciprocal weights); otherwise it
     is lower-bounded by the best of the supplied probe directions, keeping
@@ -165,24 +188,89 @@ def h4_values(
     envelope = (1.0 + norm_v(space, u) ** model.alpha) * (
         1.0 + norm_h(space, u) ** model.beta
     )
-    return lhs, envelope
+    return model.growth_c * envelope - lhs, lhs / envelope
 
 
-def h5_values(
-    model: ModelSpec, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lipschitz ratios, growth values, growth envelopes)."""
+def evaluate_h5(model: ModelSpec, u: np.ndarray, v: np.ndarray) -> Evaluation:
+    """Per pair: min(c0 - ratio, c0 (1+|u|^2) - ||B(u)||^2) and the Lipschitz
+    ratio ||B(u)-B(v)||^2 / |u-v|^2, taken as 0.0 for pairs closer than 1e-10
+    in H.  No drift is evaluated."""
     space = model.space
     dh2 = norm_h(space, u - v) ** 2
-    keep = dh2 > 1e-20
-    ratios = hs_diff_sq(space, model.noise, u, v)[keep] / dh2[keep]
-    growth = hs_norm_sq(space, model.noise, u)
-    envelope = 1.0 + norm_h(space, u) ** 2
-    return ratios, growth, envelope
+    diff = hs_diff_sq(space, model.noise, u, v)
+    ratio = np.divide(diff, dh2, out=np.zeros(np.shape(dh2)), where=dh2 > 1e-20)
+    growth = model.c0 * (1.0 + norm_h(space, u) ** 2) - hs_norm_sq(space, model.noise, u)
+    return np.minimum(model.c0 - ratio, growth), ratio
+
+
+EVALUATORS = {
+    "H1": evaluate_h1,
+    "H2": evaluate_h2,
+    "H3": evaluate_h3,
+    "H4": evaluate_h4,
+    "H5": evaluate_h5,
+}
+_STREAM = {"H1": 1, "H2": 2, "H3": 3, "H4": 4, "H5": 4}  # H4 and H5 read one stream
 
 
 # --------------------------------------------------------------------------
 # audit drivers
+
+
+def _sampler(model: ModelSpec, seed, hypothesis: str) -> FieldSampler:
+    """The fresh sampler run_all_audits gives the hypothesis."""
+    return FieldSampler(model.space, (seed, _STREAM[hypothesis]))
+
+
+def _nests(hypothesis: str, model: ModelSpec) -> bool:
+    """Whether the check reads only its sampler's first draw, whose first c
+    rows are its c-row draw: H3, and H4 when the V norm is quadratic."""
+    return hypothesis == "H3" or (hypothesis == "H4" and model.space.v_weights is not None)
+
+
+def _draw(hypothesis: str, model: ModelSpec, sampler: FieldSampler, count: int):
+    """(per-sample fields, shared fields) of the hypothesis's check, in draw order.
+
+    The H4/H5 stream is u, v, then the probe directions H4 shares across
+    samples when the V norm is not quadratic.
+    """
+    u = sampler.sample(count)
+    if _nests(hypothesis, model):
+        return (u,), ()
+    v = sampler.sample(count)
+    if hypothesis == "H1":
+        return (u, v, sampler.sample(count)), ()
+    if hypothesis == "H4":
+        return (u,), (sampler.sample(_H4_PROBES),)
+    return (u, v), ()
+
+
+def _largest(constants: np.ndarray) -> float:
+    """The largest constant some sample defines (not NaN); 0.0 when none does."""
+    defined = constants[~np.isnan(constants)]
+    return float(np.max(defined)) if defined.size else 0.0
+
+
+def _report(
+    hypothesis: str, model: ModelSpec, sampler: FieldSampler, fields: tuple, shared: tuple = ()
+) -> AuditReport:
+    """The evaluator's worst margin, largest constant and worst sample's fields."""
+    margins, constants = EVALUATORS[hypothesis](model, *fields, *shared)
+    worst = int(np.argmin(margins))
+    note = _NOTE + "; dual norm lower-bounded by sampled probe directions" if shared else _NOTE
+    return AuditReport(
+        hypothesis=hypothesis,
+        samples=len(margins),
+        worst_margin=float(margins[worst]),
+        constant=_largest(constants),
+        witness=tuple(f[worst] for f in fields) + shared,
+        seed=_seed_int(sampler.seed),
+        note=note,
+    )
+
+
+def _check(hypothesis: str, model: ModelSpec, sampler: FieldSampler, count: int) -> AuditReport:
+    return _report(hypothesis, model, sampler, *_draw(hypothesis, model, sampler, count))
 
 
 def check_hemicontinuity(
@@ -194,105 +282,26 @@ def check_hemicontinuity(
     replay uses, so the working set is one 2049-point profile at a time.
     The profile comes from the grid form when the model declares one.
     """
-    u, v, x = (sampler.sample(count) for _ in range(3))
-    jumps, _tols, margins = np.array(
-        [h1_jump_and_margin(model, u[i], v[i], x[i]) for i in range(count)]
-    ).T
-    worst = int(np.argmin(margins))
-    return AuditReport(
-        hypothesis="H1",
-        samples=count,
-        worst_margin=float(margins[worst]),
-        constant=float(np.max(jumps)),
-        witness=(u[worst], v[worst], x[worst]),
-        seed=_seed_int(sampler.seed),
-    )
+    return _check("H1", model, sampler, count)
 
 
 def check_local_monotonicity(
     model: ModelSpec, sampler: FieldSampler, count: int
 ) -> AuditReport:
-    u = sampler.sample(count)
-    v = sampler.sample(count)
-    measured, bound = h2_values(model, u, v)
-    margins = bound - measured
-    worst = int(np.argmin(margins))
-    pos = bound > 1e-12
-    constant = float(np.max(measured[pos] / bound[pos])) if np.any(pos) else 0.0
-    return AuditReport(
-        hypothesis="H2",
-        samples=count,
-        worst_margin=float(margins[worst]),
-        constant=constant,
-        witness=(u[worst], v[worst]),
-        seed=_seed_int(sampler.seed),
-    )
+    return _check("H2", model, sampler, count)
 
 
 def check_coercivity(model: ModelSpec, sampler: FieldSampler, count: int) -> AuditReport:
-    u = sampler.sample(count)
-    measured, bound = h3_values(model, u)
-    margins = bound - measured
-    worst = int(np.argmin(margins))
-    return AuditReport(
-        hypothesis="H3",
-        samples=count,
-        worst_margin=float(margins[worst]),
-        constant=float(np.max(_h3_needed(model, u, measured))),
-        witness=(u[worst],),
-        seed=_seed_int(sampler.seed),
-    )
-
-
-def _h3_needed(model: ModelSpec, u: np.ndarray, measured: np.ndarray) -> np.ndarray:
-    """Per sample, the least C0 that certifies it at the declared c and alpha."""
-    return (measured + model.c * norm_v(model.space, u) ** model.alpha) / (
-        1.0 + norm_h(model.space, u) ** 2
-    )
-
-
-def _h5_constant(ratios: np.ndarray) -> float:
-    return float(np.max(ratios)) if ratios.size else 0.0
+    return _check("H3", model, sampler, count)
 
 
 def check_growth_and_lipschitz(
     model: ModelSpec, sampler: FieldSampler, count: int
 ) -> tuple[AuditReport, AuditReport]:
-    space = model.space
-    u = sampler.sample(count)
-    v = sampler.sample(count)
-    probes = None
-    note4 = _NOTE
-    if space.v_weights is None:
-        probes = sampler.sample(_H4_PROBES)
-        note4 = _NOTE + "; dual norm lower-bounded by sampled probe directions"
-    lhs, envelope = h4_values(model, u, probes)
-    margins4 = model.growth_c * envelope - lhs
-    worst4 = int(np.argmin(margins4))
-    witness4 = (u[worst4],) if probes is None else (u[worst4], probes)
-    h4 = AuditReport(
-        hypothesis="H4",
-        samples=count,
-        worst_margin=float(margins4[worst4]),
-        constant=float(np.max(lhs / envelope)),
-        witness=witness4,
-        seed=_seed_int(sampler.seed),
-        note=note4,
-    )
-
-    ratios, growth, genv = h5_values(model, u, v)
-    lip_margin = model.c0 - _h5_constant(ratios)
-    growth_margins = model.c0 * genv - growth
-    worst5 = int(np.argmin(growth_margins))
-    h5 = AuditReport(
-        hypothesis="H5",
-        samples=count,
-        worst_margin=float(min(lip_margin, growth_margins[worst5])),
-        constant=_h5_constant(ratios),
-        witness=(u[worst5], v[worst5]),
-        seed=_seed_int(sampler.seed),
-    )
-    return h4, h5
+    """H4 and H5 on one draw of u and v; H4 reads u and any probes."""
+    (u, v), _ = _draw("H5", model, sampler, count)
+    probes = () if model.space.v_weights is not None else (sampler.sample(_H4_PROBES),)
+    return _report("H4", model, sampler, (u,), probes), _report("H5", model, sampler, (u, v))
 
 
 def _seed_int(seed) -> int:
@@ -307,15 +316,18 @@ def run_all_audits(
     count: int = 1000,
     h1_count: int | None = None,
 ) -> list[AuditReport]:
-    """All five audits with independent seeded samplers; deterministic."""
+    """All five audits with independent seeded samplers; deterministic.
 
-    def sampler(tag: int) -> FieldSampler:
-        return FieldSampler(model.space, (seed, tag))
-
-    h1 = check_hemicontinuity(model, sampler(1), h1_count or count)
-    h2 = check_local_monotonicity(model, sampler(2), count)
-    h3 = check_coercivity(model, sampler(3), count)
-    h4, h5 = check_growth_and_lipschitz(model, sampler(4), count)
+    H1 samples h1_count triples, or count when h1_count is None or 0.
+    """
+    if count < 1:
+        raise ConfigurationError(f"count: need at least 1 sample, got {count}")
+    if h1_count is not None and h1_count < 0:
+        raise ConfigurationError(f"h1_count: need 0 or more samples, got {h1_count}")
+    h1 = check_hemicontinuity(model, _sampler(model, seed, "H1"), h1_count or count)
+    h2 = check_local_monotonicity(model, _sampler(model, seed, "H2"), count)
+    h3 = check_coercivity(model, _sampler(model, seed, "H3"), count)
+    h4, h5 = check_growth_and_lipschitz(model, _sampler(model, seed, "H4"), count)
     return [h1, h2, h3, h4, h5]
 
 
@@ -329,45 +341,29 @@ def constant_stability(
 
     Every count uses the fresh sampler that run_all_audits gives the
     hypothesis, so the constants are those of the per-count checks.  A
-    sampler's first c rows equal its c-row draw.  Where a constant is a
-    maximum over the first stream alone, the fields are therefore drawn and
-    evaluated once, at the largest count, and each count reads a prefix
-    maximum: H3 always, and H4 when the V norm is quadratic.  The other
-    streams do not nest, so they are evaluated per count: H2 and H5 draw v
-    after u, and H4 with a non-quadratic V norm draws its probes after u and
-    v.  H5 needs no drift.  Nested values equal the per-count ones bit for
-    bit wherever the drift rounds a row the same in any batch; BLAS products
-    over a handful of rows can round differently, which moves a constant by
+    sampler's first c rows equal its c-row draw.  An evaluator whose only
+    input is its sampler's first draw (H3, and H4 when the V norm is
+    quadratic) is therefore evaluated once, at the largest count, and each
+    count reads a prefix maximum.  The others read later draws, which do not
+    nest, and are checked per count: H2 and H5 read v, drawn after u, and H4
+    with a non-quadratic V norm reads probes drawn after u and v.  H5 needs
+    no drift.  Nested values equal the per-count ones bit for bit wherever
+    the drift rounds a row the same in any batch; BLAS products over a
+    handful of rows can round differently, which moves a constant by
     rounding.
     """
+    if not counts or min(counts) < 1:
+        raise ConfigurationError(f"counts: need one or more counts of at least 1, got {counts}")
+    unknown = sorted(set(hypotheses) - {"H2", "H3", "H4", "H5"})
+    if unknown:
+        raise ConfigurationError(f"hypotheses: unknown {unknown}, choose from H2-H5")
     top = max(counts)
-
-    def sampler(tag: int) -> FieldSampler:
-        return FieldSampler(model.space, (seed, tag))
-
-    def prefix_max(values: np.ndarray) -> list[float]:
-        return [float(np.max(values[:c])) for c in counts]
-
-    def h2() -> list[float]:
-        return [check_local_monotonicity(model, sampler(2), c).constant for c in counts]
-
-    def h3() -> list[float]:
-        u = sampler(3).sample(top)
-        return prefix_max(_h3_needed(model, u, h3_values(model, u)[0]))
-
-    def h4() -> list[float]:
-        if model.space.v_weights is None:
-            return [check_growth_and_lipschitz(model, sampler(4), c)[0].constant for c in counts]
-        lhs, envelope = h4_values(model, sampler(4).sample(top))
-        return prefix_max(lhs / envelope)
-
-    def h5() -> list[float]:
-        out = []
-        for c in counts:
-            draw = sampler(4)
-            u, v = draw.sample(c), draw.sample(c)
-            out.append(_h5_constant(h5_values(model, u, v)[0]))
-        return out
-
-    table = {"H2": h2, "H3": h3, "H4": h4, "H5": h5}
-    return {h: table[h]() for h in hypotheses}
+    table = {}
+    for h in hypotheses:
+        if _nests(h, model):
+            u = _sampler(model, seed, h).sample(top)
+            constants = EVALUATORS[h](model, u)[1]
+            table[h] = [_largest(constants[:c]) for c in counts]
+        else:
+            table[h] = [_check(h, model, _sampler(model, seed, h), c).constant for c in counts]
+    return table

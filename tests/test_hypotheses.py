@@ -1,34 +1,49 @@
 """Structural-hypothesis audits: clean models pass, rigged models are caught."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reflectspde.errors import ModelEvaluationError
+from reflectspde.cli import main
+from reflectspde.errors import ConfigurationError, ModelEvaluationError
+from reflectspde.hilbert import norm_h
 from reflectspde.hypotheses import (
     _LAM_GRID,
+    EVALUATORS,
     FieldSampler,
     check_coercivity,
     check_growth_and_lipschitz,
     check_hemicontinuity,
     check_local_monotonicity,
     constant_stability,
+    evaluate_h4,
+    evaluate_h5,
     h1_jump_and_margin,
-    h2_values,
-    h3_values,
-    h4_values,
-    h5_values,
     run_all_audits,
 )
 from reflectspde.models import (
     ModelSpec,
     NoiseSpec,
+    hs_norm_sq,
     make_allen_cahn,
     make_oracle_1d,
     make_p_laplacian,
 )
 from reflectspde.tamednse import make_tamed_nse
+
+
+def row_counting(model):
+    """The model with a drift that records the rows of each call."""
+    seen = []
+
+    def drift(t, u):
+        seen.append(int(np.prod(np.shape(u)[:-1])))
+        return model.drift(t, u)
+
+    return dataclasses.replace(model, drift=drift), seen
 
 
 def rigged_model(drift, c0=1.0, growth_c=10.0, lam=0.0, noise_lip_sq=0.0):
@@ -57,8 +72,6 @@ def test_field_sampler_radius_cycling():
     space = make_allen_cahn(modes=8).space
     sampler = FieldSampler(space, seed=(0, 1))
     fields = sampler.sample(8)
-    from reflectspde.hilbert import norm_h
-
     assert np.allclose(norm_h(space, fields), [0.5, 1.0, 2.0, 4.0] * 2)
     again = FieldSampler(space, seed=(0, 1)).sample(8)
     assert np.array_equal(fields, again)
@@ -91,25 +104,16 @@ def test_audits_deterministic():
 
 
 def test_witness_replay_reproduces_margins():
-    # the stored witness re-evaluates to the reported worst margin
+    # every stored witness re-evaluates to the reported worst margin; H5's
+    # witness is the pair whose min(Lipschitz, growth) margin is the worst
     model = make_allen_cahn(modes=8).model
-    h1, h2, h3, h4, h5 = run_all_audits(model, seed=1, count=150, h1_count=24)
+    h1, *rest = run_all_audits(model, seed=1, count=150, h1_count=24)
 
     _, _, margin1 = h1_jump_and_margin(model, *h1.witness)
     assert margin1 == pytest.approx(h1.worst_margin, abs=1e-9)
-
-    measured, bound = h2_values(model, *h2.witness)
-    assert bound - measured == pytest.approx(h2.worst_margin, abs=1e-9)
-
-    measured, bound = h3_values(model, *h3.witness)
-    assert bound - measured == pytest.approx(h3.worst_margin, abs=1e-9)
-
-    lhs, envelope = h4_values(model, *h4.witness)
-    assert model.growth_c * envelope - lhs == pytest.approx(h4.worst_margin, abs=1e-9)
-
-    # H5 margin is min(lipschitz over the batch, growth at the witness)
-    _, growth, genv = h5_values(model, *h5.witness)
-    assert model.c0 * genv - growth >= h5.worst_margin - 1e-9
+    for report in rest:
+        margin = float(EVALUATORS[report.hypothesis](model, *report.witness)[0])
+        assert margin == pytest.approx(report.worst_margin, abs=1e-9), report.hypothesis
 
 
 def test_h4_witness_replay_with_probes():
@@ -117,8 +121,21 @@ def test_h4_witness_replay_with_probes():
     reports = run_all_audits(model, seed=2, count=100, h1_count=16)
     h4 = reports[3]
     assert "probe" in h4.note
-    lhs, envelope = h4_values(model, *h4.witness)
-    assert model.growth_c * envelope - lhs == pytest.approx(h4.worst_margin, abs=1e-9)
+    margin = float(evaluate_h4(model, *h4.witness)[0])
+    assert margin == pytest.approx(h4.worst_margin, abs=1e-9)
+
+
+def test_h5_pairs_closer_than_the_cutoff_have_ratio_zero():
+    # a coincident pair defines no Lipschitz ratio: its ratio is 0.0, so its
+    # margin is min(c0, growth margin) exactly
+    model = make_allen_cahn(modes=8).model
+    u = FieldSampler(model.space, 0).sample(4)
+    margins, ratios = evaluate_h5(model, u, u)
+    assert np.array_equal(ratios, np.zeros(4))
+    growth = model.c0 * (1.0 + norm_h(model.space, u) ** 2) - hs_norm_sq(
+        model.space, model.noise, u
+    )
+    assert np.array_equal(margins, np.minimum(model.c0, growth))
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +272,34 @@ def test_h4_requires_probes_for_nonquadratic_v():
     model = make_p_laplacian(modes=8).model
     u = FieldSampler(model.space, 0).sample(4)
     with pytest.raises(ModelEvaluationError):
-        h4_values(model, u, None)
+        evaluate_h4(model, u)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("count", lambda m: run_all_audits(m, count=0)),
+        ("h1_count", lambda m: run_all_audits(m, count=10, h1_count=-1)),
+        ("counts", lambda m: constant_stability(m, counts=())),
+        ("counts", lambda m: constant_stability(m, counts=(5, 0))),
+        ("hypotheses", lambda m: constant_stability(m, counts=(5,), hypotheses=("H1",))),
+        ("hypotheses", lambda m: constant_stability(m, counts=(5,), hypotheses=("H6", "H2"))),
+    ],
+    ids=["count", "h1_count", "empty_counts", "zero_count", "h1", "unknown"],
+)
+def test_bad_audit_arguments_raise_before_any_drift(name, call):
+    model, seen = row_counting(make_allen_cahn(modes=8).model)
+    with pytest.raises(ConfigurationError, match=f"^{name}:"):
+        call(model)
+    assert seen == []
+
+
+@pytest.mark.parametrize("builder", [make_allen_cahn, make_p_laplacian])
+def test_run_all_audits_drift_budget(builder):
+    # H1 reads the grid form; H2 evaluates u then v, H3 and H4 u once each
+    model, seen = row_counting(builder(modes=8).model)
+    run_all_audits(model, seed=0, count=10, h1_count=2)
+    assert seen == [10] * 4
 
 
 # --------------------------------------------------------------------------
@@ -302,3 +346,63 @@ def test_constant_stability_equals_per_count_checks(build):
         expected["H4"].append(h4.constant)
         expected["H5"].append(h5.constant)
     assert table == expected
+
+
+@pytest.mark.parametrize(
+    "build, rows",
+    [
+        (
+            lambda: make_tamed_nse(modes=4).model,
+            {"H2": [6, 6, 13, 13], "H3": [13], "H4": [13], "H5": []},
+        ),
+        (lambda: make_p_laplacian(modes=8).model, {"H3": [13], "H4": [6, 13], "H5": []}),
+    ],
+    ids=["tamed_nse", "p_laplacian"],
+)
+def test_constant_stability_drift_budget(build, rows):
+    # nested evaluators run once at the largest count, the others per count;
+    # H5 evaluates no drift
+    model, seen = row_counting(build())
+    for h, expected in rows.items():
+        seen.clear()
+        constant_stability(model, seed=5, counts=(6, 13), hypotheses=(h,))
+        assert seen == expected, h
+
+
+# --------------------------------------------------------------------------
+# the 1-D audit artifacts are frozen to 17 digits
+
+AUDIT_CONF = """\
+model.name = {name}
+model.modes = 16
+scheme.seed = 7
+run.samples = 64
+run.h1_samples = 8
+"""
+AUDIT_CSV = {
+    "allen_cahn": """\
+hypothesis,margin,constant,seed
+H1,4.4998208705599313e-06,0.0010663035828883949,7
+H2,3.0029138758075806,-0.82793069301038236,7
+H3,4.8771769965119729,1.0419694288675188,7
+H4,193.46163869119954,16.98685825807868,7
+H5,4.8629979808610075,0.080713045216090185,7
+""",
+    "p_laplacian": """\
+hypothesis,margin,constant,seed
+H1,0.0003603152685115679,0.25400258525041863,7
+H2,27.725886757332677,-61.632657031184031,7
+H3,1.3726009011278855,0.06911304327002768,7
+H4,15.614080013769138,0.43990626727345278,7
+H5,1.1504174673025647,0.016776296869770859,7
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_CSV))
+def test_1d_audit_artifact_is_frozen(name, tmp_path):
+    conf = tmp_path / f"{name}.conf"
+    conf.write_text(AUDIT_CONF.format(name=name))
+    out = tmp_path / "out"
+    assert main(["hypotheses", "--config", str(conf), "--out", str(out)]) == 0
+    assert (out / "hypotheses.csv").read_bytes() == AUDIT_CSV[name].encode("ascii")
