@@ -103,8 +103,11 @@ def h1_jump_and_margin(
     increment at spacings h and 2h separates a genuine discontinuity (both
     approximately the jump height) from smooth variation (increment halves).
     The profile is the grid form's line_profile when the model declares one
-    (Allen-Cahn, p-Laplacian); otherwise (tamed Navier-Stokes, the scalar
-    oracle) the drift is evaluated at the 2049 states and contracted with x.
+    (Allen-Cahn, p-Laplacian): in closed form when phi declares its
+    polynomial (Allen-Cahn, p = 2, 4, 6), 65 Taylor expansions about
+    every 32nd lambda read at all 2049, else phi sampled at the 2049 lambdas.
+    Otherwise (tamed Navier-Stokes, the scalar oracle) the drift is
+    evaluated at the 2049 states and contracted with x.
     """
     if model.grid_form is not None:
         f = model.grid_form.line_profile(u, v, x, _LAM_GRID)
@@ -280,7 +283,8 @@ def check_hemicontinuity(
 
     Each triple is evaluated by h1_jump_and_margin, the evaluator witness
     replay uses, so the working set is one 2049-point profile at a time.
-    The profile comes from the grid form when the model declares one.
+    The profile comes from the grid form when the model declares one, in
+    closed form when its phi is a declared polynomial.
     """
     return _check("H1", model, sampler, count)
 

@@ -13,8 +13,11 @@ fidelity and ignored.
 The 1-D drifts are each declared once as a GridForm A(u) = s*u + D^T Pi
 phi(Sigma D u): Allen-Cahn with s = -k^2, D = I, phi(g) = g - g^3, and the
 p-Laplacian with D = d/dx, phi(g) = -|g|^(p-2) g and no s.  Drift, Lawson split,
-V norm and H1 line profile read it.  Tamed NSE declares its drift once as its
-own split (see tamednse); the oracle is linear and declares no split.
+V norm and H1 line profile read it.  Where phi is a polynomial (Allen-Cahn,
+the p-Laplacian at p = 2, 4, 6) the form also declares its coefficients, and
+the H1 line profile is then taken in closed form.  Tamed NSE declares its
+drift once as its own split (see tamednse); the oracle is linear and declares
+no split.
 
 Noise is diagonal-affine on the first K storage coordinates:
 
@@ -26,6 +29,7 @@ whatever the weights are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -172,18 +176,24 @@ def vstar_norm(space: SpaceSpec, a: np.ndarray) -> np.ndarray:
 # grid form of the 1-D drifts
 
 
+_PROFILE_STRIDE = 32  # centres of the polynomial line profile: every 32nd lam
+
+
 @dataclass(frozen=True, eq=False)
 class GridForm:
     """The drift A(u) = s*u + D^T Pi phi(Sigma D u) on a 1-D trig basis.
 
     Sigma = to_grid, Pi = to_coeffs, D = basis.deriv if derivative else I,
-    phi acts pointwise, and s = symbol (None: no stiff diagonal).
+    phi acts pointwise, and s = symbol (None: no stiff diagonal).  poly, when
+    phi is a polynomial, is its power coefficients a_0..a_d, declared next to
+    phi: phi(g) = sum_k a_k g^k.
     """
 
     basis: TrigBasis1D
     phi: Callable[[np.ndarray], np.ndarray]
     symbol: np.ndarray | None = None
     derivative: bool = False
+    poly: tuple[float, ...] | None = None
 
     def space(self, v_weights=None, v_norm_fn=None) -> SpaceSpec:
         """The unit-weight coefficient space on the form's basis, with its
@@ -211,16 +221,58 @@ class GridForm:
         """<A(u + lam v), x> at each lam, without forming the states.
 
         Sigma D (u + lam v) = gu + lam gv, and <Pi F, y> = F . (Sigma y) / G
-        on the G-point grid, so phi pairs with gx = Sigma D x.
+        on the G-point grid, so phi pairs with gx = Sigma D x.  When the form
+        declares poly, the profile is a polynomial of degree d in lam: it is
+        expanded about the centres lam[::32] and read by Horner in each lam's
+        offset from its nearest centre, so phi acts on one row per centre and
+        the work is O(d^2 G) per centre.  Otherwise phi acts at every lam.
         """
         gu, gv, gx = self.grid_values(np.stack([u, v, x]))
-        f = np.empty(lam.shape)
-        rows = max(1, 2**14 // gx.size)  # ~128 KB blocks; all 2049 rows at once ran 3x slower
-        for i in range(0, lam.size, rows):
-            f[i : i + rows] = self.phi(gu + lam[i : i + rows, None] * gv) @ gx
+        if self.poly is None:
+            f = np.empty(lam.shape)
+            rows = max(1, 2**14 // gx.size)  # ~128 KB blocks; all 2049 rows at once ran 3x slower
+            for i in range(0, lam.size, rows):
+                f[i : i + rows] = self.phi(gu + lam[i : i + rows, None] * gv) @ gx
+        else:
+            f = self._centred_profile(gu, gv, gx, lam)
         f /= self.basis.grid_size
         if self.symbol is not None:
             f += dual_pairing(self.symbol * u, x) + lam * dual_pairing(self.symbol * v, x)
+        return f
+
+    def _centred_profile(self, gu, gv, gx, lam):
+        """sum_j gx_j phi(gu_j + lam gv_j) at each lam, for polynomial phi.
+
+        About a centre c, with gc = gu + c gv, the sum is sum_i T_i delta^i,
+        delta = lam - c, where T_i = sum_j gx_j gv_j^i phi^(i)(gc_j) / i! and
+        phi^(i)/i! = sum_k a_k C(k, i) g^(k-i).  T_0 reads phi itself.  Each
+        lam takes its nearest centre, so |delta| <= 16 grid spacings: the
+        expansion about 0 instead cancels badly, the terms T_i lam^i being
+        far larger than their sum.
+        """
+        centres = lam[::_PROFILE_STRIDE]
+        nearest = (np.arange(lam.size) + _PROFILE_STRIDE // 2) // _PROFILE_STRIDE
+        reach = np.bincount(np.minimum(nearest, centres.size - 1), minlength=centres.size)
+        gc = np.multiply.outer(centres, gv)
+        gc += gu
+        a = self.poly
+        taylor = np.empty((len(a), centres.size))
+        taylor[0] = self.phi(gc) @ gx
+        weight = gx
+        for i in range(1, len(a)):
+            weight = weight * gv
+            # phi^(i)(gc) / i! by Horner in gc
+            deriv = np.full(gc.shape, a[-1] * math.comb(len(a) - 1, i))
+            for k in range(len(a) - 2, i - 1, -1):
+                deriv *= gc
+                deriv += a[k] * math.comb(k, i)
+            taylor[i] = deriv @ weight
+        taylor = np.repeat(taylor, reach, axis=1)
+        delta = lam - np.repeat(centres, reach)
+        f = taylor[-1]
+        for t_i in taylor[-2::-1]:
+            f *= delta
+            f += t_i
         return f
 
 
@@ -335,7 +387,7 @@ def make_allen_cahn(
     basis = trig_basis(modes, include_zero=True)
     k = basis.wavenumbers.astype(float)
     # the +u term rides in phi: Pi Sigma u = u on the alias-free grid
-    form = GridForm(basis, phi=_allen_cahn_phi, symbol=-(k**2))
+    form = GridForm(basis, phi=_allen_cahn_phi, symbol=-(k**2), poly=(0.0, 1.0, 0.0, -1.0))
     space = form.space(v_weights=1.0 + k**2)
     if noise_modes > modes:
         raise ConfigurationError("noise_modes cannot exceed modes")
@@ -367,6 +419,11 @@ def make_allen_cahn(
 # p-Laplacian: du = div(|grad u|^{p-2} grad u) dt + B(u) dW, zero-mean torus
 
 
+# the even p whose phi declares its polynomial, each tested against phi; at
+# higher p the degree-(p-1) expansion is not, and the sampled profile stands
+_POLY_P = (2.0, 4.0, 6.0)
+
+
 def make_p_laplacian(
     modes: int = 64,
     p: float = 4.0,
@@ -381,8 +438,11 @@ def make_p_laplacian(
     if modes < 8 or modes % 2 != 0:
         raise ConfigurationError("p_laplacian needs an even mode count >= 8")
     basis = trig_basis(modes, include_zero=False)
-    # <A(u), psi_i> = -int |u'|^{p-2} u' psi_i'
-    form = GridForm(basis, phi=lambda g: -(np.abs(g) ** (p - 2.0) * g), derivative=True)
+    # <A(u), psi_i> = -int |u'|^{p-2} u' psi_i'; at even p, phi(g) = -g^(p-1)
+    poly = (0.0,) * int(p - 1.0) + (-1.0,) if p in _POLY_P else None
+    form = GridForm(
+        basis, phi=lambda g: -(np.abs(g) ** (p - 2.0) * g), derivative=True, poly=poly
+    )
 
     def v_norm(u):
         return np.mean(np.abs(form.grid_values(u)) ** p, axis=-1) ** (1.0 / p)

@@ -15,9 +15,10 @@ splitting
 
 At n = inf both steppers are the projection (clamp) scheme: the splitting
 step's excess factor exp(-n dt) is 0 and x-tilde is mapped onto the ball,
-x-tilde / max(|x-tilde|_H, 1).  An explicit stack may hold this level next to
-its finite ones: its rows take the clamp, every other row the pre-step
-penalty.
+x-tilde / max(|x-tilde|_H, 1); a clamped row whose computed radius rounds
+above 1 is scaled down by ulps until it reads at most 1.  An explicit stack
+may hold this level next to its finite ones: its rows take the clamp, every
+other row the pre-step penalty.
 
 Models with a stiff diagonal linear part declare linear_symbol; the
 drift+noise move then uses the Lawson integrating factor
@@ -31,7 +32,7 @@ one-path case, and the ensemble studies are reductions over what it yields.
 Each explicit step reads the pre-step radius that the kernel's divergence
 check computed, so it computes one H norm per row per step; a splitting step,
 or an explicit step of a stack that holds n = inf, computes two, of x-tilde
-and of the new state.
+and of the new state, and at n = inf one more of the clamped rows.
 
 The kernel holds a path as one row while its level rows coincide.  The
 penalty vanishes inside the ball and every level reads the same noise, so
@@ -210,8 +211,8 @@ def step_penalized(
     |state|_H, which the explicit step's penalty reads; it is computed from
     state when not given, and the splitting step, whose penalty acts on
     x-tilde, ignores it.  At n = inf either method clamps x-tilde onto the
-    ball.  No divergence check here: `_penalized_stack` makes it once per
-    step for every row.
+    ball, and no clamped row ends outside it (`_into_ball`).  No divergence
+    check here: `_penalized_stack` makes it once per step for every row.
 
     rows is the kernel's row table, and state its rows in use: row q reads
     dW[rows.path[q]] and its own level's n dt, and cfg.n is not read.  After
@@ -224,6 +225,7 @@ def step_penalized(
         dW = np.take(dW, rows.path[: len(state)], axis=0)
     x_tilde = one_step_move(model, t, cfg.dt, state, dW)
     rate, out = np.multiply(cfg.n, cfg.dt), None
+    projection = np.isinf(cfg.n if rows is None else rows.level_rate).any()
     if cfg.method == "splitting":
         r_tilde = norm_h(space, x_tilde)
         if rows is not None:
@@ -232,12 +234,13 @@ def step_penalized(
         excess = np.maximum(r_tilde - 1.0, 0.0)
         scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
         new = np.multiply(x_tilde, scale[..., None], out=out)
+        if projection:
+            _into_ball(space, new, np.isinf(rate) & (r_tilde > 1.0))
         return new, new - x_tilde
     if r is None:
         r = norm_h(space, state)
     arrays, acting = (state, r, x_tilde), r > 1.0
     # of the explicit levels only the projection level reads |x-tilde|_H
-    projection = np.isinf(cfg.n if rows is None else rows.level_rate).any()
     if projection:
         r_tilde = norm_h(space, x_tilde)
         arrays, acting = arrays + (r_tilde,), acting | (r_tilde > 1.0)
@@ -253,8 +256,23 @@ def step_penalized(
     if projection:  # the splitting step at exp(-inf) = 0: x-tilde onto the ball
         r_tilde = arrays[3]
         np.copyto(new, x_tilde * (1.0 / np.maximum(r_tilde, 1.0))[..., None], where=clamp)
+        _into_ball(space, new, clamp[..., 0] & (r_tilde > 1.0))
         np.subtract(new, x_tilde, out=dL, where=clamp)
     return new, dL
+
+
+def _into_ball(space: SpaceSpec, x: np.ndarray, clamped: np.ndarray) -> None:
+    """Scale down, in place, the clamped rows of x that rounding left outside the ball.
+
+    A clamped row x-tilde * fl(1 / |x-tilde|_H) has computed radius 1 + O(m eps)
+    and may read just above 1.  Each pass multiplies the rows still above 1 by
+    1 - eps, which lowers every normal coefficient by one or two ulps, until
+    norm_h reads at most 1; rows inside are untouched.
+    """
+    outside = np.array(np.broadcast_to(clamped, x.shape[:-1]))
+    while outside.any():
+        outside[outside] = norm_h(space, x[outside]) > 1.0
+        x[outside] *= 1.0 - np.finfo(float).eps
 
 
 class _Rows:

@@ -145,6 +145,7 @@ GRID_FORM_MODELS = {
     "allen_cahn": lambda modes: make_allen_cahn(modes=modes).model,
     "p_laplacian_p2": lambda modes: make_p_laplacian(modes=modes, p=2.0).model,
     "p_laplacian_p4": lambda modes: make_p_laplacian(modes=modes, p=4.0).model,
+    "p_laplacian_p3": lambda modes: make_p_laplacian(modes=modes, p=3.0).model,  # sampled
 }
 
 
@@ -165,6 +166,24 @@ GRID_FORM_MODELS = {
 # 1e-13 |reference| for every m tested (6.8 * 64 eps = 9.7e-14).
 # Cancellation inside the drift's own transforms is not covered: over 16000
 # draws at m = 8 the largest error measured was 3.0 m eps (|D| @ |x|).
+# p = 3 declares no polynomial; its phi, -|s| s, at most doubles the relative
+# error of s, inside the same count.
+# A form that declares poly takes the centred route of GridForm.line_profile.
+# It reads the same grid values, so it pays the same gamma_m for Sigma x, the
+# same 3 gamma_m propagated through phi and gamma_G for each Taylor
+# coefficient's grid sum.  In place of phi's few u per point it rounds each
+# term at most 2d + 1 times (Horner in g_c, the power gv^i, their product,
+# Horner in delta): 7 u at d = 3.  Its terms sum in absolute value to
+# sum_j |gx_j| |phi|(|g_c,j| + |delta gv_j|), |phi| having the coefficients
+# |a_k|, where the loop's sum to sum_j |gx_j| |phi|(|g_j|), g = g_c + delta gv.
+# They differ only where delta gv_j opposes g_c,j, by at most the factor
+# (1 + 2^-5 |gv_j| / |g_j|)^d since |delta| <= 2^-6, which is near 1 at the
+# points that dominate the sum.  About lam = 0 (|delta| up to 1) the factor is
+# unbounded.  Over 2000 draws at m = 8 the largest difference from the
+# reference was 2.4 m eps (|D| @ |x|) for the centred route, 2.5 for the loop
+# and 21.3, beyond c, for an expansion about lam = 0; from an 80-bit profile
+# of the same grid values the centred route and the loop erred by at most
+# 0.90 and 0.72.
 GRID_FORM_C = 6.8
 
 
@@ -191,6 +210,61 @@ def test_grid_form_profile_matches_einsum_of_the_drift(name, modes, seed, decay,
     assert np.all(np.abs(profile - reference) <= bound)
     linear = 0.0 if form.symbol is None else form.symbol * states
     assert np.array_equal(form.drift(0.0, states), linear + form.nonstiff(0.0, states))
+
+
+# Horner on a_0..a_d rounds each of its d steps twice, a product and a sum,
+# so it errs by at most gamma_2d sum_k |a_k| |g|^k (Higham, section 5.1).
+# The callables round g^3 as two products and then subtract (Allen-Cahn), or
+# take |g|^(p-2) by pow, within 2 u, then multiply and negate (p-Laplacian):
+# at most gamma_3 times the same sum.  With gamma_n <= 1.01 n u, u = eps / 2,
+# the two declarations agree within 1.01 (2d + 3) u sum_k |a_k| |g|^k.
+POLY_FORMS = {
+    "allen_cahn": make_allen_cahn(modes=8).model.grid_form,
+    "p2": make_p_laplacian(modes=8, p=2.0).model.grid_form,
+    "p4": make_p_laplacian(modes=8, p=4.0).model.grid_form,
+    "p6": make_p_laplacian(modes=8, p=6.0).model.grid_form,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(POLY_FORMS)),
+    seed=st.integers(0, 2**16),
+    scale=st.floats(1e-3, 1e2),
+)
+def test_poly_declares_the_same_phi(name, seed, scale):
+    form = POLY_FORMS[name]
+    g = np.random.default_rng(seed).standard_normal((4, form.basis.grid_size)) * scale
+    a = np.asarray(form.poly)
+    d = a.size - 1
+    horner = np.polynomial.polynomial.polyval(g, a)
+    bound = 1.01 * (2 * d + 3) * np.finfo(float).eps / 2 * (
+        np.polynomial.polynomial.polyval(np.abs(g), np.abs(a))
+    )
+    assert np.all(np.abs(horner - form.phi(g)) <= bound)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 5.0, 8.0])
+def test_non_polynomial_and_high_p_phi_declare_no_poly(p):
+    # odd or fractional p is not a polynomial; beyond p = 6 the profile samples
+    assert make_p_laplacian(modes=8, p=p).model.grid_form.poly is None
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "p_laplacian_p4"])
+def test_polynomial_h1_profile_hands_phi_one_row_per_centre(name):
+    # the 2049-point lam grid has 65 centres, every 32nd point; evaluating phi
+    # on the whole grid would hand it blocks of up to 2049 rows
+    model = GRID_FORM_MODELS[name](16)
+    blocks = []
+
+    def phi(g):
+        blocks.append(int(np.prod(np.shape(g)[:-1])))
+        return model.grid_form.phi(g)
+
+    counted = dataclasses.replace(model.grid_form, phi=phi)
+    u, v, x = FieldSampler(model.space, 0).sample(3)
+    h1_jump_and_margin(dataclasses.replace(model, grid_form=counted), u, v, x)
+    assert blocks and max(blocks) <= 65
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +456,7 @@ run.h1_samples = 8
 AUDIT_CSV = {
     "allen_cahn": """\
 hypothesis,margin,constant,seed
-H1,4.4998208705599313e-06,0.0010663035828883949,7
+H1,4.4998208705599313e-06,0.0010663035826610212,7
 H2,3.0029138758075806,-0.82793069301038236,7
 H3,4.8771769965119729,1.0419694288675188,7
 H4,193.46163869119954,16.98685825807868,7
@@ -390,7 +464,7 @@ H5,4.8629979808610075,0.080713045216090185,7
 """,
     "p_laplacian": """\
 hypothesis,margin,constant,seed
-H1,0.0003603152685115679,0.25400258525041863,7
+H1,0.00036031526851512062,0.25400258539593779,7
 H2,27.725886757332677,-61.632657031184031,7
 H3,1.3726009011278855,0.06911304327002768,7
 H4,15.614080013769138,0.43990626727345278,7

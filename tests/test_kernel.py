@@ -17,6 +17,7 @@ from reflectspde.montecarlo import cauchy_study, oracle_compare_1d, run_estimate
 from reflectspde.penalize import (
     SchemeConfig,
     _brownian_block,
+    _into_ball,
     _penalized_stack,
     _trajectory,
     brownian_increments,
@@ -229,15 +230,25 @@ def test_explicit_stack_takes_the_x_tilde_norm_only_for_the_projection_level(
         calls.append(1)
         return norm_h(space, x)
 
+    guard = []  # the norms the clamp's rounding guard takes, per call
+
+    def guarded(space, x, clamped):
+        before = len(calls)
+        _into_ball(space, x, clamped)
+        guard.append(len(calls) - before)
+
     monkeypatch.setattr(penalize, "norm_h", counted)
+    monkeypatch.setattr(penalize, "_into_ball", guarded)
     bundle = MODELS["allen_cahn"]  # strong noise: paths leave the ball and part
     cfg = SchemeConfig(dt=0.02, steps=30, n=0.0, seed=4)
     levels = [1.0, 16.0, 50.0] + ([np.inf] if projection else [])
     dW = _brownian_block(4, 3, bundle.noise.mode_count, cfg.steps, cfg.dt)
     rows = [len(x) for x, *_ in _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)]
     assert rows[-1] == 3 * len(levels)  # every path has parted
-    # x0's check, then per step the divergence norm, and |x-tilde|_H with inf
-    assert len(calls) == 1 + (2 if projection else 1) * cfg.steps
+    # x0's check, then per step the divergence norm, and |x-tilde|_H with inf;
+    # the guard runs only with inf, and only on the clamped rows
+    assert len(guard) == (cfg.steps if projection else 0)
+    assert len(calls) == 1 + (2 if projection else 1) * cfg.steps + sum(guard)
 
 
 @SETTINGS
@@ -337,6 +348,57 @@ def test_projection_level_penetrates_by_rounding_only(method):
     assert np.all(penetration[-1] <= bound), (penetration[-1], bound)
     estimates, _ = run_estimates(bundle.model, cfg, levels, paths, x0=bundle.x0)
     assert estimates.rows[-1].est_pen_sup4 <= bound**4
+
+
+# the plain clamp x~ * fl(1 / fl(|x~|_H)) reads a radius above 1 on about 4 %
+# of clamped rows at 8 modes and about 20 % at 64 (strong noise)
+CLAMP_MODELS = {m: make_allen_cahn(modes=m, mu=1.5) for m in (8, 64)}
+
+
+def clamp_step(bundle, method, seed, dt, rows):
+    """One n = inf step from generated states of radii 0.5..3: (x~, the plain
+    clamp of x~, and the step's state' and dL)."""
+    space = bundle.space
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal((rows, space.n_coeffs))
+    state *= (rng.uniform(0.5, 3.0, rows) / norm_h(space, state))[:, None]
+    dW = np.sqrt(dt) * rng.standard_normal((rows, bundle.noise.mode_count))
+    cfg = SchemeConfig(dt=dt, steps=1, n=np.inf, method=method)
+    x_tilde = one_step_move(bundle.model, 0.0, dt, state, dW)
+    plain = x_tilde * (1.0 / np.maximum(norm_h(space, x_tilde), 1.0))[:, None]
+    return (x_tilde, plain) + step_penalized(state, 0.0, cfg, bundle.model, dW)
+
+
+@SETTINGS
+@given(
+    method=st.sampled_from(["explicit", "splitting"]),
+    modes=st.sampled_from(sorted(CLAMP_MODELS)),
+    seed=st.integers(0, 2**16),
+    dt=st.floats(1e-3, 0.1),
+)
+def test_no_clamp_row_ends_outside_the_ball(method, modes, seed, dt):
+    # only the rows the plain clamp leaves outside move, and by a few ulps
+    bundle = CLAMP_MODELS[modes]
+    x_tilde, plain, new, dL = clamp_step(bundle, method, seed, dt, rows=64)
+    assert np.all(norm_h(bundle.space, new) <= 1.0)
+    moved = np.any(new != plain, axis=1)
+    assert np.all(norm_h(bundle.space, plain[moved]) > 1.0)
+    np.testing.assert_allclose(new, plain, rtol=8 * np.finfo(float).eps, atol=0.0)
+    assert np.array_equal(dL, new - x_tilde)
+
+
+@pytest.mark.parametrize("method", ["explicit", "splitting"])
+def test_the_clamp_guard_moves_rows_and_holds_in_the_kernel(method):
+    bundle = CLAMP_MODELS[64]
+    _, plain, new, _ = clamp_step(bundle, method, seed=0, dt=0.01, rows=256)
+    assert np.any(norm_h(bundle.space, plain) > 1.0)  # the guard has rows to move
+    assert np.any(new != plain) and np.all(norm_h(bundle.space, new) <= 1.0)
+    # the kernel's projection rows, parted from a finite level, stay inside too
+    cfg = SchemeConfig(dt=0.02, steps=40, n=1.0, method=method, seed=3)
+    dW = _brownian_block(cfg.seed, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
+    _, dL, radii, alive = _trajectory(bundle.model, cfg, [1.0, np.inf], bundle.x0, dW)
+    assert alive.all() and np.any(dL[:, 1] != 0.0)  # the projection level clamped
+    assert np.all(radii[:, 1] <= 1.0)
 
 
 def test_dead_rows_are_pinned_per_level():
