@@ -117,19 +117,18 @@ def h1_jump_and_margin(
 
 
 def _jump_from_profile(f: np.ndarray) -> tuple[float, float, float]:
-    def max_inc(stride: int) -> float:
-        sub = f[::stride]
-        return float(np.max(np.abs(np.diff(sub))))
+    def max_abs(a: np.ndarray) -> float:
+        return float(np.max(np.abs(a)))
 
-    m_fine = max_inc(1)  # spacing 2^-10
-    m_half = max_inc(2)  # spacing 2^-9
-    m_coarse = max_inc(32)  # spacing 2^-5
+    m_fine = max_abs(np.diff(f))  # spacing 2^-10
+    m_half = max_abs(np.diff(f[::2]))  # spacing 2^-9
+    coarse = np.diff(f[::32])  # spacing 2^-5
     # a genuine jump J contributes J to both scales, so 2*m_fine - m_half ~ J;
     # smooth variation cancels up to a Richardson residual O(h^2 sup|f''|)
     jump = max(0.0, 2.0 * m_fine - m_half)
-    slope = m_coarse / 2.0**-5
-    curvature = float(np.max(np.abs(np.diff(f[::32], n=2)))) / 2.0**-10
-    tol = 1e-6 * (1.0 + float(np.max(np.abs(f))) + slope + 8.0 * curvature)
+    slope = max_abs(coarse) / 2.0**-5
+    curvature = max_abs(np.diff(coarse)) / 2.0**-10
+    tol = 1e-6 * (1.0 + max_abs(f) + slope + 8.0 * curvature)
     return jump, tol, tol - jump
 
 

@@ -9,7 +9,8 @@ from the unit sphere.  Riemann-Stieltjes sums use left endpoints, as the
 stepper does.  The reflection mass over radii is one histogram over the
 same arrays: ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
 `inequality_study` takes the same sums as a running reduction over the
-kernel's steps, against the test family's factors, and holds no time axis.
+steps of `penalize._ensemble`, which owns its noise, pre-step radii and final
+alive mask, against the test family's factors, and holds no time axis.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .hilbert import SpaceSpec, norm_h
 from .montecarlo import Report
-from .penalize import _brownian_block, _penalized_stack
+from .penalize import _ensemble
 
 __all__ = [
     "total_variation",
@@ -175,15 +176,13 @@ def inequality_study(
         raise ConfigurationError("delta must lie in (0, 1)")
     space, w = model.space, model.space.h_weights
     n_grid = [float(n) for n in n_grid]
-    dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
-    kernel = _penalized_stack(model, cfg, n_grid, x0, dW)  # checks x0 before it is read
+    steps, alive = _ensemble(model, cfg, n_grid, x0, paths)  # checks x0 before it is read
     shapes, coeffs = _test_factors(space, cfg.seed, test_count, np.arange(cfg.steps + 1) * cfg.dt)
 
-    shape = (len(n_grid), paths)
-    x, r = x0, np.full(shape, norm_h(space, x0))  # the pre-step stack and radii
-    tv, leak, own = np.zeros((3,) + shape)
-    moment = np.zeros(shape + coeffs.shape[1:])
-    for j, (x_rows, dL_rows, r_rows, alive, put) in enumerate(kernel):
+    x = x0  # the pre-step stack; a failed row is zero
+    tv, leak, own = np.zeros((3,) + alive.shape)
+    moment = np.zeros(alive.shape + coeffs.shape[1:])
+    for j, (x_rows, dL_rows, put, r, _) in enumerate(steps):
         dL = dL_rows[put]
         size = norm_h(space, dL)
         tv += size
@@ -191,10 +190,7 @@ def inequality_study(
         w_dl = w * dL
         own += np.einsum("...m,...m->...", x, w_dl)
         moment += shapes[j, :, None] * w_dl[..., None, :]
-        # the pre-step state and radius of the next step; a failed row is zero
         x = x_rows[put]
-        r = np.take(np.where(alive, r_rows, 0.0), put)
-    alive = alive[put]
     gaps = np.einsum("fsm,...sm->...f", coeffs, moment) - own[..., None]
 
     table = np.stack([tv, gaps.min(axis=-1), leak], axis=-1)

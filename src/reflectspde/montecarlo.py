@@ -16,8 +16,9 @@ left-endpoint rule on the scheme grid, matching the stepper's own quadrature.
 Coupling: every penalization level consumes the same per-path Brownian matrix
 (common random numbers), which is what makes the Cauchy and oracle studies
 meaningful at modest path counts.  All levels and paths of a study advance
-together as one (levels, paths, coeffs) stack in `penalize._penalized_stack`,
-which checks their inputs; each study is a reduction over what it yields.
+together as one (levels, paths, coeffs) stack in `penalize._ensemble`, which
+owns the noise draw, the pre-step radii and the final alive mask; each study
+is a reduction over what it yields.
 The kernel yields one row per path while the path's levels coincide, and
 the studies reduce on those rows as they come, keeping no time axis: radii
 and V energies are taken per row, gathered through the kernel's map `put`
@@ -52,12 +53,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .hilbert import inner_h, norm_h, v_energy
 from .models import ModelSpec, make_oracle_1d
-from .penalize import (
-    SchemeConfig,
-    _brownian_block,
-    _penalized_stack,
-    simulate_path,
-)
+from .penalize import SchemeConfig, _ensemble, simulate_path
 
 __all__ = [
     "Report",
@@ -210,28 +206,22 @@ def run_estimates(
     n_grid = [float(n) for n in n_grid]
     slices = _batches(paths)
     space = model.space
-    dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
-    kernel = _penalized_stack(model, cfg, n_grid, x0, dW)
+    steps, alive = _ensemble(model, cfg, n_grid, x0, paths)
 
-    shape = (len(n_grid), paths)
-    # pre-step |X|_H and ||X||_V^alpha per (level, path), the left-endpoint
-    # sums (times dt at the end) and the sups, which include t = 0
-    r = np.full(shape, norm_h(space, x0))
-    energy = np.full(shape, v_energy(space, x0, model.alpha))
-    pen, pen_sq, weighted_pen, v_int = (np.zeros(shape) for _ in range(4))
-    sup_h, sup_pen = r.copy(), np.maximum(r - 1.0, 0.0)
+    # pre-step ||X||_V^alpha per (level, path), the left-endpoint sums (times
+    # dt at the end) and sup_t |X|_H from t = 0; fl(r - 1) is monotone in r,
+    # so (sup_t r - 1)^+ is sup_t (r - 1)^+ exactly
+    energy = np.full(alive.shape, v_energy(space, x0, model.alpha))
+    pen, pen_sq, weighted_pen, v_int, sup_h = (np.zeros(alive.shape) for _ in range(5))
     sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
-    for x, _dL, r_rows, alive, put in kernel:
-        excess = np.maximum(r - 1.0, 0.0)
+    for x, _dL, put, r_pre, r in steps:
+        excess = np.maximum(r_pre - 1.0, 0.0)
         pen += excess
         pen_sq += excess**2
-        weighted_pen += r**3 * excess
+        weighted_pen += r_pre**3 * excess
         v_int += energy
-        # a failed row reads radius 0: the radius it died at may overflow r^3
-        r = np.take(np.where(alive, r_rows, 0.0), put)
         energy = np.take(v_energy(space, x, model.alpha), put)
-        np.maximum(sup_h, r, out=sup_h)
-        np.maximum(sup_pen, r - 1.0, out=sup_pen)
+        np.maximum(sup_h, r_pre, out=sup_h)
         # a merged path's level rows are one row, so its differences are
         # exactly 0; squared, by inner_h, to skip norm_h's underflow recheck
         parted = np.flatnonzero(put[0] != put[-1])
@@ -239,7 +229,7 @@ def run_estimates(
             stack = x[put[:, parted]]
             diff = stack[:-1] - stack[1:]
             sup_diff2[:, parted] = np.maximum(sup_diff2[:, parted], inner_h(space, diff, diff))
-    alive = alive[put]
+    np.maximum(sup_h, r, out=sup_h)  # the final state's radius
 
     rows = []
     for i, n in enumerate(n_grid):
@@ -252,7 +242,7 @@ def run_estimates(
             ("var2", (n_scale * (cfg.dt * pen[i])) ** 2, 1.0),
             ("pen_l2", cfg.dt * pen_sq[i], n_scale),
             ("v_energy", cfg.dt * v_int[i], 1.0),
-            ("pen_sup4", sup_pen[i] ** 4, 1.0),
+            ("pen_sup4", np.maximum(sup_h[i] - 1.0, 0.0) ** 4, 1.0),
         ):
             est, se = _mean_and_se(values, ok, slices)
             cells[f"est_{column}"], cells[f"se_{column}"] = scale * est, scale * se
@@ -338,18 +328,16 @@ def oracle_compare_1d(
         raise ConfigurationError("oracle study needs at least 1 penalization level")
     slices = _batches(paths)
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
-    dW = _brownian_block(cfg.seed, paths, 1, cfg.steps, cfg.dt)
+    steps, alive = _ensemble(bundle.model, cfg, n_grid + [np.inf], bundle.x0, paths)
 
     sup_diff = np.zeros((len(n_grid), paths))
     tv = np.zeros((len(n_grid) + 1, paths))
-    for x, dl, _, alive, put in _penalized_stack(
-        bundle.model, cfg, n_grid + [np.inf], bundle.x0, dW
-    ):
+    for x, dl, put, _, _ in steps:
         tv += np.abs(np.take(dl[:, 0], put))
         stack = np.take(x[:, 0], put)
         terminal = np.abs(stack[:-1] - stack[-1])
         np.maximum(sup_diff, terminal, out=sup_diff)
-    alive = alive[put[:-1]] & alive[put[-1]]
+    alive = alive[:-1] & alive[-1]
     tv_diff = np.abs(tv[:-1] - tv[-1])
 
     rows = []

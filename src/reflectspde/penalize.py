@@ -28,7 +28,8 @@ Every path is stepped by one kernel, `_penalized_stack`, which checks the
 levels, the initial state (in the closed unit ball) and the noise, raising
 ConfigurationError, then advances a (levels, paths, coeffs) stack on one
 Brownian block shared by all levels; `simulate_path` is its one-level,
-one-path case, and the ensemble studies are reductions over what it yields.
+one-path case.  The studies reduce `_ensemble`, the one owner of their noise
+draw, of the radii before and after each step and of the final alive mask.
 Each explicit step reads the pre-step radius that the kernel's divergence
 check computed, so it computes one H norm per row per step; a splitting step,
 or an explicit step of a stack that holds n = inf, computes two, of x-tilde
@@ -374,6 +375,27 @@ def _advance(model, cfg, levels, x0, dW, r0):
             x[~alive] = 0.0
             dL[~alive] = 0.0
         yield x, dL, r, alive, rows.put
+
+
+def _ensemble(model, cfg, levels, x0, paths):
+    """A study's coupled ensemble, (steps, alive): the kernel on the noise of
+    paths 0..paths-1 from cfg.seed, opened here so that its inputs are checked
+    before the study reads x0.  steps yields (x, dL, put, r_pre, r) after each
+    step: the kernel's rows, increments and map, and the (L, M) H radii before
+    and after the step, a failed row reading 0.  alive, the final (L, M) mask
+    of the rows that stayed finite, is filled in when steps is exhausted."""
+    dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
+    kernel = _penalized_stack(model, cfg, levels, x0, dW)
+    final = np.ones((len(levels), paths), dtype=bool)
+
+    def steps(r):
+        for x, dL, r_rows, alive, put in kernel:
+            # a failed row reads radius 0: the radius it died at may overflow r^3
+            r_pre, r = r, np.take(np.where(alive, r_rows, 0.0), put)
+            yield x, dL, put, r_pre, r
+        final[...] = alive[put]
+
+    return steps(np.full(final.shape, norm_h(model.space, x0))), final
 
 
 def _trajectory(model, cfg, levels, x0, dW):

@@ -470,15 +470,16 @@ def test_unknown_subcommand_rejected(tmp_path):
         run_experiment(cfg, "plot", tmp_path / "out")
 
 
-@pytest.mark.parametrize("subcommand", ["cauchy", "oracle1d"])
+@pytest.mark.parametrize("subcommand", ["estimates", "cauchy", "inequality", "oracle1d"])
 def test_exit_code_3_on_blowup_in_every_study(tmp_path, capsys, subcommand):
     # two levels, because the cauchy study compares consecutive levels
     conf = write_conf(tmp_path, BLOWUP_CONF.replace("run.n_grid = 1", "run.n_grid = 0.5, 1"))
     out = tmp_path / "out"
     assert run_cli([subcommand, "--config", conf, "--out", out]) == 3
     assert (out / f"{subcommand}.csv").exists()
-    # cauchy counts paths dropped from every gap, oracle1d failed (level, path) pairs
-    failed = {"cauchy": 2, "oracle1d": 4}[subcommand]
+    # cauchy counts paths dropped from every gap, the others failed (level,
+    # path) pairs: 2 levels of run.paths = 2, or of the 3 default run.ineq_paths
+    failed = {"estimates": 4, "cauchy": 2, "inequality": 6, "oracle1d": 4}[subcommand]
     assert capsys.readouterr().err.splitlines() == [
         f"numerical failure: {subcommand}: {failed} failed paths"
     ]

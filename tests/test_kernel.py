@@ -311,6 +311,35 @@ def test_run_estimates_is_a_reduction_over_the_trajectory(
         np.testing.assert_allclose(cauchy.column("est_supdiff2"), gaps.mean(axis=1), rtol=1e-12)
 
 
+@SETTINGS
+@given(
+    method=st.sampled_from(["explicit", "splitting"]),
+    levels=st.lists(st.sampled_from([0.0, 1.0, 16.0, 50.0]), min_size=1, max_size=3),
+    kappa=st.floats(-2.0, 4.0),
+    sigma=st.floats(0.0, 1.5),
+    paths=st.integers(2, 4),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_oracle_compare_1d_is_a_reduction_over_the_trajectory(
+    method, levels, kappa, sigma, paths, steps, seed
+):
+    bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
+    cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
+    report = oracle_compare_1d(kappa, sigma, cfg, levels, paths)
+    dW = _brownian_block(seed, paths, 1, steps, cfg.dt)
+    states, dL, _, alive = _trajectory(bundle.model, cfg, levels + [np.inf], bundle.x0, dW)
+    assert alive.all() and report.failures == 0
+    x, tv = states[..., 0], np.sum(np.abs(dL[..., 0]), axis=0)
+    want = {  # each level against the projection level, the last of the stack
+        "est_supdiff": np.max(np.abs(x[:, :-1] - x[:, -1:]), axis=0),
+        "est_tv_diff": np.abs(tv[:-1] - tv[-1]),
+        "est_terminal_diff": np.abs(x[-1, :-1] - x[-1, -1]),
+    }
+    for column, values in want.items():
+        np.testing.assert_allclose(report.column(column), values.mean(axis=1), rtol=1e-12)
+
+
 @pytest.mark.parametrize("method", ["explicit", "splitting"])
 def test_projection_level_is_accepted_under_either_method(method):
     assert SchemeConfig(dt=0.01, steps=10, n=np.inf, method=method).n == np.inf
@@ -496,3 +525,20 @@ def test_noise_block_needs_a_path(paths):
         tiny_block(paths=paths)
     with pytest.raises(ConfigurationError, match="paths"):
         inequality_study(TINY.model, TINY_CFG, TINY.x0, [1.0], paths=paths, test_count=2)
+
+
+@pytest.mark.parametrize("study", ["run_estimates", "inequality_study", "oracle_compare_1d"])
+def test_each_study_draws_its_noise_once(study, monkeypatch):
+    # the studies reach the noise only through penalize's driver, so a
+    # recorder bound in penalize sees every draw
+    calls, draw = [], penalize._brownian_block
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(penalize, "_brownian_block", counting)
+    STUDIES[study](TINY.x0, [1.0, 4.0])
+    paths = 1 if study == "inequality_study" else 2
+    k = 1 if study == "oracle_compare_1d" else TINY.noise.mode_count
+    assert calls == [(TINY_CFG.seed, paths, k, TINY_CFG.steps, TINY_CFG.dt)]
