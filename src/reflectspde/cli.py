@@ -33,9 +33,10 @@ Counts are checked before any study starts, and must be usable
 with 0 meaning ``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``).
 A study is passed only the ``run.*`` values its config sets.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (a failed
-path in any study; every report is still written, and each failing study
-gets one stderr line ``numerical failure: <study>: <k> failed paths``).
+Exit codes: 0 success, 2 configuration error or an allocation that cannot be
+made, 3 numerical failure (a failed path in any study; every report is still
+written, and each failing study gets one stderr line
+``numerical failure: <study>: <k> failed paths``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import BlowUpError, ReflectSPDEError
+from .errors import ReflectSPDEError
 from .hypotheses import run_all_audits
 from .localtime import inequality_study
 from .models import REGISTRY, ModelBundle, build_model
@@ -416,10 +417,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ReflectSPDEError as exc:
+    except (ReflectSPDEError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

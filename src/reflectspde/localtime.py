@@ -9,7 +9,7 @@ from the unit sphere.  Riemann-Stieltjes sums use left endpoints, as the
 stepper does.  The reflection mass over radii is one histogram over the
 same arrays: ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
 `inequality_study` takes the same sums as a running reduction over the
-steps of `penalize._ensemble`, which owns its noise, pre-step radii and final
+steps of `penalize._ensemble`, which owns its paths, pre-step radii and final
 alive mask, against the test family's factors, and holds no time axis.
 """
 

@@ -13,12 +13,13 @@ Radial identities make every integrand a function of r = |X|_H alone:
 |X - pi(X)| = (r-1)^+ and <X, X - pi(X)> = r (r-1)^+.  Time integrals use the
 left-endpoint rule on the scheme grid, matching the stepper's own quadrature.
 
-Coupling: every penalization level consumes the same per-path Brownian matrix
-(common random numbers), which is what makes the Cauchy and oracle studies
-meaningful at modest path counts.  All levels and paths of a study advance
-together as one (levels, paths, coeffs) stack in `penalize._ensemble`, which
-owns the noise draw, the pre-step radii and the final alive mask; each study
-is a reduction over what it yields.
+Coupling: every penalization level consumes the same per-path Brownian
+increments (common random numbers), which is what makes the Cauchy and oracle
+studies meaningful at modest path counts.  All levels and paths of a study
+advance together as one (levels, paths, coeffs) stack in `penalize._ensemble`,
+which owns the paths, the pre-step radii and the final alive mask, and whose
+kernel draws the noise step by step; each study is a reduction over what it
+yields.
 The kernel yields one row per path while the path's levels coincide, and
 the studies reduce on those rows as they come, keeping no time axis: radii
 and V energies are taken per row, gathered through the kernel's map `put`

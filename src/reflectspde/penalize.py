@@ -25,11 +25,13 @@ drift+noise move then uses the Lawson integrating factor
 exp(symbol dt) * (x + dt * nonstiff(x)), which is exact on the linear flow.
 
 Every path is stepped by one kernel, `_penalized_stack`, which checks the
-levels, the initial state (in the closed unit ball) and the noise, raising
-ConfigurationError, then advances a (levels, paths, coeffs) stack on one
-Brownian block shared by all levels; `simulate_path` is its one-level,
-one-path case.  The studies reduce `_ensemble`, the one owner of their noise
-draw, of the radii before and after each step and of the final alive mask.
+levels, the initial state (in the closed unit ball) and the range of path
+indices, raising ConfigurationError, then advances a (levels, paths, coeffs)
+stack.  It draws the noise itself, keyed on (seed, path) and shared by all
+levels, in chunks of 128 steps, so that nothing it holds grows with the
+horizon; `simulate_path` is its one-level, one-path case.  The studies
+reduce `_ensemble`, the one owner of their paths, of the radii before and
+after each step and of the final alive mask.
 Each explicit step reads the pre-step radius that the kernel's divergence
 check computed, so it computes one H norm per row per step; a splitting step,
 or an explicit step of a stack that holds n = inf, computes two, of x-tilde
@@ -56,7 +58,6 @@ rows are the paths, in order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,24 +153,25 @@ def _path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _brownian_block(seed: int, paths: int, mode_count: int, steps: int, dt: float) -> np.ndarray:
-    """(paths, steps, mode_count) increments of path indices 0..paths-1; a
-    block larger than physical memory is refused before it is allocated."""
-    if paths < 1:
-        raise ConfigurationError(f"paths must be >= 1, got {paths}")
-    if mode_count < 1 or steps < 1:
-        raise ConfigurationError("mode_count and steps must be >= 1")
-    size = int(paths) * int(steps) * int(mode_count) * 8
-    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise ConfigurationError(
-            f"noise block ({paths}, {steps}, {mode_count}) of {size / 2**30:.4g} GiB "
-            "exceeds physical memory"
-        )
-    block = np.empty((paths, steps, mode_count))
-    for i in range(paths):  # brownian_increments' draws, made in place
-        _path_generator(seed, i).standard_normal(out=block[i])
-        block[i] *= np.sqrt(dt)
-    return block
+# steps of every path's noise that the kernel draws at once
+_CHUNK_STEPS = 128
+
+
+def _brownian_stream(seed: int, paths: range, mode_count: int, steps: int, dt: float):
+    """Yield each step's (len(paths), mode_count) increments of the path
+    indices in paths: brownian_increments' draws, read from one generator per
+    path _CHUNK_STEPS steps at a time.  A yielded array is overwritten by a
+    later chunk."""
+    streams = [_path_generator(seed, i) for i in paths]
+    chunk = np.empty((len(paths), min(steps, _CHUNK_STEPS), mode_count))
+    for start in range(0, steps, _CHUNK_STEPS):
+        drawn = chunk[:, : steps - start]
+        for stream, rows in zip(streams, drawn):
+            stream.standard_normal(out=rows)
+        # the whole chunk, since numpy buffers a strided multiply of a partial
+        # one; the rest of a partial chunk is never read
+        chunk *= np.sqrt(dt)
+        yield from drawn.swapaxes(0, 1)
 
 
 def one_step_move(
@@ -324,13 +326,13 @@ class _Rows:
         return tuple(np.concatenate([a, a[self.path[new]]]) for a in arrays)
 
 
-def _penalized_stack(model, cfg, levels, x0, dW):
+def _penalized_stack(model, cfg, levels, x0, paths):
     """Step a (levels, paths, coeffs) stack from x0, held as the rows of `_Rows`.
 
     Raises ConfigurationError before any step unless levels is a nonempty
     1-D sequence of levels that cfg.with_n accepts, x0 one state with
-    |x0|_H <= 1 + 1e-12 and dW a block (M >= 1, steps, K), which every level
-    reads (common random numbers).
+    |x0|_H <= 1 + 1e-12 and paths a nonempty range of path indices >= 0,
+    whose noise every level reads (common random numbers).
     The generator returned yields (x, dL, r, alive, put) after each step:
     the (k, m) rows in use and their penalty increments, the (k,) H radii
     the divergence check read, the (k,) mask of rows that have stayed finite
@@ -345,28 +347,28 @@ def _penalized_stack(model, cfg, levels, x0, dW):
         raise ConfigurationError("penalization levels must be a nonempty 1-D sequence")
     for n in levels:
         cfg.with_n(n)
-    x0, dW = np.asarray(x0, dtype=float), np.asarray(dW, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.space.n_coeffs,):
         raise ConfigurationError(f"x0 must be one state of {model.space.n_coeffs} coefficients")
     r0 = norm_h(model.space, x0)
     if not r0 <= 1.0 + 1e-12:  # NaN fails too
         raise ConfigurationError("initial state must lie in the closed unit ball")
-    k = model.noise.mode_count
-    if dW.ndim != 3 or len(dW) < 1 or dW.shape[1:] != (cfg.steps, k):
-        raise ConfigurationError(f"dW must be (paths >= 1, {cfg.steps}, {k}), got {dW.shape}")
-    return _advance(model, cfg, levels, x0, dW, r0)
+    if not (isinstance(paths, range) and len(paths) and min(paths[0], paths[-1]) >= 0):
+        raise ConfigurationError(f"paths must be a nonempty range of indices >= 0, got {paths!r}")
+    return _advance(model, cfg, levels, x0, paths, r0)
 
 
-def _advance(model, cfg, levels, x0, dW, r0):
-    rows = _Rows(levels * cfg.dt, len(dW), x0.size)
+def _advance(model, cfg, levels, x0, paths, r0):
+    rows = _Rows(levels * cfg.dt, len(paths), x0.size)
     rows.x[: rows.count] = x0
+    noise = _brownian_stream(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
     # r is the pre-step radius: |x0|_H, then the radius each divergence check
     # read, which the next explicit step reuses.  A dead row's r only reaches
     # its own row, which is pinned to zero again.
     r = np.full(rows.count, r0)
-    for j in range(cfg.steps):
+    for j, dW in enumerate(noise):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            x, dL = step_penalized(rows.x[: rows.count], j * cfg.dt, cfg, model, dW[:, j], r, rows)
+            x, dL = step_penalized(rows.x[: rows.count], j * cfg.dt, cfg, model, dW, r, rows)
             r = norm_h(model.space, x)
         alive = rows.alive[: rows.count]
         # a non-finite coefficient makes r inf or NaN, and NaN compares False
@@ -378,14 +380,13 @@ def _advance(model, cfg, levels, x0, dW, r0):
 
 
 def _ensemble(model, cfg, levels, x0, paths):
-    """A study's coupled ensemble, (steps, alive): the kernel on the noise of
-    paths 0..paths-1 from cfg.seed, opened here so that its inputs are checked
-    before the study reads x0.  steps yields (x, dL, put, r_pre, r) after each
-    step: the kernel's rows, increments and map, and the (L, M) H radii before
-    and after the step, a failed row reading 0.  alive, the final (L, M) mask
-    of the rows that stayed finite, is filled in when steps is exhausted."""
-    dW = _brownian_block(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
-    kernel = _penalized_stack(model, cfg, levels, x0, dW)
+    """A study's coupled ensemble, (steps, alive): the kernel on paths
+    0..paths-1, opened here so that its inputs are checked before the study
+    reads x0.  steps yields (x, dL, put, r_pre, r) after each step: the
+    kernel's rows, increments and map, and the (L, M) H radii before and
+    after the step, a failed row reading 0.  alive, the final (L, M) mask of
+    the rows that stayed finite, is filled in when steps is exhausted."""
+    kernel = _penalized_stack(model, cfg, levels, x0, range(paths))
     final = np.ones((len(levels), paths), dtype=bool)
 
     def steps(r):
@@ -398,13 +399,13 @@ def _ensemble(model, cfg, levels, x0, paths):
     return steps(np.full(final.shape, norm_h(model.space, x0))), final
 
 
-def _trajectory(model, cfg, levels, x0, dW):
+def _trajectory(model, cfg, levels, x0, paths):
     """The kernel's whole output as a stack on the time grid: states
     (steps+1, L, M, m), dL (steps, L, M, m), radii (steps+1, L, M) and the
     final (L, M) alive mask.  Row 0 of states and radii is x0; dead rows
     read as yielded."""
-    kernel = _penalized_stack(model, cfg, levels, x0, dW)
-    states = np.empty((cfg.steps + 1, len(levels), len(dW), model.space.n_coeffs))
+    kernel = _penalized_stack(model, cfg, levels, x0, paths)
+    states = np.empty((cfg.steps + 1, len(levels), len(paths), model.space.n_coeffs))
     dL = np.empty((cfg.steps,) + states.shape[1:])
     radii = np.empty(states.shape[:-1])
     states[0], radii[0] = x0, norm_h(model.space, x0)
@@ -414,20 +415,14 @@ def _trajectory(model, cfg, levels, x0, dW):
 
 
 def simulate_path(
-    model: ModelSpec,
-    cfg: SchemeConfig,
-    x0: np.ndarray,
-    path_index: int = 0,
-    dW: np.ndarray | None = None,
+    model: ModelSpec, cfg: SchemeConfig, x0: np.ndarray, path_index: int = 0
 ) -> PathRecord:
     """One trajectory; raises BlowUpError on divergence.
 
-    Deterministic given (cfg.seed, path_index); dW may be supplied explicitly
-    for coupling experiments and must then have shape (steps, K).
+    Deterministic given (cfg.seed, path_index), which key its noise as they
+    key a study's path path_index.
     """
-    if dW is None:
-        dW = brownian_increments(cfg.seed, path_index, model.noise.mode_count, cfg.steps, cfg.dt)
-    x, dl, r, alive = _trajectory(model, cfg, [cfg.n], x0, np.asarray(dW, dtype=float)[None])
+    x, dl, r, alive = _trajectory(model, cfg, [cfg.n], x0, range(path_index, path_index + 1))
     states, l_increments, radii = x[:, 0, 0], dl[:, 0, 0], r[:, 0, 0]
     if not alive[0, 0]:
         step = int(np.argmin(radii[1:] <= BLOWUP_NORM)) + 1  # the first step it left

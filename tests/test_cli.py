@@ -514,18 +514,19 @@ def test_exit_code_2_on_delta_outside_unit_interval(tmp_path, capsys, delta):
     assert not out.exists()  # rejected before any study ran
 
 
-def test_exit_code_2_on_a_noise_block_larger_than_memory(tmp_path, capsys):
-    # 10^12 steps of 6 one-mode paths: the (6, 10^12, 1) noise block is 48 TB,
-    # which is refused before it is allocated
+def test_exit_code_2_on_an_allocation_that_cannot_be_made(tmp_path, capsys):
+    # 10^17 steps: the time grid of the inequality study's test family alone
+    # is 711 PiB, beyond the 2^57 B = 128 PiB of virtual addresses of any
+    # current 64-bit machine, so the allocation fails at once whatever the
+    # overcommit policy, and the run ends with one error line
     conf = ORACLE_CONF.replace("scheme.dt      = 0.01", "scheme.dt      = 1e-6").replace(
-        "scheme.t_final = 0.5   # 50 steps", "scheme.t_final = 1e6"
+        "scheme.t_final = 0.5   # 50 steps", "scheme.t_final = 1e11"
     )
     out = tmp_path / "out"
-    assert run_cli(["oracle1d", "--config", write_conf(tmp_path, conf), "--out", out]) == 2
+    assert run_cli(["inequality", "--config", write_conf(tmp_path, conf), "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: noise block (6, 1000000000000, 1)"), err
-    assert "physical memory" in err[0]
-    assert not (out / "oracle1d.csv").exists()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (out / "inequality.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

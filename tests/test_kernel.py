@@ -16,7 +16,6 @@ from reflectspde.models import decay_profile_x0, make_allen_cahn, make_oracle_1d
 from reflectspde.montecarlo import cauchy_study, oracle_compare_1d, run_estimates
 from reflectspde.penalize import (
     SchemeConfig,
-    _brownian_block,
     _into_ball,
     _penalized_stack,
     _trajectory,
@@ -55,8 +54,7 @@ def clamp_reference(kappa, sigma, x0, dW, dt):
 def test_stack_rows_equal_single_paths(name, method, levels, paths, steps, seed):
     bundle = MODELS[name]
     cfg = SchemeConfig(dt=0.02, steps=steps, n=levels[0], method=method, seed=seed)
-    dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
-    kernel = _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)
+    kernel = _penalized_stack(bundle.model, cfg, levels, bundle.x0, range(paths))
     stack = [x[put] for x, _, _, _, put in kernel]
     space = bundle.space
     for li, n in enumerate(levels):
@@ -109,8 +107,7 @@ def test_projection_level_is_the_clamp_scheme(kappa, sigma, n, steps, seed):
     free = ref[:-1] + cfg.dt * kappa * ref[:-1] + sigma * dW
     # the inf row of an explicit stack [n, inf], whose other row parts from it
     explicit = SchemeConfig(dt=0.01, steps=steps, n=n, seed=seed)
-    block = dW[None, :, None]
-    states, dL, _, _ = _trajectory(bundle.model, explicit, [n, np.inf], bundle.x0, block)
+    states, dL, _, _ = _trajectory(bundle.model, explicit, [n, np.inf], bundle.x0, range(1))
     for x, dl in ((rec.states, rec.l_increments), (states[:, 1, 0], dL[:, 1, 0])):
         assert np.max(np.abs(x[:, 0] - ref)) <= 1e-12
         assert np.max(np.abs(np.abs(dl[:, 0]) - np.abs(free - ref[1:]))) <= 1e-12
@@ -161,20 +158,27 @@ def row_counting(model):
 
 
 @pytest.mark.parametrize("method", ["explicit", "splitting"])
-def test_paths_inside_the_ball_are_moved_once(method):
+def test_paths_inside_the_ball_are_moved_once(method, monkeypatch):
     bundle = make_allen_cahn(modes=8, mu=0.1, lam=0.05, x0_radius=0.5)
     model, seen = row_counting(bundle.model)
-    cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method)
+    cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method, seed=3)
     levels, kick = [1.0, 4.0, 16.0], 10
-    dW = _brownian_block(3, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
-    radii = [r for _, _, r, _, _ in _penalized_stack(model, cfg, levels, bundle.x0, dW)]
+    radii = [r for _, _, r, _, _ in _penalized_stack(model, cfg, levels, bundle.x0, range(4))]
     assert max(np.max(r) for r in radii) < 1.0
     assert seen == [4] * cfg.steps
     # a kick takes path 2 out of the ball: from the step after its first
     # nonzero dL its three level rows are moved apart, and only its rows
-    dW[2, kick, 0] = 20.0
+    stream = penalize._brownian_stream
+
+    def kicked(*args):
+        for j, dW in enumerate(stream(*args)):
+            if j == kick:
+                dW[2, 0] = 20.0
+            yield dW
+
+    monkeypatch.setattr(penalize, "_brownian_stream", kicked)
     seen.clear()
-    kernel = _penalized_stack(model, cfg, levels, bundle.x0, dW)
+    kernel = _penalized_stack(model, cfg, levels, bundle.x0, range(4))
     penalized = np.array([(dl[put] != 0).any(axis=(0, 2)) for _, dl, _, _, put in kernel])
     first = int(np.argmax(penalized[:, 2]))
     assert penalized[:, 2].any() and not penalized[:, [0, 1, 3]].any()
@@ -208,9 +212,8 @@ def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, name, m
     for attr in seen:
         monkeypatch.setattr(penalize, attr, counting(attr))
     bundle = INSIDE[name]
-    cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method)
-    dW = _brownian_block(3, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
-    kernel = _penalized_stack(bundle.model, cfg, [1.0, 4.0, 16.0], bundle.x0, dW)
+    cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method, seed=3)
+    kernel = _penalized_stack(bundle.model, cfg, [1.0, 4.0, 16.0], bundle.x0, range(4))
     out = [(len(dl), np.max(r)) for _, dl, r, _, _ in kernel]
     assert max(r for _, r in out) < 1.0  # 3 levels x 4 paths inside the ball
     assert [rows for rows, _ in out] == [4] * cfg.steps
@@ -242,8 +245,8 @@ def test_explicit_stack_takes_the_x_tilde_norm_only_for_the_projection_level(
     bundle = MODELS["allen_cahn"]  # strong noise: paths leave the ball and part
     cfg = SchemeConfig(dt=0.02, steps=30, n=0.0, seed=4)
     levels = [1.0, 16.0, 50.0] + ([np.inf] if projection else [])
-    dW = _brownian_block(4, 3, bundle.noise.mode_count, cfg.steps, cfg.dt)
-    rows = [len(x) for x, *_ in _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW)]
+    kernel = _penalized_stack(bundle.model, cfg, levels, bundle.x0, range(3))
+    rows = [len(x) for x, *_ in kernel]
     assert rows[-1] == 3 * len(levels)  # every path has parted
     # x0's check, then per step the divergence norm, and |x-tilde|_H with inf;
     # the guard runs only with inf, and only on the clamped rows
@@ -264,9 +267,8 @@ def test_level_rows_coincide_until_the_first_penalty(method, levels, projection,
     bundle = MODELS["allen_cahn"]
     levels = [0.0] + levels + ([np.inf] if projection else [])
     cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
-    dW = _brownian_block(seed, paths, bundle.noise.mode_count, steps, cfg.dt)
     penalized = np.zeros(paths, dtype=bool)
-    for x, dL, _, _, put in _penalized_stack(bundle.model, cfg, levels, bundle.x0, dW):
+    for x, dL, _, _, put in _penalized_stack(bundle.model, cfg, levels, bundle.x0, range(paths)):
         x, dL = x[put], dL[put]
         penalized |= (dL != 0).any(axis=(0, 2))
         assert np.all((x == x[0]).all(axis=(0, 2)) | penalized)
@@ -289,8 +291,7 @@ def test_run_estimates_is_a_reduction_over_the_trajectory(
     levels = [0.0] + levels + ([np.inf] if projection else [])
     cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
     estimates, cauchy = run_estimates(model, cfg, levels, paths, x0=bundle.x0)
-    dW = _brownian_block(seed, paths, model.noise.mode_count, steps, cfg.dt)
-    states, _, radii, alive = _trajectory(model, cfg, levels, bundle.x0, dW)
+    states, _, radii, alive = _trajectory(model, cfg, levels, bundle.x0, range(paths))
     assert alive.all()
     excess = np.maximum(radii - 1.0, 0.0)
     energy = norm_v(space, states) ** model.alpha
@@ -327,8 +328,8 @@ def test_oracle_compare_1d_is_a_reduction_over_the_trajectory(
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
     cfg = SchemeConfig(dt=0.02, steps=steps, n=0.0, method=method, seed=seed)
     report = oracle_compare_1d(kappa, sigma, cfg, levels, paths)
-    dW = _brownian_block(seed, paths, 1, steps, cfg.dt)
-    states, dL, _, alive = _trajectory(bundle.model, cfg, levels + [np.inf], bundle.x0, dW)
+    stack = levels + [np.inf]
+    states, dL, _, alive = _trajectory(bundle.model, cfg, stack, bundle.x0, range(paths))
     assert alive.all() and report.failures == 0
     x, tv = states[..., 0], np.sum(np.abs(dL[..., 0]), axis=0)
     want = {  # each level against the projection level, the last of the stack
@@ -368,8 +369,7 @@ def test_projection_level_penetrates_by_rounding_only(method):
     bound = (m + 5) * np.finfo(float).eps
     levels = [1.0, 16.0, np.inf]
     cfg = SchemeConfig(dt=dt, steps=steps, n=1.0, method=method, seed=1)
-    dW = _brownian_block(cfg.seed, paths, bundle.model.noise.mode_count, steps, dt)
-    _, dL, radii, alive = _trajectory(bundle.model, cfg, levels, bundle.x0, dW)
+    _, dL, radii, alive = _trajectory(bundle.model, cfg, levels, bundle.x0, range(paths))
     assert alive.all()
     assert np.all(np.any(dL[:, -1] != 0.0, axis=(0, 2)))  # every path was clamped
     penetration = np.max(np.maximum(radii - 1.0, 0.0), axis=0)
@@ -424,8 +424,7 @@ def test_the_clamp_guard_moves_rows_and_holds_in_the_kernel(method):
     assert np.any(new != plain) and np.all(norm_h(bundle.space, new) <= 1.0)
     # the kernel's projection rows, parted from a finite level, stay inside too
     cfg = SchemeConfig(dt=0.02, steps=40, n=1.0, method=method, seed=3)
-    dW = _brownian_block(cfg.seed, 4, bundle.noise.mode_count, cfg.steps, cfg.dt)
-    _, dL, radii, alive = _trajectory(bundle.model, cfg, [1.0, np.inf], bundle.x0, dW)
+    _, dL, radii, alive = _trajectory(bundle.model, cfg, [1.0, np.inf], bundle.x0, range(4))
     assert alive.all() and np.any(dL[:, 1] != 0.0)  # the projection level clamped
     assert np.all(radii[:, 1] <= 1.0)
 
@@ -435,8 +434,8 @@ def test_dead_rows_are_pinned_per_level():
     # on the same noise, keeps its row alive
     bundle = make_oracle_1d(kappa=1e3, sigma=0.0)
     cfg = SchemeConfig(dt=1.0, steps=4, n=0.0, method="splitting")
-    dW = np.zeros((2, 4, 1))
-    *_, (x, dL, r, alive, put) = _penalized_stack(bundle.model, cfg, [0.0, 1e3], bundle.x0, dW)
+    kernel = _penalized_stack(bundle.model, cfg, [0.0, 1e3], bundle.x0, range(2))
+    *_, (x, dL, r, alive, put) = kernel
     assert alive[put].tolist() == [[False, False], [True, True]]
     assert np.all(x[put[0]] == 0.0) and np.all(dL[put[0]] == 0.0)
     assert np.all(np.isfinite(r[put[1]]))
@@ -448,11 +447,6 @@ def test_dead_rows_are_pinned_per_level():
 TINY = make_allen_cahn(modes=8, noise_modes=4)
 TINY_CFG = SchemeConfig(dt=0.01, steps=3, n=1.0, seed=2)
 
-
-def tiny_block(paths=2, steps=3, k=4):
-    return _brownian_block(2, paths, k, steps, TINY_CFG.dt)
-
-
 # each stepping study as a call on (x0, level grid)
 STUDIES = {
     "run_estimates": lambda x0, grid: run_estimates(TINY.model, TINY_CFG, grid, 2, x0=x0),
@@ -462,7 +456,7 @@ STUDIES = {
     ),
     "oracle_compare_1d": lambda x0, grid: oracle_compare_1d(0.5, 0.5, TINY_CFG, grid, 2),
     "_penalized_stack": lambda x0, grid: list(
-        _penalized_stack(TINY.model, TINY_CFG, grid, x0, tiny_block())
+        _penalized_stack(TINY.model, TINY_CFG, grid, x0, range(2))
     ),
 }
 # the ones that take an initial state, and simulate_path, which takes one level
@@ -510,35 +504,41 @@ def test_empty_level_grid_is_rejected(study):
 
 
 @pytest.mark.parametrize(
-    "dW",
-    [np.empty((0, 3, 4)), tiny_block(steps=2), tiny_block(k=3), tiny_block()[0]],
-    ids=["no paths", "short", "wrong modes", "not a block"],
+    "paths",
+    [range(0), range(3, 3), range(-1, 2), range(2, -2, -1), 2, [0, 1], np.arange(2)],
+    ids=["empty", "empty at 3", "from -1", "down to -1", "int", "list", "array"],
 )
-def test_noise_block_of_the_wrong_shape_is_rejected(dW):
-    with pytest.raises(ConfigurationError, match="dW"):
-        _penalized_stack(TINY.model, TINY_CFG, [1.0], TINY.x0, dW)
+def test_paths_must_be_a_nonempty_range_of_nonnegative_indices(paths):
+    with pytest.raises(ConfigurationError, match="paths"):
+        _penalized_stack(TINY.model, TINY_CFG, [1.0], TINY.x0, paths)
 
 
 @pytest.mark.parametrize("paths", [0, -1])
 def test_noise_block_needs_a_path(paths):
     with pytest.raises(ConfigurationError, match="paths"):
-        tiny_block(paths=paths)
+        _penalized_stack(TINY.model, TINY_CFG, [1.0], TINY.x0, range(paths))
     with pytest.raises(ConfigurationError, match="paths"):
         inequality_study(TINY.model, TINY_CFG, TINY.x0, [1.0], paths=paths, test_count=2)
 
 
-@pytest.mark.parametrize("study", ["run_estimates", "inequality_study", "oracle_compare_1d"])
+@pytest.mark.parametrize(
+    "study", ["run_estimates", "inequality_study", "oracle_compare_1d", "simulate_path"]
+)
 def test_each_study_draws_its_noise_once(study, monkeypatch):
-    # the studies reach the noise only through penalize's driver, so a
-    # recorder bound in penalize sees every draw
-    calls, draw = [], penalize._brownian_block
+    # every stepping call reaches the noise only through the kernel's stream,
+    # so a recorder bound in penalize sees every draw
+    calls, draw = [], penalize._brownian_stream
 
     def counting(*args):
         calls.append(args)
         return draw(*args)
 
-    monkeypatch.setattr(penalize, "_brownian_block", counting)
-    STUDIES[study](TINY.x0, [1.0, 4.0])
-    paths = 1 if study == "inequality_study" else 2
+    monkeypatch.setattr(penalize, "_brownian_stream", counting)
+    if study == "simulate_path":
+        simulate_path(TINY.model, TINY_CFG, TINY.x0, path_index=3)
+        paths = range(3, 4)
+    else:
+        STUDIES[study](TINY.x0, [1.0, 4.0])
+        paths = range(1 if study == "inequality_study" else 2)
     k = 1 if study == "oracle_compare_1d" else TINY.noise.mode_count
     assert calls == [(TINY_CFG.seed, paths, k, TINY_CFG.steps, TINY_CFG.dt)]

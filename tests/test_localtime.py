@@ -16,7 +16,7 @@ from reflectspde.localtime import (
     variational_gap,
 )
 from reflectspde.models import make_allen_cahn, make_oracle_1d
-from reflectspde.penalize import SchemeConfig, _brownian_block, _trajectory, simulate_path
+from reflectspde.penalize import SchemeConfig, _trajectory, simulate_path
 
 
 def flat_space(m):
@@ -139,8 +139,7 @@ REDUCTION_SETTINGS = settings(max_examples=20, deadline=None)
 
 def penalized_arrays(bundle, cfg, levels, paths):
     """(steps+1, L, M, m) states and (steps, L, M, m) increments of the kernel."""
-    dW = _brownian_block(cfg.seed, paths, bundle.model.noise.mode_count, cfg.steps, cfg.dt)
-    return _trajectory(bundle.model, cfg, levels, bundle.x0, dW)[:2]
+    return _trajectory(bundle.model, cfg, levels, bundle.x0, range(paths))[:2]
 
 
 def per_path_reference(space, X, dL, tests, delta):
@@ -237,8 +236,7 @@ def test_streamed_study_equals_dense_reference(name, method, data, paths, steps,
     )
     table = np.array(rows)[:, 2:].reshape(len(levels), paths, 3)
 
-    dW = _brownian_block(seed, paths, bundle.model.noise.mode_count, steps, DT)
-    states, dL, _, alive = _trajectory(bundle.model, cfg, levels, bundle.x0, dW)
+    states, dL, _, alive = _trajectory(bundle.model, cfg, levels, bundle.x0, range(paths))
     times = DT * np.arange(steps + 1)
     tests = make_test_paths(space, seed, count, times)
     assert failures == np.count_nonzero(~alive)

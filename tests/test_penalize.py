@@ -4,13 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reflectspde import penalize
 from reflectspde.errors import BlowUpError, ConfigurationError
 from reflectspde.hilbert import inner_h, norm_h, norm_v, penalty_gap, v_energy
 from reflectspde.models import NoiseSpec, make_allen_cahn, make_oracle_1d
 from reflectspde.penalize import (
     SchemeConfig,
-    _brownian_block,
+    _penalized_stack,
     brownian_increments,
     one_step_move,
     simulate_path,
@@ -50,15 +53,36 @@ def test_brownian_increments_validation():
         brownian_increments(0, 0, 3, 0, 0.01)
 
 
-def test_noise_block_rows_are_the_paths_increments():
-    # the block is drawn in place, path by path, from the same keyed streams
-    block = _brownian_block(5, 4, 3, 50, 1e-3)
-    for i in range(4):
-        assert np.array_equal(block[i], brownian_increments(5, i, 3, 50, 1e-3))
-    with pytest.raises(ConfigurationError):
-        _brownian_block(0, 2, 0, 10, 0.01)
-    with pytest.raises(ConfigurationError):
-        _brownian_block(0, 2, 3, 0, 0.01)
+STREAM_MODELS = {"oracle": make_oracle_1d(), "allen_cahn": make_allen_cahn(modes=8, noise_modes=3)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STREAM_MODELS)),
+    steps=st.sampled_from([1, 127, 128, 129, 300]),
+    start=st.integers(0, 40),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_kernel_noise_is_the_paths_increments(name, steps, start, count, seed):
+    # the kernel reads its noise in chunks of steps, path by path, from the
+    # keyed streams that brownian_increments reads whole
+    bundle = STREAM_MODELS[name]
+    seen, step = [], penalize.step_penalized
+
+    def recording(state, t, cfg, model, dW, *args):
+        seen.append(np.array(dW))
+        return step(state, t, cfg, model, dW, *args)
+
+    cfg = SchemeConfig(dt=1e-3, steps=steps, n=4.0, seed=seed)
+    paths = range(start, start + count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(penalize, "step_penalized", recording)
+        for _ in _penalized_stack(bundle.model, cfg, [4.0, 16.0], bundle.x0, paths):
+            pass
+    k = bundle.noise.mode_count
+    want = [brownian_increments(seed, i, k, steps, cfg.dt) for i in paths]
+    assert np.array_equal(np.array(seen), np.stack(want, axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -208,9 +232,6 @@ def test_common_random_numbers_coupling():
     cfg = SchemeConfig(dt=0.01, steps=30, n=1.0, seed=9)
     a = simulate_path(bundle.model, cfg, bundle.x0)
     b = simulate_path(bundle.model, cfg.with_n(64.0), bundle.x0)
-    dW = brownian_increments(9, 0, bundle.noise.mode_count, 30, 0.01)
-    a2 = simulate_path(bundle.model, cfg, bundle.x0, dW=dW)
-    assert np.array_equal(a.states, a2.states)
     # coupled paths agree at t=0 and then separate
     assert np.array_equal(a.states[0], b.states[0])
     assert not np.array_equal(a.states[-1], b.states[-1])
@@ -248,8 +269,6 @@ def test_simulate_path_guards():
         simulate_path(bundle.model, cfg, np.array([1.5]))  # outside the ball
     with pytest.raises(ConfigurationError):
         simulate_path(bundle.model, cfg, np.array([[0.5]]))  # not a single state
-    with pytest.raises(ConfigurationError):
-        simulate_path(bundle.model, cfg, np.array([0.5]), dW=np.zeros((4, 1)))
 
 
 def test_blow_up_detection():

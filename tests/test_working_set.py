@@ -1,6 +1,6 @@
 """Traced working sets of the audit, tamed-drift, variational-gap and stepping
-hot paths stay bounded, and the studies' do not grow with the horizon beyond
-their noise block.
+hot paths stay bounded, and the studies' do not grow with the horizon: the
+kernel holds one chunk of noise at a time.
 
 numpy reports its array allocations to tracemalloc, so the traced peak of a
 call is the numpy scratch it holds at once.
@@ -82,29 +82,31 @@ def test_explicit_step_scratch():
 LEVELS = [1.0, 4.0, 16.0]
 
 
-def horizon_growth(study, paths, time_columns):
-    """How much the traced peak of study(bundle, cfg) grows from 50 steps to
-    1000, and the growth allowed to it.
+def step_scratch(model, paths):
+    """The scratch of one kernel step with every (level, path) row parted:
+    two grid buffers and a state, as in test_explicit_step_scratch, plus four
+    more states for the studies' per-step gathers and differences."""
+    rows, m = len(LEVELS) * paths, model.space.n_coeffs
+    return rows * (2 * model.grid_form.basis.grid_size + 5 * m) * 8
 
-    Allowed are the (paths, steps, K) noise block's own growth, which is
-    drawn in place; time_columns float vectors on the time grid; and one step
-    of the kernel with every (level, path) row parted, which at 50 steps may
-    still be merged.  That step's scratch is bounded as in
-    test_explicit_step_scratch (two grid buffers and a state) plus four more
-    states for the studies' per-step gathers and differences.
+
+def horizon_growth(study, paths, time_columns):
+    """How much the traced peak of study(bundle, cfg) grows from 500 steps
+    to 2000, and the growth allowed to it.
+
+    Both horizons hold one full chunk of noise, (paths, 128, K), so the
+    noise adds nothing.  Allowed are time_columns float vectors on the time
+    grid, and one kernel step with every (level, path) row parted, since at
+    500 steps the rows may not all have parted yet.
     """
     bundle = make_allen_cahn(modes=8, mu=1.2)  # strong noise: paths part
-    model = bundle.model
     study(bundle, SchemeConfig(dt=1e-3, steps=5, n=1.0))  # first-call caches
     short, long = (
         traced_peak(lambda: study(bundle, SchemeConfig(dt=1e-3, steps=s, n=1.0, seed=3)))
-        for s in (50, 1000)
+        for s in (500, 2000)
     )
-    grown = 950 * 8  # bytes per float vector on the time grid
-    rows, m = len(LEVELS) * paths, model.space.n_coeffs
-    step = rows * (2 * model.grid_form.basis.grid_size + 5 * m) * 8
-    noise = paths * model.noise.mode_count * grown
-    return long - short, noise + time_columns * grown + step
+    grown = 1500 * 8  # bytes per float vector on the time grid
+    return long - short, time_columns * grown + step_scratch(bundle.model, paths)
 
 
 def test_run_estimates_holds_no_time_axis():
@@ -115,13 +117,13 @@ def test_run_estimates_holds_no_time_axis():
     assert growth <= allowed, (growth, allowed)
 
 
-def test_run_estimates_draws_its_noise_block_in_place():
-    # the (paths, steps, K) block lives through the whole run, and filling it
-    # may hold nothing else of a path's size: one path's (steps, K) draw is
-    # 64000 B here.  The rest of the study's working set does not depend on
-    # the horizon, so it is read off the 50-step run (its peak less its
-    # block), plus one kernel step with every (level, path) row parted, as in
-    # horizon_growth, since at 50 steps the rows may still be merged
+def test_run_estimates_holds_one_chunk_of_noise():
+    # the kernel draws the noise 128 steps at a time into one (paths, 128, K)
+    # chunk, and a 50-step run into a (paths, 50, K) one.  The rest of the
+    # study's working set does not depend on the horizon, so it is read off
+    # the 50-step run (its peak less its chunk), plus one kernel step with
+    # every (level, path) row parted, since at 50 steps the rows may still be
+    # merged
     bundle = make_allen_cahn(modes=8, mu=1.2)
     model, paths = bundle.model, 10
     run_estimates(model, SchemeConfig(dt=1e-3, steps=5, n=1.0), LEVELS, paths, x0=bundle.x0)
@@ -133,10 +135,9 @@ def test_run_estimates_draws_its_noise_block_in_place():
         )
         for s in (50, 1000)
     )
-    block = paths * model.noise.mode_count * 8  # bytes per step
-    rows, m = len(LEVELS) * paths, model.space.n_coeffs
-    step = rows * (2 * model.grid_form.basis.grid_size + 5 * m) * 8
-    assert long <= 1000 * block + (short - 50 * block) + step, (long, short)
+    noise = paths * model.noise.mode_count * 8  # bytes per step
+    allowed = 128 * noise + (short - 50 * noise) + step_scratch(model, paths)
+    assert long <= allowed, (long, allowed)
 
 
 def test_inequality_study_holds_no_time_axis():
