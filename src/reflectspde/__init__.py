@@ -56,7 +56,7 @@ from .penalize import (
     simulate_path,
     step_penalized,
 )
-from .tamednse import TamedSpec, VelocityField3D, build_lattice, make_tamed_nse, taming_g
+from .tamednse import TamedSpec, build_lattice, make_tamed_nse, taming_g
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "TamedSpec",
     "UniquenessReport",
     "UnsupportedParameterError",
-    "VelocityField3D",
     "boundary_leak",
     "brownian_increments",
     "build_lattice",

@@ -22,9 +22,9 @@ keys the oracle1d study reads.  ``run.n_grid`` has no empty item.
 Each study returns one `montecarlo.Report`; a run writes ``<study>.csv``
 for each study it ran, plus ``manifest.json`` recording the config hash,
 effective seed, and per-artifact SHA-256 checksums.  Artifacts are
-byte-identical across reruns (reduction order is fixed).  ``--threads`` and
-``REFLECTSPDE_THREADS`` are still accepted and validated (>= 1), but have no
-effect: every study runs in one thread.  The seed, ``--seed`` or else
+byte-identical across reruns (reduction order is fixed).  ``--threads`` is
+accepted and validated (>= 1) but has no effect: every study runs in one
+thread, and no environment variable is read.  The seed, ``--seed`` or else
 ``scheme.seed``, must be >= 0 for every subcommand, and every level of
 ``run.n_grid`` must be one that `SchemeConfig` accepts.  ``all`` simulates the estimates
 ensemble once and writes both ``estimates.csv`` and ``cauchy.csv`` from it.
@@ -47,7 +47,6 @@ import hashlib
 import inspect
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -240,20 +239,6 @@ def _build_scheme(config: ExperimentConfig, seed: int) -> tuple[SchemeConfig, li
     return levels[0], n_grid
 
 
-def _threads(cli_value) -> int:
-    """Validated thread count; accepted for compatibility, it changes nothing."""
-    key, value = "--threads", cli_value
-    if value is None:
-        key, env = "REFLECTSPDE_THREADS", os.environ.get("REFLECTSPDE_THREADS", "").strip()
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {env!r}") from None
-    if value < 1:
-        raise ConfigError(f"{key}: must be >= 1, got {value}")
-    return value
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -403,15 +388,15 @@ def main(argv=None) -> int:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="accepted and validated for compatibility; has no effect "
-            "(fallback: REFLECTSPDE_THREADS, then 1)",
+            default=1,
+            help="accepted and validated (>= 1) for compatibility; has no effect",
         )
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
-        _threads(args.threads)
+        if args.threads < 1:  # accepted for compatibility; it changes nothing
+            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         out_dir = args.out or config.get("run.out", ".")
         code, _ = run_experiment(config, args.subcommand, out_dir, seed=args.seed)
     except ConfigError as exc:

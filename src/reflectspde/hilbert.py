@@ -77,13 +77,6 @@ class SpaceSpec:
     def n_coeffs(self) -> int:
         return self.h_weights.shape[0]
 
-    @property
-    def embedding_const(self) -> float:
-        """c with norm_v >= c * norm_h, exact for quadratic V norms."""
-        if self.v_weights is None:
-            return float("nan")
-        return float(np.sqrt(np.min(self.v_weights / self.h_weights)))
-
     def check_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         arr = np.asarray(coeffs, dtype=float)
         if arr.ndim == 0 or arr.shape[-1] != self.n_coeffs:
@@ -156,16 +149,11 @@ def v_energy(space: SpaceSpec, x: np.ndarray, alpha: float) -> np.ndarray:
     return _weighted_dot(x, space.v_weights, x)
 
 
-def _ball_scale(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
-    r = norm_h(space, x)
-    return 1.0 / np.maximum(r, 1.0)
-
-
 def project_ball(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     """Metric projection onto the closed unit ball: identity inside, radial
     rescale outside.  Points on the sphere are fixed."""
     x = space.check_coeffs(x)
-    return x * _ball_scale(space, x)[..., None]
+    return x * (1.0 / np.maximum(norm_h(space, x), 1.0))[..., None]
 
 
 def penalty_gap(

@@ -266,7 +266,7 @@ def _report(
         worst_margin=float(margins[worst]),
         constant=_largest(constants),
         witness=tuple(f[worst] for f in fields) + shared,
-        seed=_seed_int(sampler.seed),
+        seed=int(np.asarray(sampler.seed).ravel()[0]),
         note=note,
     )
 
@@ -307,25 +307,20 @@ def check_growth_and_lipschitz(
     return _report("H4", model, sampler, (u,), probes), _report("H5", model, sampler, (u, v))
 
 
-def _seed_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return int(np.asarray(seed).ravel()[0])
-
-
 def run_all_audits(
     model: ModelSpec,
     seed: int = 0,
     count: int = 1000,
-    h1_count: int | None = None,
+    h1_count: int = 0,
 ) -> list[AuditReport]:
     """All five audits with independent seeded samplers; deterministic.
 
-    H1 samples h1_count triples, or count when h1_count is None or 0.
+    H2-H5 sample count fields each; H1 samples h1_count triples, or count
+    when h1_count is 0 (its default).
     """
     if count < 1:
         raise ConfigurationError(f"count: need at least 1 sample, got {count}")
-    if h1_count is not None and h1_count < 0:
+    if h1_count < 0:
         raise ConfigurationError(f"h1_count: need 0 or more samples, got {h1_count}")
     h1 = check_hemicontinuity(model, _sampler(model, seed, "H1"), h1_count or count)
     h2 = check_local_monotonicity(model, _sampler(model, seed, "H2"), count)

@@ -31,10 +31,12 @@ Determinism: every reduction runs in a fixed order, so results are
 byte-identical across reruns.  Standard errors are the standard deviation
 of the means of at most 10 contiguous path slices over sqrt(#slices).
 
-Reports: every study returns a `Report` (rows, failures).  The rows are
-NamedTuples of one row type, whose field names are the CSV header and whose
-values are the CSV record.  `run_estimates` returns the pair (estimates,
-cauchy) from its one ensemble.
+Reports: every ensemble study returns a `Report` (rows, failures).  The rows
+are NamedTuples of one row type, whose field names are the CSV header and
+whose values are the CSV record.  `run_estimates` returns the pair
+(estimates, cauchy) from its one ensemble.  `uniqueness_check` returns a
+`UniquenessReport` of two single paths and counts nothing: a divergent path
+raises `simulate_path`'s BlowUpError.
 
 A path whose state turns non-finite or leaves |x|_H <= penalize.BLOWUP_NORM
 (1e10) at some level is counted as a failure at that level, pinned to zero,
@@ -205,9 +207,9 @@ def run_estimates(
     and the consecutive-level Cauchy gaps of the same ensemble: returns the
     pair (estimates, cauchy)."""
     n_grid = [float(n) for n in n_grid]
-    slices = _batches(paths)
     space = model.space
     steps, alive = _ensemble(model, cfg, n_grid, x0, paths)
+    slices = _batches(paths)
 
     # pre-step ||X||_V^alpha per (level, path), the left-endpoint sums (times
     # dt at the end) and sup_t |X|_H from t = 0; fl(r - 1) is monotone in r,
@@ -281,16 +283,16 @@ def uniqueness_check(
     x0: np.ndarray,
     perturbation: float,
 ) -> UniquenessReport:
-    """Two runs on identical noise, initial states `perturbation` apart in H."""
+    """Two runs on identical noise, initial states `perturbation` apart in H.
+
+    A divergent path is not counted: simulate_path's BlowUpError propagates."""
     if perturbation < 0:
         raise ConfigurationError("perturbation must be nonnegative")
     space = model.space
     x0 = np.asarray(x0, dtype=float)
     first = simulate_path(model, cfg, x0, path_index=0)  # the kernel checks x0 first
     r0 = float(norm_h(space, x0))
-    if perturbation == 0.0:
-        x0_other = x0.copy()
-    elif r0 > 0:
+    if r0 > 0:
         x0_other = x0 * (1.0 - perturbation / r0)  # radial shift of exactly that H-norm
     else:
         e0 = np.zeros_like(x0)
@@ -327,9 +329,9 @@ def oracle_compare_1d(
     n_grid = [float(n) for n in n_grid]
     if not n_grid:
         raise ConfigurationError("oracle study needs at least 1 penalization level")
-    slices = _batches(paths)
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
     steps, alive = _ensemble(bundle.model, cfg, n_grid + [np.inf], bundle.x0, paths)
+    slices = _batches(paths)
 
     sup_diff = np.zeros((len(n_grid), paths))
     tv = np.zeros((len(n_grid) + 1, paths))

@@ -79,6 +79,13 @@ __all__ = [
 BLOWUP_NORM = 1e10
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """A count is an int or numpy integer >= least; a float or a bool is
+    rejected, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Time grid and one penalty level.
@@ -97,8 +104,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError("dt must be positive and finite")
-        if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
+        _check_count("steps", self.steps, 1)
+        _check_count("seed", self.seed, 0)
         if np.ndim(self.n) != 0:
             raise ConfigurationError(f"penalization level n must be one number, got {self.n!r}")
         if not self.n >= 0:  # NaN fails too
@@ -110,12 +117,6 @@ class SchemeConfig:
                 f"explicit stepper needs n*dt <= 1 (got {self.n * self.dt:g}); "
                 "use method=splitting for large n"
             )
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative")
-
-    @property
-    def t_final(self) -> float:
-        return self.dt * self.steps
 
     def with_n(self, n: float) -> "SchemeConfig":
         return SchemeConfig(self.dt, self.steps, n, self.method, self.seed)
@@ -386,6 +387,7 @@ def _ensemble(model, cfg, levels, x0, paths):
     kernel's rows, increments and map, and the (L, M) H radii before and
     after the step, a failed row reading 0.  alive, the final (L, M) mask of
     the rows that stayed finite, is filled in when steps is exhausted."""
+    _check_count("paths", paths, 1)
     kernel = _penalized_stack(model, cfg, levels, x0, range(paths))
     final = np.ones((len(levels), paths), dtype=bool)
 

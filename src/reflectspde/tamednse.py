@@ -68,7 +68,6 @@ from .models import (
 __all__ = [
     "TamedSpec",
     "TamedLattice",
-    "VelocityField3D",
     "build_lattice",
     "leray_project",
     "taming_g",
@@ -194,27 +193,6 @@ def build_lattice(modes: int = 4) -> TamedLattice:
         synthesis_x=np.concatenate([weight * cos, -weight * sin]).T.copy(),
         analysis_x=np.concatenate([cos, -sin]) / grid**3,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class VelocityField3D:
-    """Half-lattice complex velocity coefficients; conjugate symmetry is
-    structural (only one of {k, -k} is stored) and divergence-freeness is
-    validated on construction."""
-
-    uhat: np.ndarray  # (L, 3) complex
-    lattice: TamedLattice
-
-    def __post_init__(self):
-        uh = np.asarray(self.uhat, dtype=complex)
-        if uh.shape != (self.lattice.n_half, 3):
-            raise ConfigurationError(
-                f"expected coefficients of shape {(self.lattice.n_half, 3)}, got {uh.shape}"
-            )
-        div = np.abs(np.einsum("lc,lc->l", uh, self.lattice.kvecs.astype(complex)))
-        if np.any(div > 1e-12 * (1.0 + np.abs(uh).max())):
-            raise ConfigurationError("velocity coefficients are not divergence-free")
-        object.__setattr__(self, "uhat", uh)
 
 
 def leray_project(lattice: TamedLattice, uhat: np.ndarray) -> np.ndarray:

@@ -417,18 +417,6 @@ def test_all_subcommand_writes_every_artifact(tmp_path):
     assert len(manifest["artifacts"]) == 5
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    conf = write_conf(tmp_path, ORACLE_CONF)
-    out_env, out_ref = tmp_path / "env", tmp_path / "ref"
-    monkeypatch.setenv("REFLECTSPDE_THREADS", "3")
-    assert run_cli(["estimates", "--config", conf, "--out", out_env]) == 0
-    monkeypatch.delenv("REFLECTSPDE_THREADS")
-    assert run_cli(["estimates", "--config", conf, "--out", out_ref]) == 0
-    assert (out_env / "estimates.csv").read_bytes() == (out_ref / "estimates.csv").read_bytes()
-    monkeypatch.setenv("REFLECTSPDE_THREADS", "lots")
-    assert run_cli(["estimates", "--config", conf, "--out", tmp_path / "bad"]) == 2
-
-
 def test_exit_code_2_on_config_error(tmp_path, capsys):
     conf = write_conf(tmp_path, "model.name = oracle_1d\nbogus.key = 1\n")
     assert run_cli(["estimates", "--config", conf, "--out", tmp_path / "out"]) == 2
@@ -541,24 +529,23 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "subcommand, conf, args, env, key",
+    "subcommand, conf, args, key",
     [
-        ("all", b"model.name = oracle_1d\n# caf\xe9\n", [], {}, "--config"),
-        ("hypotheses", ORACLE_CONF, ["--seed", -1], {}, "--seed"),
-        ("all", ORACLE_CONF, ["--seed", -1], {}, "--seed"),
-        ("hypotheses", conf_with("scheme.seed", -2), [], {}, "scheme.seed"),
-        ("estimates", ORACLE_CONF, ["--threads", 0], {}, "--threads"),
-        ("estimates", ORACLE_CONF, ["--threads", -3], {}, "--threads"),
-        ("estimates", ORACLE_CONF, [], {"REFLECTSPDE_THREADS": "0"}, "REFLECTSPDE_THREADS"),
-        ("all", conf_with("run.n_grid", "1, -4, 16"), [], {}, "run.n_grid"),
-        ("all", conf_with("run.n_grid", "1, nan"), [], {}, "run.n_grid"),
-        ("all", conf_with("run.n_grid", "1, 101"), [], {}, "run.n_grid"),  # n dt = 1.01
-        ("oracle1d", ORACLE_CONF + "oracle.kappa = 3.0\n", [], {}, "oracle.kappa"),
-        ("all", ORACLE_CONF + "oracle.sigma = 2.0\n", [], {}, "oracle.sigma"),
-        ("all", conf_with("scheme.t_final", "1e300").replace("0.01", "1e-10"), [], {},
+        ("all", b"model.name = oracle_1d\n# caf\xe9\n", [], "--config"),
+        ("hypotheses", ORACLE_CONF, ["--seed", -1], "--seed"),
+        ("all", ORACLE_CONF, ["--seed", -1], "--seed"),
+        ("hypotheses", conf_with("scheme.seed", -2), [], "scheme.seed"),
+        ("estimates", ORACLE_CONF, ["--threads", 0], "--threads"),
+        ("estimates", ORACLE_CONF, ["--threads", -3], "--threads"),
+        ("all", conf_with("run.n_grid", "1, -4, 16"), [], "run.n_grid"),
+        ("all", conf_with("run.n_grid", "1, nan"), [], "run.n_grid"),
+        ("all", conf_with("run.n_grid", "1, 101"), [], "run.n_grid"),  # n dt = 1.01
+        ("oracle1d", ORACLE_CONF + "oracle.kappa = 3.0\n", [], "oracle.kappa"),
+        ("all", ORACLE_CONF + "oracle.sigma = 2.0\n", [], "oracle.sigma"),
+        ("all", conf_with("scheme.t_final", "1e300").replace("0.01", "1e-10"), [],
          "scheme.t_final"),
-        ("all", conf_with("run.n_grid", "1,,16"), [], {}, "run.n_grid"),
-        ("all", conf_with("run.n_grid", "1, 4,"), [], {}, "run.n_grid"),
+        ("all", conf_with("run.n_grid", "1,,16"), [], "run.n_grid"),
+        ("all", conf_with("run.n_grid", "1, 4,"), [], "run.n_grid"),
     ],
     ids=[
         "not utf-8",
@@ -567,7 +554,6 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
         "scheme.seed on hypotheses",
         "--threads 0",
         "--threads -3",
-        "REFLECTSPDE_THREADS",
         "negative level",
         "nan level",
         "explicit n dt > 1",
@@ -578,13 +564,9 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
         "trailing comma",
     ],
 )
-def test_exit_code_2_names_the_key(
-    tmp_path, capsys, monkeypatch, subcommand, conf, args, env, key
-):
+def test_exit_code_2_names_the_key(tmp_path, capsys, subcommand, conf, args, key):
     path = tmp_path / "run.conf"
     path.write_bytes(conf if isinstance(conf, bytes) else conf.encode())
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     out = tmp_path / "out"
     assert run_cli([subcommand, "--config", path, "--out", out, *args]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectspde.errors import ConfigurationError, DimensionMismatchError
 from reflectspde.hilbert import (
@@ -93,19 +95,70 @@ def test_variational_inequality_against_ball_points():
     assert np.min(inner_h(space, x - phi, gap)) >= -1e-10
 
 
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 128),
+    seed=st.integers(0, 2**32 - 1),
+    inside=st.floats(0.0, 1.0 - 1e-9),
+    nudge=st.floats(0.0, 1e-6),
+    far=st.floats(0.2, 8.0),
+)
+def test_projection_identities_on_generated_points(m, seed, inside, nudge, far):
+    # Weights span 1e-3..1e3; the rows are one point inside the ball (its
+    # radius at most 1 - 1e-9, which no reading error lifts to 1), one on
+    # the sphere (as norm_h reads it), one just outside and one far outside
+    # (radius 10^far, up to 1e8), then four points of the ball to test against.
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(h_weights=10.0 ** rng.uniform(-3.0, 3.0, m), v_weights=np.ones(m))
+    z = rng.standard_normal((8, m))
+    z /= norm_h(space, z)[:, None]
+    x = z[:4] * np.array([inside, 1.0, 1.0 + nudge, 10.0**far])[:, None]
+    phi = z[4:] * rng.uniform(0.0, 1.0, (4, 1))
+
+    # norm_h sums m positive products and takes a root, so the radius it reads
+    # is within e = (m + 4) eps / 2 of the true one, relatively.  Each check
+    # below composes a few such readings with O(eps) roundings of the scale
+    # 1/max(r, 1) and of the subtraction x - pi(x); tol = 2 e + 4 eps bounds
+    # every composition to first order, times the size of the compared value.
+    tol = (m + 8) * EPS
+    r = norm_h(space, x)
+    pi = project_ball(space, x)
+    excess = np.maximum(r - 1.0, 0.0)
+
+    # in the ball: pi(x) = x / (read r) has true radius <= 1 + e, read within e
+    assert np.all(norm_h(space, pi) <= 1.0 + tol)
+    # idempotent: pi(pi(x)) rescales only by that reading, which is 1 + O(tol)
+    assert np.all(norm_h(space, project_ball(space, pi) - pi) <= tol)
+    # nonexpansive on every pair; each projection is off by tol, each norm by e
+    pts = np.concatenate([x, phi])
+    ppts = project_ball(space, pts)
+    dist = norm_h(space, pts[:, None] - pts[None])
+    assert np.all(norm_h(space, ppts[:, None] - ppts[None]) <= dist + tol * (1.0 + dist))
+    # a point that norm_h reads at radius <= 1 is scaled by 1/1: unchanged
+    within = r <= 1.0
+    assert within[0] and np.array_equal(pi[within], x[within])
+    # the gap is radial with |x - pi x| = (r-1)+ and <x, x - pi x> = r (r-1)+;
+    # x - pi x rounds each coefficient by eps |x_i|, so the errors scale with r
+    gap = x - pi
+    assert np.all(np.abs(norm_h(space, gap) - excess) <= tol * r)
+    assert np.all(np.abs(inner_h(space, x, gap) - r * excess) <= tol * r * r)
+    # <x - phi, x - pi x> = (1 - 1/r)(r^2 - <phi, x>) >= 0; a gap of rounding
+    # size eps r meets |x - phi| <= r + 1
+    cross = inner_h(space, x[:, None] - phi[None], gap[:, None])
+    assert np.all(cross >= -tol * r[:, None] * (r[:, None] + 1.0))
+    # the radius argument only skips the norm
+    with_r, without_r = penalty_gap(space, x, r), penalty_gap(space, x)
+    assert np.array_equal(with_r[0], without_r[0]) and np.array_equal(with_r[1], without_r[1])
+
+
 def test_boundary_point_is_fixed():
     space = unit_space(4)
     e = np.zeros(4)
     e[2] = 1.0
     assert np.array_equal(project_ball(space, e), e)
-
-
-def test_embedding_const_quadratic_case():
-    space = unit_space(6)
-    assert space.embedding_const == pytest.approx(np.sqrt(2.0))
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((20, 6))
-    assert np.all(norm_v(space, x) >= space.embedding_const * norm_h(space, x) - 1e-12)
 
 
 def test_v_norm_fn_override():
@@ -117,7 +170,6 @@ def test_v_norm_fn_override():
     )
     x = np.arange(1.0, 6.0)
     assert norm_v(space, x) == pytest.approx(15.0)
-    assert np.isnan(space.embedding_const)
 
 
 def test_shape_validation():

@@ -447,16 +447,22 @@ def test_dead_rows_are_pinned_per_level():
 TINY = make_allen_cahn(modes=8, noise_modes=4)
 TINY_CFG = SchemeConfig(dt=0.01, steps=3, n=1.0, seed=2)
 
-# each stepping study as a call on (x0, level grid)
+# each stepping study as a call on (x0, level grid), with its path count
 STUDIES = {
-    "run_estimates": lambda x0, grid: run_estimates(TINY.model, TINY_CFG, grid, 2, x0=x0),
-    "cauchy_study": lambda x0, grid: cauchy_study(TINY.model, TINY_CFG, grid, 2, x0=x0),
-    "inequality_study": lambda x0, grid: inequality_study(
-        TINY.model, TINY_CFG, x0, grid, paths=1, test_count=2
+    "run_estimates": lambda x0, grid, paths=2: run_estimates(
+        TINY.model, TINY_CFG, grid, paths, x0=x0
     ),
-    "oracle_compare_1d": lambda x0, grid: oracle_compare_1d(0.5, 0.5, TINY_CFG, grid, 2),
-    "_penalized_stack": lambda x0, grid: list(
-        _penalized_stack(TINY.model, TINY_CFG, grid, x0, range(2))
+    "cauchy_study": lambda x0, grid, paths=2: cauchy_study(
+        TINY.model, TINY_CFG, grid, paths, x0=x0
+    ),
+    "inequality_study": lambda x0, grid, paths=1: inequality_study(
+        TINY.model, TINY_CFG, x0, grid, paths=paths, test_count=2
+    ),
+    "oracle_compare_1d": lambda x0, grid, paths=2: oracle_compare_1d(
+        0.5, 0.5, TINY_CFG, grid, paths
+    ),
+    "_penalized_stack": lambda x0, grid, paths=range(2): list(
+        _penalized_stack(TINY.model, TINY_CFG, grid, x0, paths)
     ),
 }
 # the ones that take an initial state, and simulate_path, which takes one level
@@ -501,6 +507,16 @@ def test_initial_state_must_be_one_finite_vector(study):
 def test_empty_level_grid_is_rejected(study):
     with pytest.raises(ConfigurationError):
         STUDIES[study](TINY.x0, [])
+
+
+@pytest.mark.parametrize("study", sorted(set(STUDIES) - {"_penalized_stack"}))
+def test_study_path_count_is_a_whole_number(study):
+    # the kernel takes a range (checked below); a study's count is rejected,
+    # not rounded or passed to range() raw
+    for paths in (3.0, 2.5, True, np.float64(2)):
+        with pytest.raises(ConfigurationError, match="paths must be a whole number"):
+            STUDIES[study](TINY.x0, [1.0, 4.0], paths=paths)
+    STUDIES[study](TINY.x0, [1.0, 4.0], paths=np.int64(2))
 
 
 @pytest.mark.parametrize(

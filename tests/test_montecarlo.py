@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reflectspde.errors import ConfigurationError
+from reflectspde.errors import BlowUpError, ConfigurationError
 from reflectspde.hilbert import norm_h, norm_v
 from reflectspde.models import make_allen_cahn, make_oracle_1d
 from reflectspde.montecarlo import (
@@ -227,10 +227,11 @@ def test_oracle_counts_failed_paths():
 def test_uniqueness_zero_perturbation_is_bitwise():
     bundle = make_allen_cahn(modes=8)
     cfg = SchemeConfig(dt=0.01, steps=50, n=16.0, seed=3)
-    rep = uniqueness_check(bundle.model, cfg, bundle.x0, 0.0)
-    assert rep.sup_diff == 0.0
-    assert rep.terminal_diff == 0.0
-    assert rep.stability_factor == 0.0
+    for x0 in (bundle.x0, np.zeros_like(bundle.x0)):  # the twin of 0 is 0
+        rep = uniqueness_check(bundle.model, cfg, x0, 0.0)
+        assert rep.sup_diff == 0.0
+        assert rep.terminal_diff == 0.0
+        assert rep.stability_factor == 0.0
 
 
 def test_uniqueness_small_perturbation_stays_small():
@@ -240,6 +241,22 @@ def test_uniqueness_small_perturbation_stays_small():
     assert rep.perturbation == 1e-6
     assert rep.sup_diff < 1e-2  # regression envelope, far above observed ~1e-6
     assert rep.stability_factor == rep.sup_diff / 1e-6
+
+
+def test_uniqueness_raises_where_its_path_diverges():
+    # the one study that raises instead of counting a failed path: its first
+    # run is simulate_path's, so it fails at the same step, time and radius
+    bundle = make_oracle_1d(kappa=1e6, sigma=0.0)
+    cfg = SchemeConfig(dt=1.0, steps=3, n=1.0)
+    for run in (
+        lambda: uniqueness_check(bundle.model, cfg, bundle.x0, 1e-3),
+        lambda: simulate_path(bundle.model, cfg, bundle.x0),
+    ):
+        with pytest.raises(BlowUpError) as caught:
+            run()
+        # x1 = 0.5 + 1e6 * 0.5; x2 = x1 + 1e6 * x1 - (x1 - 1), exact in floats
+        err = caught.value
+        assert (err.step, err.time, err.h_norm) == (2, 2.0, 500000500001.0)
 
 
 # --------------------------------------------------------------------------

@@ -93,7 +93,6 @@ def test_explicit_requires_small_n_dt():
     with pytest.raises(ConfigurationError):
         SchemeConfig(dt=0.1, steps=10, n=11.0, method="explicit")
     cfg = SchemeConfig(dt=0.1, steps=10, n=1000.0, method="splitting")
-    assert cfg.t_final == pytest.approx(1.0)
     assert cfg.with_n(4.0).n == 4.0
 
 
@@ -108,6 +107,15 @@ def test_scheme_config_validation():
         SchemeConfig(dt=0.1, steps=10, n=1.0, method="implicit")
     with pytest.raises(ConfigurationError):
         SchemeConfig(dt=0.1, steps=10, n=1.0, seed=-1)
+    # counts are whole numbers: a float or a bool is rejected, not rounded
+    for steps in (10.0, 2.5, True, np.float64(10)):
+        with pytest.raises(ConfigurationError, match="steps must be a whole number"):
+            SchemeConfig(dt=0.1, steps=steps, n=1.0)
+    for seed in (1.7, 1.0, True, False, np.float64(1)):
+        with pytest.raises(ConfigurationError, match="seed must be a whole number"):
+            SchemeConfig(dt=0.1, steps=10, n=1.0, seed=seed)
+    cfg = SchemeConfig(dt=0.1, steps=np.int64(10), n=1.0, seed=np.uint32(3))
+    assert (cfg.steps, cfg.seed) == (10, 3)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from reflectspde.models import dual_pairing
 from reflectspde.penalize import SchemeConfig, simulate_path
 from reflectspde.tamednse import (
     TamedSpec,
-    VelocityField3D,
     build_lattice,
     h1_space,
     leray_project,
@@ -100,19 +99,7 @@ def test_h1_space_weights_and_unit_modes(lattice):
     e = np.zeros(1456)
     e[0] = 1.0
     assert norm_h(space, e) == pytest.approx(np.sqrt(2.0))
-    assert space.embedding_const == pytest.approx(np.sqrt(2.0))
     assert np.allclose(space.v_weights, space.h_weights**2)
-
-
-def test_velocity_field_validation(lattice):
-    uh = random_divfree_uhat(lattice, seed=2)
-    VelocityField3D(uh, lattice)  # constructs cleanly
-    bad = uh.copy()
-    bad[0] += lattice.kvecs[0]  # inject a compressible component
-    with pytest.raises(ConfigurationError):
-        VelocityField3D(bad, lattice)
-    with pytest.raises(ConfigurationError):
-        VelocityField3D(uh[:10], lattice)
 
 
 # --------------------------------------------------------------------------
