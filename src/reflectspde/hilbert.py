@@ -151,9 +151,23 @@ def v_energy(space: SpaceSpec, x: np.ndarray, alpha: float) -> np.ndarray:
 
 def project_ball(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
     """Metric projection onto the closed unit ball: identity inside, radial
-    rescale outside.  Points on the sphere are fixed."""
+    rescale outside, and no moved row reads above radius 1 (`_clamp`).
+    Points on the sphere are fixed."""
     x = space.check_coeffs(x)
-    return x * (1.0 / np.maximum(norm_h(space, x), 1.0))[..., None]
+    return _clamp(space, x, norm_h(space, x))
+
+
+def _clamp(space: SpaceSpec, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x * fl(1 / max(r, 1)) for r = |x|_H.  A moved row has computed radius
+    1 + O(m eps) and may read just above 1: each pass multiplies the rows
+    still above 1 by 1 - eps, which lowers every normal coefficient by one or
+    two ulps, until norm_h reads at most 1.  Rows inside are returned as is."""
+    x = x * (1.0 / np.maximum(r, 1.0))[..., None]
+    outside = np.array(r > 1.0)
+    while outside.any():
+        outside[outside] = norm_h(space, x[outside]) > 1.0
+        x[outside] *= 1.0 - np.finfo(float).eps
+    return x
 
 
 def penalty_gap(

@@ -125,18 +125,27 @@ def apply_noise(
     return out
 
 
+def _noise_weights(space: SpaceSpec, noise: NoiseSpec) -> np.ndarray:
+    """The H weights of the coordinates the noise drives; the noise must fit the space."""
+    if noise.mode_count > space.n_coeffs:
+        raise ConfigurationError(
+            f"noise drives {noise.mode_count} modes; the space has {space.n_coeffs} coefficients"
+        )
+    return space.h_weights[: noise.mode_count]
+
+
 def hs_norm_sq(space: SpaceSpec, noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
     """Squared Hilbert-Schmidt norm of B(u) as an operator into H."""
+    w = _noise_weights(space, noise)
     amp = _amplitudes(noise, np.asarray(u, dtype=float))
-    w = space.h_weights[: noise.mode_count]
     return np.sum(w * amp * amp, axis=-1)
 
 
 def hs_diff_sq(space: SpaceSpec, noise: NoiseSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    w = _noise_weights(space, noise)
     da = _amplitudes(noise, np.asarray(u, dtype=float)) - _amplitudes(
         noise, np.asarray(v, dtype=float)
     )
-    w = space.h_weights[: noise.mode_count]
     return np.sum(w * da * da, axis=-1)
 
 
@@ -147,7 +156,7 @@ def noise_lip_sq(noise: NoiseSpec) -> float:
 
 def noise_growth_sq(space: SpaceSpec, noise: NoiseSpec) -> float:
     """C with ||B(u)||_HS^2 <= C (1 + |u|_H^2)."""
-    w = space.h_weights[: noise.mode_count]
+    w = _noise_weights(space, noise)
     return float(2.0 * noise.mu**2 * np.sum(w * noise.q) + 2.0 * noise.lam**2 * np.max(noise.q))
 
 
@@ -317,6 +326,7 @@ class ModelSpec:
             raise ConfigurationError("need c > 0 and c0 >= 0")
         if self.noise_lip_sq > self.c0 + 1e-12:
             raise ConfigurationError("noise Lipschitz constant exceeds declared c0")
+        _noise_weights(self.space, self.noise)
 
     def state_rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         """Drift as a state-space increment rate: functional / h_weights."""
@@ -389,8 +399,6 @@ def make_allen_cahn(
     # the +u term rides in phi: Pi Sigma u = u on the alias-free grid
     form = GridForm(basis, phi=_allen_cahn_phi, symbol=-(k**2), poly=(0.0, 1.0, 0.0, -1.0))
     space = form.space(v_weights=1.0 + k**2)
-    if noise_modes > modes:
-        raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
     hsg = noise_growth_sq(space, noise)
     model = ModelSpec(
@@ -448,8 +456,6 @@ def make_p_laplacian(
         return np.mean(np.abs(form.grid_values(u)) ** p, axis=-1) ** (1.0 / p)
 
     space = form.space(v_norm_fn=v_norm)
-    if noise_modes > modes:
-        raise ConfigurationError("noise_modes cannot exceed modes")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
     hsg = noise_growth_sq(space, noise)
     model = ModelSpec(

@@ -13,12 +13,11 @@ splitting
     Drift+noise move to an intermediate state, then the exact flow of
     r' = -n (r - 1)_+ applied to the H radius; stable for arbitrary n dt.
 
-At n = inf both steppers are the projection (clamp) scheme: the splitting
-step's excess factor exp(-n dt) is 0 and x-tilde is mapped onto the ball,
-x-tilde / max(|x-tilde|_H, 1); a clamped row whose computed radius rounds
-above 1 is scaled down by ulps until it reads at most 1.  An explicit stack
-may hold this level next to its finite ones: its rows take the clamp, every
-other row the pre-step penalty.
+At n = inf both steppers are the projection scheme: x-tilde is mapped onto
+the ball by the clamp of hilbert.project_ball, which leaves no row above
+radius 1 (the splitting step at exp(-n dt) = 0).  An explicit stack may hold
+this level next to its finite ones: its rows take the clamp, every other row
+the pre-step penalty.
 
 Models with a stiff diagonal linear part declare linear_symbol; the
 drift+noise move then uses the Lawson integrating factor
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .hilbert import SpaceSpec, norm_h, penalty_gap
+from .hilbert import _clamp, norm_h, penalty_gap
 from .models import ModelSpec, apply_noise
 
 __all__ = [
@@ -141,8 +140,10 @@ def brownian_increments(
     (step, mode) row-major, so every penalization level replays the identical
     increments for a given path — the common-random-numbers coupling.
     """
-    if mode_count < 1 or steps < 1:
-        raise ConfigurationError("mode_count and steps must be >= 1")
+    _check_count("seed", seed, 0)
+    _check_count("path_index", path_index, 0)
+    _check_count("mode_count", mode_count, 1)
+    _check_count("steps", steps, 1)
     dW = _path_generator(seed, path_index).standard_normal((steps, mode_count))
     dW *= np.sqrt(dt)
     return dW
@@ -214,9 +215,9 @@ def step_penalized(
     state and dW broadcast against each other.  r is the pre-step radius
     |state|_H, which the explicit step's penalty reads; it is computed from
     state when not given, and the splitting step, whose penalty acts on
-    x-tilde, ignores it.  At n = inf either method clamps x-tilde onto the
-    ball, and no clamped row ends outside it (`_into_ball`).  No divergence
-    check here: `_penalized_stack` makes it once per step for every row.
+    x-tilde, ignores it.  At n = inf either method takes x-tilde onto the
+    ball by the clamp of project_ball.  No divergence check here:
+    `_penalized_stack` makes it once per step for every row.
 
     rows is the kernel's row table, and state its rows in use: row q reads
     dW[rows.path[q]] and its own level's n dt, and cfg.n is not read.  After
@@ -238,45 +239,30 @@ def step_penalized(
         excess = np.maximum(r_tilde - 1.0, 0.0)
         scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
         new = np.multiply(x_tilde, scale[..., None], out=out)
+        dL = new - x_tilde
+    else:
+        if r is None:
+            r = norm_h(space, state)
+        arrays, acting = (state, r, x_tilde), r > 1.0
+        # of the explicit levels only the projection level reads |x-tilde|_H
         if projection:
-            _into_ball(space, new, np.isinf(rate) & (r_tilde > 1.0))
-        return new, new - x_tilde
-    if r is None:
-        r = norm_h(space, state)
-    arrays, acting = (state, r, x_tilde), r > 1.0
-    # of the explicit levels only the projection level reads |x-tilde|_H
-    if projection:
-        r_tilde = norm_h(space, x_tilde)
-        arrays, acting = arrays + (r_tilde,), acting | (r_tilde > 1.0)
-    if rows is not None:
-        arrays = rows.part(acting, *arrays)
-        rate, out = rows.in_use()
-    state, r, x_tilde = arrays[:3]
-    # the projection level takes no pre-step penalty: its rate is inf, and inf * 0 is NaN
-    clamp = np.isinf(rate)[..., None]
-    dL, _ = penalty_gap(space, state, r)
-    dL *= np.where(clamp, 0.0, -rate[..., None])
-    new = np.add(x_tilde, dL, out=out)
+            r_tilde = norm_h(space, x_tilde)
+            arrays, acting = arrays + (r_tilde,), acting | (r_tilde > 1.0)
+        if rows is not None:
+            arrays = rows.part(acting, *arrays)
+            rate, out = rows.in_use()
+        state, r, x_tilde, r_tilde = arrays if projection else arrays + (None,)
+        # the projection level takes no pre-step penalty: its rate is inf, and inf * 0 is NaN
+        dL, _ = penalty_gap(space, state, r)
+        dL *= np.where(np.isinf(rate), 0.0, -rate)[..., None]
+        new = np.add(x_tilde, dL, out=out)
     if projection:  # the splitting step at exp(-inf) = 0: x-tilde onto the ball
-        r_tilde = arrays[3]
-        np.copyto(new, x_tilde * (1.0 / np.maximum(r_tilde, 1.0))[..., None], where=clamp)
-        _into_ball(space, new, clamp[..., 0] & (r_tilde > 1.0))
-        np.subtract(new, x_tilde, out=dL, where=clamp)
+        clamp = np.isinf(rate)
+        # radius 1 leaves the rows of the other levels unmoved and unguarded
+        onto = _clamp(space, x_tilde, np.where(clamp, r_tilde, 1.0))
+        np.copyto(new, onto, where=clamp[..., None])
+        np.subtract(new, x_tilde, out=dL, where=clamp[..., None])
     return new, dL
-
-
-def _into_ball(space: SpaceSpec, x: np.ndarray, clamped: np.ndarray) -> None:
-    """Scale down, in place, the clamped rows of x that rounding left outside the ball.
-
-    A clamped row x-tilde * fl(1 / |x-tilde|_H) has computed radius 1 + O(m eps)
-    and may read just above 1.  Each pass multiplies the rows still above 1 by
-    1 - eps, which lowers every normal coefficient by one or two ulps, until
-    norm_h reads at most 1; rows inside are untouched.
-    """
-    outside = np.array(np.broadcast_to(clamped, x.shape[:-1]))
-    while outside.any():
-        outside[outside] = norm_h(space, x[outside]) > 1.0
-        x[outside] *= 1.0 - np.finfo(float).eps
 
 
 class _Rows:
@@ -424,6 +410,7 @@ def simulate_path(
     Deterministic given (cfg.seed, path_index), which key its noise as they
     key a study's path path_index.
     """
+    _check_count("path_index", path_index, 0)
     x, dl, r, alive = _trajectory(model, cfg, [cfg.n], x0, range(path_index, path_index + 1))
     states, l_increments, radii = x[:, 0, 0], dl[:, 0, 0], r[:, 0, 0]
     if not alive[0, 0]:

@@ -446,8 +446,6 @@ def make_tamed_nse(
     spec = TamedSpec(nu=nu, taming_n=taming_n)
     lattice = build_lattice(modes)
     space = h1_space(lattice)
-    if noise_modes > space.n_coeffs:
-        raise ConfigurationError("noise_modes cannot exceed the coefficient count")
     noise = geometric_noise(noise_modes, mu, lam, q_decay)
     hsg = noise_growth_sq(space, noise)
 

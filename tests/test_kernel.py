@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflectspde import penalize
+from reflectspde import hilbert, penalize
 from reflectspde.errors import ConfigurationError
-from reflectspde.hilbert import norm_h, norm_v
+from reflectspde.hilbert import _clamp, norm_h, norm_v, project_ball
 from reflectspde.localtime import inequality_study
 from reflectspde.models import decay_profile_x0, make_allen_cahn, make_oracle_1d
 from reflectspde.montecarlo import cauchy_study, oracle_compare_1d, run_estimates
 from reflectspde.penalize import (
     SchemeConfig,
-    _into_ball,
     _penalized_stack,
     _trajectory,
     brownian_increments,
@@ -235,13 +234,15 @@ def test_explicit_stack_takes_the_x_tilde_norm_only_for_the_projection_level(
 
     guard = []  # the norms the clamp's rounding guard takes, per call
 
-    def guarded(space, x, clamped):
+    def guarded(space, x, r):
         before = len(calls)
-        _into_ball(space, x, clamped)
+        clamped = _clamp(space, x, r)
         guard.append(len(calls) - before)
+        return clamped
 
     monkeypatch.setattr(penalize, "norm_h", counted)
-    monkeypatch.setattr(penalize, "_into_ball", guarded)
+    monkeypatch.setattr(hilbert, "norm_h", counted)  # the guard's norms
+    monkeypatch.setattr(penalize, "_clamp", guarded)
     bundle = MODELS["allen_cahn"]  # strong noise: paths leave the ball and part
     cfg = SchemeConfig(dt=0.02, steps=30, n=0.0, seed=4)
     levels = [1.0, 16.0, 50.0] + ([np.inf] if projection else [])
@@ -252,6 +253,37 @@ def test_explicit_stack_takes_the_x_tilde_norm_only_for_the_projection_level(
     # the guard runs only with inf, and only on the clamped rows
     assert len(guard) == (cfg.steps if projection else 0)
     assert len(calls) == 1 + (2 if projection else 1) * cfg.steps + sum(guard)
+
+
+STRONG = make_allen_cahn(modes=16, mu=3.0)
+
+
+@SETTINGS
+@given(
+    method=st.sampled_from(["explicit", "splitting"]),
+    n=st.sampled_from([1.0, 16.0, 50.0]),
+    radius=st.floats(0.5, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_projection_level_is_project_ball_of_x_tilde(method, n, radius, seed):
+    # one step of an [n, inf] stack from a generated low-mode state: every row
+    # of the projection level is project_ball(x-tilde) bit for bit, and
+    # dL = new - x-tilde.  The strong noise takes a tenth to two fifths of the
+    # rows out of the ball, and the clamp of about one in ten of those reads
+    # above 1.
+    bundle, paths, dt = STRONG, 64, 0.02
+    space = bundle.space
+    x0 = np.random.default_rng(seed).standard_normal(space.n_coeffs)
+    x0 /= (1.0 + np.abs(space.wavenumbers)) ** 2
+    x0 *= radius / norm_h(space, x0)
+    cfg = SchemeConfig(dt=dt, steps=1, n=0.0, method=method, seed=seed)
+    x, dL, _, _, put = next(_penalized_stack(bundle.model, cfg, [n, np.inf], x0, range(paths)))
+    k = bundle.noise.mode_count
+    dW = np.stack([brownian_increments(seed, i, k, 1, dt)[0] for i in range(paths)])
+    x_tilde = one_step_move(bundle.model, 0.0, dt, np.tile(x0, (paths, 1)), dW)
+    clamped = project_ball(space, x_tilde)
+    assert np.array_equal(x[put[1]], clamped)
+    assert np.array_equal(dL[put[1]], clamped - x_tilde)
 
 
 @SETTINGS

@@ -225,6 +225,24 @@ def test_make_allen_cahn_bundle():
     assert np.max(np.abs(m.state_rhs(0.0, u) - m.drift(0.0, u))) < 1e-15
 
 
+def test_noise_must_fit_the_space():
+    # README's recipe for another noise; a 40-mode noise on 16 coefficients
+    # used to pass here and die in a numpy broadcast inside the study
+    model = make_allen_cahn(modes=16).model
+    wide = geometric_noise(40, 0.5, 0.3)
+    with pytest.raises(ConfigurationError, match="noise drives 40 modes"):
+        dataclasses.replace(model, noise=wide)
+    u = np.zeros(16)
+    with pytest.raises(ConfigurationError):
+        hs_norm_sq(model.space, wide, u)
+    with pytest.raises(ConfigurationError):
+        hs_diff_sq(model.space, wide, u, u)
+    with pytest.raises(ConfigurationError):
+        noise_growth_sq(model.space, wide)
+    fits = dataclasses.replace(model, noise=geometric_noise(16, 0.5, 0.3))
+    assert fits.noise.mode_count == 16
+
+
 def test_allen_cahn_guards():
     with pytest.raises(ConfigurationError):
         make_allen_cahn(modes=4)

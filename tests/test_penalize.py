@@ -53,6 +53,24 @@ def test_brownian_increments_validation():
         brownian_increments(0, 0, 3, 0, 0.01)
 
 
+@pytest.mark.parametrize(
+    "seed, path_index, mode_count, steps",
+    [
+        (0, True, 3, 10),
+        (0, 1.5, 3, 10),
+        (0, -1, 3, 10),
+        (0, 0, 3.0, 10),
+        (0, 0, 3, 3.0),
+        (0, 0, 3, True),
+        (1.5, 0, 3, 10),
+    ],
+)
+def test_brownian_increments_counts_are_whole_numbers(seed, path_index, mode_count, steps):
+    # a float or a bool is rejected, not rounded or read as path 1
+    with pytest.raises(ConfigurationError):
+        brownian_increments(seed, path_index, mode_count, steps, 0.01)
+
+
 STREAM_MODELS = {"oracle": make_oracle_1d(), "allen_cahn": make_allen_cahn(modes=8, noise_modes=3)}
 
 
@@ -232,6 +250,15 @@ def test_simulate_path_reproducible_bitwise():
     assert np.array_equal(a.l_increments, b.l_increments)
     c = simulate_path(bundle.model, cfg, bundle.x0, path_index=3)
     assert not np.array_equal(a.states, c.states)
+
+
+@pytest.mark.parametrize("path_index", [True, 1.5, np.float64(1.0), -1])
+def test_simulate_path_index_is_a_whole_number(path_index):
+    # True used to run as path 1, and 1.5 died with a raw TypeError
+    bundle = make_allen_cahn(modes=8)
+    cfg = SchemeConfig(dt=0.01, steps=5, n=16.0)
+    with pytest.raises(ConfigurationError, match="path_index"):
+        simulate_path(bundle.model, cfg, bundle.x0, path_index=path_index)
 
 
 def test_common_random_numbers_coupling():
