@@ -26,8 +26,16 @@ byte-identical across reruns (reduction order is fixed).  ``--threads`` is
 accepted and validated (>= 1) but has no effect: every study runs in one
 thread, and no environment variable is read.  The seed, ``--seed`` or else
 ``scheme.seed``, must be >= 0 for every subcommand, and every level of
-``run.n_grid`` must be one that `SchemeConfig` accepts.  ``all`` simulates the estimates
-ensemble once and writes both ``estimates.csv`` and ``cauchy.csv`` from it.
+``run.n_grid`` must be one that `SchemeConfig` accepts.  ``all`` steps two
+stacks: one coupled ensemble of the configured model on paths
+0..max(run.paths, run.ineq_paths)-1 feeds the estimates, the Cauchy gaps and
+the inequality table, each reading its leading paths (``run.ineq_paths`` is
+3 when unset), and the 1-D oracle comparison steps its own stack, which ends
+in the projection level.  Its ``estimates.csv`` and ``cauchy.csv`` are those of the
+``estimates`` and ``cauchy`` subcommands when ``run.ineq_paths`` is at most
+``run.paths``; its ``inequality.csv`` may differ from the ``inequality``
+subcommand's in the last digits, since the matrix products of the model's
+transforms round a row differently in a larger batch.
 Counts are checked before any study starts, and must be usable
 (``run.paths >= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0``
 with 0 meaning ``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``).
@@ -54,10 +62,10 @@ from typing import NamedTuple
 
 from .errors import ReflectSPDEError
 from .hypotheses import run_all_audits
-from .localtime import inequality_study
+from .localtime import _Inequality, inequality_study
 from .models import REGISTRY, ModelBundle, build_model
-from .montecarlo import Report, oracle_compare_1d, run_estimates
-from .penalize import SchemeConfig
+from .montecarlo import Report, _Estimates, oracle_compare_1d, run_estimates
+from .penalize import SchemeConfig, _ensemble
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "main"]
 
@@ -259,6 +267,19 @@ def _set_counts(config: ExperimentConfig, keywords: dict) -> dict:
     }
 
 
+def _one_ensemble(bundle, cfg, n_grid, paths: int, ineq: dict) -> tuple[Report, Report, Report]:
+    """(estimates, cauchy, inequality) from one coupled ensemble on paths
+    0..max(paths, the inequality's paths)-1, each reading its leading paths;
+    ineq holds the inequality study's keywords that the config sets."""
+    study = inspect.signature(inequality_study).bind(bundle.model, cfg, bundle.x0, n_grid, **ineq)
+    study.apply_defaults()
+    feed = _ensemble(bundle.model, cfg, n_grid, bundle.x0, max(paths, study.arguments["paths"]))
+    (estimates, cauchy), inequality = feed(
+        _Estimates(bundle.model, cfg, n_grid, paths, bundle.x0), _Inequality(**study.arguments)
+    )
+    return estimates, cauchy, inequality
+
+
 class AuditRow(NamedTuple):
     hypothesis: str
     margin: float
@@ -274,7 +295,9 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
     scheme, and `oracle1d` builds no bundle; it binds the oracle builder's
     arguments, from the `model.*` keys of an `oracle_1d` config, so that
     `estimates` steps the same oracle, and else from the `oracle.*` keys,
-    the builder's defaults filling in what is left out.
+    the builder's defaults filling in what is left out.  When estimates or
+    Cauchy gaps and the inequality table are all wanted, one ensemble
+    (`_one_ensemble`) serves the three.
     """
     stepping = any(t != "hypotheses" for t in wanted)
     cfg, n_grid = _build_scheme(config, seed) if stepping else (None, None)
@@ -300,9 +323,17 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
             ineq["delta"] = delta = config.values["run.delta"]
             if not 0.0 < delta < 1.0:
                 raise ConfigError(f"run.delta: must lie in (0, 1), got {delta}")
-        studies["inequality"] = lambda: inequality_study(
-            bundle.model, cfg, bundle.x0, n_grid, **ineq
-        )
+        if "estimates" in studies:  # one ensemble feeds estimates, cauchy and inequality
+            shared = functools.cache(
+                functools.partial(_one_ensemble, bundle, cfg, n_grid, paths, ineq)
+            )
+            studies["estimates"] = lambda: shared()[0]
+            studies["cauchy"] = lambda: shared()[1]
+            studies["inequality"] = lambda: shared()[2]
+        else:
+            studies["inequality"] = lambda: inequality_study(
+                bundle.model, cfg, bundle.x0, n_grid, **ineq
+            )
     if "hypotheses" in wanted:
         # run.h1_samples = 0 passes h1_count 0, which run_all_audits reads as count
         sizes = _set_counts(

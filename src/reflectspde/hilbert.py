@@ -159,15 +159,26 @@ def project_ball(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
 
 def _clamp(space: SpaceSpec, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """x * fl(1 / max(r, 1)) for r = |x|_H.  A moved row has computed radius
-    1 + O(m eps) and may read just above 1: each pass multiplies the rows
-    still above 1 by 1 - eps, which lowers every normal coefficient by one or
-    two ulps, until norm_h reads at most 1.  Rows inside are returned as is."""
+    1 + O(m eps) and may read just above 1: such a row is scaled once by the
+    inverse of the radius norm_h reads, and then each pass multiplies the
+    rows still above 1 by 1 - eps, which lowers every normal coefficient by
+    one or two ulps, until norm_h reads at most 1.  Rows inside are returned
+    as is."""
     x = x * (1.0 / np.maximum(r, 1.0))[..., None]
     outside = np.array(r > 1.0)
+    if outside.any():
+        read = norm_h(space, x[outside])
+        outside[outside] = above = read > 1.0
+        x[outside] *= (1.0 / read[above])[:, None]
     while outside.any():
         outside[outside] = norm_h(space, x[outside]) > 1.0
         x[outside] *= 1.0 - np.finfo(float).eps
     return x
+
+
+def _gap_factor(r: np.ndarray) -> np.ndarray:
+    """lambda(r) = 1 - 1/max(r, 1): x - project_ball(x) = lambda(|x|_H) x."""
+    return 1.0 - 1.0 / np.maximum(r, 1.0)
 
 
 def penalty_gap(
@@ -183,7 +194,6 @@ def penalty_gap(
     x = space.check_coeffs(x)
     if r is None:
         r = norm_h(space, x)
-    lam = 1.0 - 1.0 / np.maximum(r, 1.0)
     excess = np.maximum(r - 1.0, 0.0)
-    return lam[..., None] * x, 0.5 * excess * excess
+    return _gap_factor(r)[..., None] * x, 0.5 * excess * excess
 

@@ -10,7 +10,9 @@ stepper does.  The reflection mass over radii is one histogram over the
 same arrays: ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
 `inequality_study` takes the same sums as a running reduction over the
 steps of `penalize._ensemble`, which owns its paths, pre-step radii and final
-alive mask, against the test family's factors, and holds no time axis.
+alive mask, against the test family's factors, and holds no time axis; the
+reduction reads the ensemble's leading paths, so one ensemble can feed it
+and the estimates together.
 """
 
 from __future__ import annotations
@@ -174,30 +176,46 @@ def inequality_study(
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
-    space, w = model.space, model.space.h_weights
     n_grid = [float(n) for n in n_grid]
-    steps, alive = _ensemble(model, cfg, n_grid, x0, paths)  # checks x0 before it is read
-    shapes, coeffs = _test_factors(space, cfg.seed, test_count, np.arange(cfg.steps + 1) * cfg.dt)
+    feed = _ensemble(model, cfg, n_grid, x0, paths)  # checks x0 before it is read
+    return feed(_Inequality(model, cfg, x0, n_grid, paths, test_count, delta))[0]
 
-    x = x0  # the pre-step stack; a failed row is zero
-    tv, leak, own = np.zeros((3,) + alive.shape)
-    moment = np.zeros(alive.shape + coeffs.shape[1:])
-    for j, (x_rows, dL_rows, put, r, _) in enumerate(steps):
+
+class _Inequality:
+    """inequality_study as a reduction over `penalize._ensemble`, on its
+    leading `paths` paths; its arguments are the study's."""
+
+    reads_radii = True
+
+    def __init__(self, model, cfg, x0, n_grid, paths, test_count, delta):
+        self.space, self.n_grid, self.paths, self.delta = model.space, n_grid, paths, delta
+        times = np.arange(cfg.steps + 1) * cfg.dt
+        self.shapes, self.coeffs = _test_factors(model.space, cfg.seed, test_count, times)
+        shape = (len(n_grid), paths)
+        self.x = x0  # the pre-step stack; a failed row is zero
+        self.tv, self.leak, self.own = np.zeros((3,) + shape)
+        self.moment = np.zeros(shape + self.coeffs.shape[1:])
+        self.j = 0
+
+    def step(self, x_rows, dL_rows, put, r, _r):
+        delta = self.delta
         dL = dL_rows[put]
-        size = norm_h(space, dL)
-        tv += size
-        leak += np.where(r < 1.0 - delta, (1.0 - delta - r) ** 2, 0.0) * size
-        w_dl = w * dL
-        own += np.einsum("...m,...m->...", x, w_dl)
-        moment += shapes[j, :, None] * w_dl[..., None, :]
-        x = x_rows[put]
-    gaps = np.einsum("fsm,...sm->...f", coeffs, moment) - own[..., None]
+        size = norm_h(self.space, dL)
+        self.tv += size
+        self.leak += np.where(r < 1.0 - delta, (1.0 - delta - r) ** 2, 0.0) * size
+        w_dl = self.space.h_weights * dL
+        self.own += np.einsum("...m,...m->...", self.x, w_dl)
+        self.moment += self.shapes[self.j, :, None] * w_dl[..., None, :]
+        self.x = x_rows[put]
+        self.j += 1
 
-    table = np.stack([tv, gaps.min(axis=-1), leak], axis=-1)
-    table[~alive] = np.nan  # dead rows were pinned to zero by the kernel
-    rows = [
-        InequalityRow(n, i, *map(float, table[li, i]))
-        for li, n in enumerate(n_grid)
-        for i in range(paths)
-    ]
-    return Report(tuple(rows), int(np.count_nonzero(~alive)))
+    def result(self, alive) -> Report:
+        gaps = np.einsum("fsm,...sm->...f", self.coeffs, self.moment) - self.own[..., None]
+        table = np.stack([self.tv, gaps.min(axis=-1), self.leak], axis=-1)
+        table[~alive] = np.nan  # dead rows were pinned to zero by the kernel
+        rows = [
+            InequalityRow(n, i, *map(float, table[li, i]))
+            for li, n in enumerate(self.n_grid)
+            for i in range(self.paths)
+        ]
+        return Report(tuple(rows), int(np.count_nonzero(~alive)))

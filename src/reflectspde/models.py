@@ -80,6 +80,8 @@ class NoiseSpec:
         if not np.all(np.isfinite(q)) or np.any(q < 0):
             raise ConfigurationError("q weights must be finite and nonnegative")
         object.__setattr__(self, "q", q)
+        # sqrt(q), which every amplitude evaluation reads, taken once
+        object.__setattr__(self, "_root_q", np.sqrt(q))
         if not (np.isfinite(self.mu) and np.isfinite(self.lam)):
             raise ConfigurationError("mu and lam must be finite")
 
@@ -99,7 +101,7 @@ def geometric_noise(mode_count: int, mu: float, lam: float, decay: float = 2.0) 
 def _amplitudes(noise: NoiseSpec, u: np.ndarray) -> np.ndarray:
     # the clamp s, as two ufuncs: np.clip's wrapper costs more on small rows
     head = np.minimum(np.maximum(u[..., : noise.mode_count], -1.0), 1.0)
-    return np.sqrt(noise.q) * (noise.mu + noise.lam * head)
+    return noise._root_q * (noise.mu + noise.lam * head)
 
 
 def apply_noise(

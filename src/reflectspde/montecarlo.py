@@ -18,8 +18,10 @@ increments (common random numbers), which is what makes the Cauchy and oracle
 studies meaningful at modest path counts.  All levels and paths of a study
 advance together as one (levels, paths, coeffs) stack in `penalize._ensemble`,
 which owns the paths, the pre-step radii and the final alive mask, and whose
-kernel draws the noise step by step; each study is a reduction over what it
-yields.
+kernel draws the noise step by step; each study is a thin wrapper over a
+private reduction that the ensemble feeds step by step.  One ensemble can
+feed several reductions, each reading its leading paths: the CLI's `all`
+feeds the estimates, the Cauchy gaps and the inequality table from one.
 The kernel yields one row per path while the path's levels coincide, and
 the studies reduce on those rows as they come, keeping no time axis: radii
 and V energies are taken per row, gathered through the kernel's map `put`
@@ -195,6 +197,73 @@ def _mean_and_se(values: np.ndarray, alive: np.ndarray, slices: list[np.ndarray]
 # penalized ensembles
 
 
+class _Estimates:
+    """run_estimates as a reduction over `penalize._ensemble`: its result
+    is the pair (estimates, cauchy) of its leading `paths` paths."""
+
+    reads_radii = True
+
+    def __init__(self, model: ModelSpec, cfg: SchemeConfig, n_grid, paths: int, x0):
+        self.space, self.alpha, self.dt = model.space, model.alpha, cfg.dt
+        self.n_grid, self.paths = n_grid, paths
+        self.slices = _batches(paths)
+        shape = (len(n_grid), paths)
+        # pre-step ||X||_V^alpha per (level, path), the left-endpoint sums
+        # (times dt at the end) and sup_t |X|_H from t = 0; fl(r - 1) is
+        # monotone in r, so (sup_t r - 1)^+ is sup_t (r - 1)^+ exactly
+        self.energy = np.full(shape, v_energy(self.space, x0, model.alpha))
+        self.pen, self.pen_sq, self.weighted_pen, self.v_int, self.sup_h = (
+            np.zeros(shape) for _ in range(5)
+        )
+        self.sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
+
+    def step(self, x, _dL, put, r_pre, r):
+        excess = np.maximum(r_pre - 1.0, 0.0)
+        self.pen += excess
+        self.pen_sq += excess**2
+        self.weighted_pen += r_pre**3 * excess
+        self.v_int += self.energy
+        self.energy = np.take(v_energy(self.space, x, self.alpha), put)
+        np.maximum(self.sup_h, r_pre, out=self.sup_h)
+        self.r = r  # the final state's radius, once the steps end
+        # a merged path's level rows are one row, so its differences are
+        # exactly 0; squared, by inner_h, to skip norm_h's underflow recheck
+        parted = np.flatnonzero(put[0] != put[-1])
+        if parted.size:
+            stack = x[put[:, parted]]
+            diff = stack[:-1] - stack[1:]
+            sup = self.sup_diff2[:, parted]
+            self.sup_diff2[:, parted] = np.maximum(sup, inner_h(self.space, diff, diff))
+
+    def result(self, alive) -> tuple[Report, Report]:
+        n_grid, slices, dt = self.n_grid, self.slices, self.dt
+        sup_h = np.maximum(self.sup_h, self.r)
+        rows = []
+        for i, n in enumerate(n_grid):
+            ok = alive[i]
+            cells = {"n": n, "failures": int(np.count_nonzero(~ok))}
+            n_scale = n if np.isfinite(n) else np.nan  # inf * 0 at the projection level
+            for column, values, scale in (
+                ("sup4", sup_h[i] ** 4, 1.0),
+                ("weighted_pen", dt * self.weighted_pen[i], n_scale),
+                ("var2", (n_scale * (dt * self.pen[i])) ** 2, 1.0),
+                ("pen_l2", dt * self.pen_sq[i], n_scale),
+                ("v_energy", dt * self.v_int[i], 1.0),
+                ("pen_sup4", np.maximum(sup_h[i] - 1.0, 0.0) ** 4, 1.0),
+            ):
+                est, se = _mean_and_se(values, ok, slices)
+                cells[f"est_{column}"], cells[f"se_{column}"] = scale * est, scale * se
+            rows.append(EstimateRow(**cells))
+        estimates = Report(tuple(rows), int(np.count_nonzero(~alive)))
+
+        coupled = np.all(alive, axis=0)
+        gaps = []
+        for i in range(len(n_grid) - 1):
+            est, se = _mean_and_se(self.sup_diff2[i], coupled, slices)
+            gaps.append(CauchyRow(n_grid[i], n_grid[i + 1], est, se))
+        return estimates, Report(tuple(gaps), int(np.count_nonzero(~coupled)))
+
+
 def run_estimates(
     model: ModelSpec,
     cfg: SchemeConfig,
@@ -207,57 +276,8 @@ def run_estimates(
     and the consecutive-level Cauchy gaps of the same ensemble: returns the
     pair (estimates, cauchy)."""
     n_grid = [float(n) for n in n_grid]
-    space = model.space
-    steps, alive = _ensemble(model, cfg, n_grid, x0, paths)
-    slices = _batches(paths)
-
-    # pre-step ||X||_V^alpha per (level, path), the left-endpoint sums (times
-    # dt at the end) and sup_t |X|_H from t = 0; fl(r - 1) is monotone in r,
-    # so (sup_t r - 1)^+ is sup_t (r - 1)^+ exactly
-    energy = np.full(alive.shape, v_energy(space, x0, model.alpha))
-    pen, pen_sq, weighted_pen, v_int, sup_h = (np.zeros(alive.shape) for _ in range(5))
-    sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
-    for x, _dL, put, r_pre, r in steps:
-        excess = np.maximum(r_pre - 1.0, 0.0)
-        pen += excess
-        pen_sq += excess**2
-        weighted_pen += r_pre**3 * excess
-        v_int += energy
-        energy = np.take(v_energy(space, x, model.alpha), put)
-        np.maximum(sup_h, r_pre, out=sup_h)
-        # a merged path's level rows are one row, so its differences are
-        # exactly 0; squared, by inner_h, to skip norm_h's underflow recheck
-        parted = np.flatnonzero(put[0] != put[-1])
-        if parted.size:
-            stack = x[put[:, parted]]
-            diff = stack[:-1] - stack[1:]
-            sup_diff2[:, parted] = np.maximum(sup_diff2[:, parted], inner_h(space, diff, diff))
-    np.maximum(sup_h, r, out=sup_h)  # the final state's radius
-
-    rows = []
-    for i, n in enumerate(n_grid):
-        ok = alive[i]
-        cells = {"n": n, "failures": int(np.count_nonzero(~ok))}
-        n_scale = n if np.isfinite(n) else np.nan  # inf * 0 at the projection level
-        for column, values, scale in (
-            ("sup4", sup_h[i] ** 4, 1.0),
-            ("weighted_pen", cfg.dt * weighted_pen[i], n_scale),
-            ("var2", (n_scale * (cfg.dt * pen[i])) ** 2, 1.0),
-            ("pen_l2", cfg.dt * pen_sq[i], n_scale),
-            ("v_energy", cfg.dt * v_int[i], 1.0),
-            ("pen_sup4", np.maximum(sup_h[i] - 1.0, 0.0) ** 4, 1.0),
-        ):
-            est, se = _mean_and_se(values, ok, slices)
-            cells[f"est_{column}"], cells[f"se_{column}"] = scale * est, scale * se
-        rows.append(EstimateRow(**cells))
-    estimates = Report(tuple(rows), int(np.count_nonzero(~alive)))
-
-    coupled = np.all(alive, axis=0)
-    gaps = []
-    for i in range(len(n_grid) - 1):
-        est, se = _mean_and_se(sup_diff2[i], coupled, slices)
-        gaps.append(CauchyRow(n_grid[i], n_grid[i + 1], est, se))
-    return estimates, Report(tuple(gaps), int(np.count_nonzero(~coupled)))
+    feed = _ensemble(model, cfg, n_grid, x0, paths)
+    return feed(_Estimates(model, cfg, n_grid, paths, x0))[0]
 
 
 def cauchy_study(
@@ -330,26 +350,38 @@ def oracle_compare_1d(
     if not n_grid:
         raise ConfigurationError("oracle study needs at least 1 penalization level")
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
-    steps, alive = _ensemble(bundle.model, cfg, n_grid + [np.inf], bundle.x0, paths)
-    slices = _batches(paths)
+    feed = _ensemble(bundle.model, cfg, n_grid + [np.inf], bundle.x0, paths)
+    return feed(_Oracle(n_grid, paths))[0]
 
-    sup_diff = np.zeros((len(n_grid), paths))
-    tv = np.zeros((len(n_grid) + 1, paths))
-    for x, dl, put, _, _ in steps:
-        tv += np.abs(np.take(dl[:, 0], put))
+
+class _Oracle:
+    """oracle_compare_1d as a reduction over `penalize._ensemble`, whose
+    last level is n = inf; it reads no radii."""
+
+    reads_radii = False
+
+    def __init__(self, n_grid, paths: int):
+        self.n_grid, self.paths = n_grid, paths
+        self.slices = _batches(paths)
+        self.sup_diff = np.zeros((len(n_grid), paths))
+        self.tv = np.zeros((len(n_grid) + 1, paths))
+
+    def step(self, x, dl, put, _r_pre, _r):
+        self.tv += np.abs(np.take(dl[:, 0], put))
         stack = np.take(x[:, 0], put)
-        terminal = np.abs(stack[:-1] - stack[-1])
-        np.maximum(sup_diff, terminal, out=sup_diff)
-    alive = alive[:-1] & alive[-1]
-    tv_diff = np.abs(tv[:-1] - tv[-1])
+        self.terminal = np.abs(stack[:-1] - stack[-1])
+        np.maximum(self.sup_diff, self.terminal, out=self.sup_diff)
 
-    rows = []
-    for i, n in enumerate(n_grid):
-        sd_est, sd_se = _mean_and_se(sup_diff[i], alive[i], slices)
-        tv_est, tv_se = _mean_and_se(tv_diff[i], alive[i], slices)
-        term_est, _ = _mean_and_se(terminal[i], alive[i], slices)
-        rows.append(OracleRow(n, sd_est, sd_se, tv_est, tv_se, term_est))
-    return Report(tuple(rows), int(np.count_nonzero(~alive)))
+    def result(self, alive) -> Report:
+        alive = alive[:-1] & alive[-1]
+        tv_diff = np.abs(self.tv[:-1] - self.tv[-1])
+        rows = []
+        for i, n in enumerate(self.n_grid):
+            sd_est, sd_se = _mean_and_se(self.sup_diff[i], alive[i], self.slices)
+            tv_est, tv_se = _mean_and_se(tv_diff[i], alive[i], self.slices)
+            term_est, _ = _mean_and_se(self.terminal[i], alive[i], self.slices)
+            rows.append(OracleRow(n, sd_est, sd_se, tv_est, tv_se, term_est))
+        return Report(tuple(rows), int(np.count_nonzero(~alive)))
 
 
 # --------------------------------------------------------------------------

@@ -27,14 +27,22 @@ Every path is stepped by one kernel, `_penalized_stack`, which checks the
 levels, the initial state (in the closed unit ball) and the range of path
 indices, raising ConfigurationError, then advances a (levels, paths, coeffs)
 stack.  It draws the noise itself, keyed on (seed, path) and shared by all
-levels, in chunks of 128 steps, so that nothing it holds grows with the
-horizon; `simulate_path` is its one-level, one-path case.  The studies
-reduce `_ensemble`, the one owner of their paths, of the radii before and
-after each step and of the final alive mask.
+levels, in chunks of 1024 values per path, so that nothing it holds grows
+with the horizon; `simulate_path` is its one-level, one-path case.  The
+studies are reductions fed by `_ensemble`, the one owner of their paths, of
+the radii before and after each step and of the final alive mask; one
+ensemble can feed several studies, each reading its leading paths.
+What stays fixed for a run is computed once, when the kernel opens: the
+Lawson factor exp(symbol dt), whether a level is n = inf, and each row's
+penalty factor (-n dt for an explicit level, 0 at n = inf, and exp(-n dt)
+for a splitting level), which a row's copies take when its path parts; the
+noise amplitudes sqrt(q) are the NoiseSpec's own.  The explicit penalty is
+then one scaled pass over the rows, x * (lambda(r) * factor).
 Each explicit step reads the pre-step radius that the kernel's divergence
 check computed, so it computes one H norm per row per step; a splitting step,
 or an explicit step of a stack that holds n = inf, computes two, of x-tilde
-and of the new state, and at n = inf one more of the clamped rows.
+and of the new state, and at n = inf the clamp's guard reads the clamped
+rows once or more.
 
 The kernel holds a path as one row while its level rows coincide.  The
 penalty vanishes inside the ball and every level reads the same noise, so
@@ -62,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .hilbert import _clamp, norm_h, penalty_gap
+from .hilbert import _clamp, _gap_factor, norm_h
 from .models import ModelSpec, apply_noise
 
 __all__ = [
@@ -155,18 +163,20 @@ def _path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-# steps of every path's noise that the kernel draws at once
-_CHUNK_STEPS = 128
+# values of every path's noise that the kernel draws at once: 128 steps of
+# 8 modes, 1024 steps of one mode
+_CHUNK_VALUES = 1024
 
 
 def _brownian_stream(seed: int, paths: range, mode_count: int, steps: int, dt: float):
     """Yield each step's (len(paths), mode_count) increments of the path
     indices in paths: brownian_increments' draws, read from one generator per
-    path _CHUNK_STEPS steps at a time.  A yielded array is overwritten by a
-    later chunk."""
+    path _CHUNK_VALUES values (whole steps, at least one) at a time.  A
+    yielded array is overwritten by a later chunk."""
     streams = [_path_generator(seed, i) for i in paths]
-    chunk = np.empty((len(paths), min(steps, _CHUNK_STEPS), mode_count))
-    for start in range(0, steps, _CHUNK_STEPS):
+    chunk_steps = max(1, _CHUNK_VALUES // mode_count)
+    chunk = np.empty((len(paths), min(steps, chunk_steps), mode_count))
+    for start in range(0, steps, chunk_steps):
         drawn = chunk[:, : steps - start]
         for stream, rows in zip(streams, drawn):
             stream.standard_normal(out=rows)
@@ -190,15 +200,33 @@ def one_step_move(
     drift returns, and they broadcast against each other.
     """
     state, dW = np.asarray(state, dtype=float), np.asarray(dW, dtype=float)
-    lawson = model.linear_symbol is not None
-    drift = model.nonstiff_drift(t, state) if lawson else model.state_rhs(t, state)
+    return _move(model, t, dt, state, dW, _lawson_factor(model, dt))
+
+
+def _lawson_factor(model: ModelSpec, dt: float) -> np.ndarray | None:
+    """exp(symbol dt) of a model with a stiff linear part, else None."""
+    return None if model.linear_symbol is None else np.exp(model.linear_symbol * dt)
+
+
+def _move(model, t, dt, state, dW, lawson):
+    """one_step_move on float arrays, with the Lawson factor given."""
+    drift = model.state_rhs(t, state) if lawson is None else model.nonstiff_drift(t, state)
     # allocated after the drift, so that the drift's scratch and it never coexist
     moved = np.empty(np.broadcast(state[..., 0], dW[..., 0]).shape + state.shape[-1:])
     np.multiply(dt, drift, out=moved)
     moved += state
-    if lawson:
-        moved *= np.exp(model.linear_symbol * dt)
+    if lawson is not None:
+        moved *= lawson
     return apply_noise(model.noise, state, dW, out=moved)
+
+
+def _penalty_factor(method: str, rate):
+    """The factor a level's penalty scales by, from its n dt: -n dt for an
+    explicit level, 0 at n = inf (the clamp then acts; inf * 0 is NaN), and
+    exp(-n dt) for a splitting level."""
+    if method == "splitting":
+        return np.exp(-rate)
+    return np.where(np.isinf(rate), 0.0, -rate)
 
 
 def step_penalized(
@@ -220,24 +248,27 @@ def step_penalized(
     `_penalized_stack` makes it once per step for every row.
 
     rows is the kernel's row table, and state its rows in use: row q reads
-    dW[rows.path[q]] and its own level's n dt, and cfg.n is not read.  After
-    the move, the merged paths on which the penalty is about to act are
-    parted, so state' and dL have one row per row in use after parting, and
-    state' is written into the table.
+    dW[rows.path[q]] and its own level's n dt, and cfg.n is not read; the
+    table holds the run's constants.  After the move, the merged paths on
+    which the penalty is about to act are parted, so state' and dL have one
+    row per row in use after parting, and state' is written into the table.
     """
     space = model.space
-    if rows is not None:
+    if rows is None:
+        lawson, projection = _lawson_factor(model, cfg.dt), np.isinf(cfg.n)
+        rate, out = np.multiply(cfg.n, cfg.dt), None
+        factor = _penalty_factor(cfg.method, rate)
+    else:
+        lawson, projection = rows.lawson, rows.projection
         dW = np.take(dW, rows.path[: len(state)], axis=0)
-    x_tilde = one_step_move(model, t, cfg.dt, state, dW)
-    rate, out = np.multiply(cfg.n, cfg.dt), None
-    projection = np.isinf(cfg.n if rows is None else rows.level_rate).any()
+    x_tilde = _move(model, t, cfg.dt, state, dW, lawson)
     if cfg.method == "splitting":
         r_tilde = norm_h(space, x_tilde)
         if rows is not None:
             r_tilde, x_tilde = rows.part(r_tilde > 1.0, r_tilde, x_tilde)
-            rate, out = rows.in_use()
+            rate, factor, out = rows.in_use()
         excess = np.maximum(r_tilde - 1.0, 0.0)
-        scale = (1.0 + excess * np.exp(-rate)) / np.maximum(r_tilde, 1.0)
+        scale = (1.0 + excess * factor) / np.maximum(r_tilde, 1.0)
         new = np.multiply(x_tilde, scale[..., None], out=out)
         dL = new - x_tilde
     else:
@@ -250,11 +281,10 @@ def step_penalized(
             arrays, acting = arrays + (r_tilde,), acting | (r_tilde > 1.0)
         if rows is not None:
             arrays = rows.part(acting, *arrays)
-            rate, out = rows.in_use()
+            rate, factor, out = rows.in_use()
         state, r, x_tilde, r_tilde = arrays if projection else arrays + (None,)
-        # the projection level takes no pre-step penalty: its rate is inf, and inf * 0 is NaN
-        dL, _ = penalty_gap(space, state, r)
-        dL *= np.where(np.isinf(rate), 0.0, -rate)[..., None]
+        # dL = -n dt (x - pi(x)), in one pass; the projection level's factor is 0
+        dL = np.multiply(state, (_gap_factor(r) * factor)[..., None])
         new = np.add(x_tilde, dL, out=out)
     if projection:  # the splitting step at exp(-inf) = 0: x-tilde onto the ball
         clamp = np.isinf(rate)
@@ -273,23 +303,29 @@ class _Rows:
     a parted path are appended in the order the paths part, so rows never
     move and the first `count` rows are in use.  put[l, i] is the row of
     level l of path i.  Every array is allocated at the full capacity
-    levels * paths.
+    levels * paths.  The table also holds the run's constants, which
+    step_penalized reads: the Lawson factor, whether a level is n = inf, and
+    each row's penalty factor.
     """
 
-    def __init__(self, rates, paths, m):
-        levels = rates.size
-        self.level_rate = rates
-        self.x = np.empty((levels * paths, m))
-        self.alive = np.ones(levels * paths, dtype=bool)
+    def __init__(self, model, cfg, levels, paths):
+        rates = levels * cfg.dt
+        self.lawson = _lawson_factor(model, cfg.dt)
+        self.projection = bool(np.isinf(rates).any())
+        self.level_rate, self.level_factor = rates, _penalty_factor(cfg.method, rates)
+        self.x = np.empty((levels.size * paths, model.space.n_coeffs))
+        self.alive = np.ones(levels.size * paths, dtype=bool)
         self.rate = np.repeat(rates, paths)
-        self.path = np.tile(np.arange(paths), levels)
-        self.put = np.tile(np.arange(paths), (levels, 1))
-        self.merged = np.full(paths, levels > 1)  # one level has nothing to part
+        self.factor = np.repeat(self.level_factor, paths)
+        self.path = np.tile(np.arange(paths), levels.size)
+        self.put = np.tile(np.arange(paths), (levels.size, 1))
+        self.merged = np.full(paths, levels.size > 1)  # one level has nothing to part
         self.count = paths
 
     def in_use(self):
-        """(rate, x) of the rows in use: each row's n dt, and its states."""
-        return self.rate[: self.count], self.x[: self.count]
+        """(rate, factor, x) of the rows in use: each row's n dt and penalty
+        factor, and its states."""
+        return self.rate[: self.count], self.factor[: self.count], self.x[: self.count]
 
     def part(self, acting, *arrays):
         """Part the live merged paths whose row `acting` marks, and return
@@ -305,6 +341,7 @@ class _Rows:
         self.count += (levels - 1) * split.size
         new = slice(start, self.count)
         self.rate[new] = np.repeat(self.level_rate[1:], split.size)
+        self.factor[new] = np.repeat(self.level_factor[1:], split.size)
         self.path[new] = np.tile(split, levels - 1)
         self.alive[new] = True
         self.put[1:, split] = np.arange(start, self.count).reshape(levels - 1, split.size)
@@ -346,7 +383,7 @@ def _penalized_stack(model, cfg, levels, x0, paths):
 
 
 def _advance(model, cfg, levels, x0, paths, r0):
-    rows = _Rows(levels * cfg.dt, len(paths), x0.size)
+    rows = _Rows(model, cfg, levels, len(paths))
     rows.x[: rows.count] = x0
     noise = _brownian_stream(cfg.seed, paths, model.noise.mode_count, cfg.steps, cfg.dt)
     # r is the pre-step radius: |x0|_H, then the radius each divergence check
@@ -367,24 +404,40 @@ def _advance(model, cfg, levels, x0, paths, r0):
 
 
 def _ensemble(model, cfg, levels, x0, paths):
-    """A study's coupled ensemble, (steps, alive): the kernel on paths
-    0..paths-1, opened here so that its inputs are checked before the study
-    reads x0.  steps yields (x, dL, put, r_pre, r) after each step: the
-    kernel's rows, increments and map, and the (L, M) H radii before and
-    after the step, a failed row reading 0.  alive, the final (L, M) mask of
-    the rows that stayed finite, is filled in when steps is exhausted."""
+    """The coupled ensemble of one or more studies: the kernel on paths
+    0..paths-1, opened here so that its inputs are checked before a study
+    reads x0.  Returns feed(*reductions), which steps the kernel once and
+    returns the list of each reduction's result.
+
+    A reduction reads its leading `paths` paths, at most the ensemble's.
+    After each step, feed calls its step(x, dL, put, r_pre, r): the kernel's
+    rows and increments, the (L, paths) map from its stack to the rows, and
+    the (L, paths) H radii before and after the step, a failed row reading
+    0.  The radii are built only when some reduction's `reads_radii` is set,
+    and are None otherwise.  At the end feed calls result(alive) of each,
+    with alive its final (L, paths) mask of the rows that stayed finite."""
     _check_count("paths", paths, 1)
     kernel = _penalized_stack(model, cfg, levels, x0, range(paths))
-    final = np.ones((len(levels), paths), dtype=bool)
+    r0 = norm_h(model.space, x0)
 
-    def steps(r):
+    def feed(*reductions):
+        radii = any(reduction.reads_radii for reduction in reductions)
+        r = np.full((len(levels), paths), r0) if radii else None
+        leads = [np.s_[:, : reduction.paths] for reduction in reductions]
         for x, dL, r_rows, alive, put in kernel:
-            # a failed row reads radius 0: the radius it died at may overflow r^3
-            r_pre, r = r, np.take(np.where(alive, r_rows, 0.0), put)
-            yield x, dL, put, r_pre, r
-        final[...] = alive[put]
+            r_pre = r
+            if radii:
+                # a failed row reads radius 0: the radius it died at may overflow r^3
+                r = np.take(np.where(alive, r_rows, 0.0), put)
+            for reduction, lead in zip(reductions, leads):
+                if radii:
+                    reduction.step(x, dL, put[lead], r_pre[lead], r[lead])
+                else:
+                    reduction.step(x, dL, put[lead], None, None)
+        final = alive[put]
+        return [reduction.result(final[lead]) for reduction, lead in zip(reductions, leads)]
 
-    return steps(np.full(final.shape, norm_h(model.space, x0))), final
+    return feed
 
 
 def _trajectory(model, cfg, levels, x0, paths):

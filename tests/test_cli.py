@@ -5,11 +5,12 @@ import inspect
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflectspde import cli
+from reflectspde import cli, penalize
 from reflectspde.cli import (
     _FLOAT,
     _INT,
@@ -22,7 +23,9 @@ from reflectspde.cli import (
     run_experiment,
 )
 from reflectspde.errors import ConfigurationError
+from reflectspde.hilbert import norm_h
 from reflectspde.models import REGISTRY
+from reflectspde.montecarlo import _Estimates
 
 ORACLE_CONF = """\
 # tiny deterministic-ish oracle study
@@ -621,3 +624,137 @@ def test_ambiguous_horizon_rejected(tmp_path):
     cfg = load_config(write_conf(tmp_path, conf, name="ok.conf"))
     code, _ = run_experiment(cfg, "oracle1d", tmp_path / "ok")
     assert code == 0
+
+
+# --------------------------------------------------------------------------
+# `all` steps each model once
+
+AC_CONF = """\
+model.name = allen_cahn
+model.modes = 32
+noise.mu = 1.5
+scheme.dt = 0.002
+scheme.t_final = 0.1
+scheme.seed = 5
+run.n_grid = 1, 16, 256
+run.paths = 12
+run.samples = 16
+run.h1_samples = 2
+run.test_paths = 20
+"""
+AC_STEPS, AC_DT, AC_PATHS = 50, 0.002, 12
+
+
+def ac_conf(tmp_path, ineq_paths):
+    line = "" if ineq_paths is None else f"run.ineq_paths = {ineq_paths}\n"
+    return write_conf(tmp_path, AC_CONF + line)
+
+
+@pytest.mark.parametrize("ineq_paths", [None, 2, 20], ids=["default", "fewer", "more"])
+def test_all_opens_one_kernel_per_model(tmp_path, monkeypatch, ineq_paths):
+    # every kernel draws its noise through one stream, so the recorder sees
+    # each kernel the run opens: the Allen-Cahn stack once, on the paths of
+    # whichever of estimates and inequality reads more (3 when unset), and
+    # the oracle's once
+    calls, draw = [], penalize._brownian_stream
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(penalize, "_brownian_stream", counting)
+    conf = ac_conf(tmp_path, ineq_paths)
+    assert run_cli(["all", "--config", conf, "--out", tmp_path / "out"]) == 0
+    reach = max(AC_PATHS, 3 if ineq_paths is None else ineq_paths)
+    allen_cahn = (5, range(reach), 8, AC_STEPS, AC_DT)
+    oracle = (5, range(AC_PATHS), 1, AC_STEPS, AC_DT)
+    assert calls == [allen_cahn, oracle]
+
+
+def kernel_drift(model, cfg, levels, x0, paths, reach):
+    """How far the kernel's rows of paths 0..paths-1 move when the stack
+    holds paths 0..reach-1: (largest H distance between states, between
+    increments), the largest increment and the largest radius."""
+    space = model.space
+    states, dls, radii, _ = penalize._trajectory(model, cfg, levels, x0, range(paths))
+    wide = penalize._trajectory(model, cfg, levels, x0, range(reach))
+    wide_states, wide_dls, wide_radii, _ = wide
+    d_x = np.max(norm_h(space, states - wide_states[:, :, :paths]))
+    d_l = np.max(norm_h(space, dls - wide_dls[:, :, :paths]))
+    return d_x, d_l, np.max(norm_h(space, dls)), max(np.max(radii), np.max(wide_radii))
+
+
+@pytest.mark.parametrize("ineq_paths", [None, 2])
+def test_all_writes_the_single_subcommands_tables(tmp_path, ineq_paths):
+    conf = ac_conf(tmp_path, ineq_paths)
+    assert run_cli(["all", "--config", conf, "--out", tmp_path / "all"]) == 0
+    for task in ("estimates", "cauchy", "hypotheses", "oracle1d", "inequality"):
+        assert run_cli([task, "--config", conf, "--out", tmp_path / task]) == 0
+    for task in ("estimates", "cauchy", "hypotheses", "oracle1d"):
+        name = f"{task}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / task / name).read_bytes(), name
+
+    # inequality reads the leading paths of a 12-path stack in `all` and a
+    # stack of its own paths alone; a matrix product may round a row
+    # differently in the larger batch, so the tables agree within what that
+    # moves.  Over N steps, with states and increments dx and dl apart in H,
+    # increments at most g and radii at most R (test paths lie in the ball):
+    #   total variation sum |dL_j|:           N dl
+    #   gap sum <phi_j - X_j, dL_j>:          N (dx g + (1 + R) dl)
+    #   leak sum psi(|X_j|) |dL_j|, psi <= 1, |psi'| <= 2:  N (2 dx g + dl)
+    # plus the rounding of N-step sums of m-coefficient products, which two
+    # runs on different inputs need not share: N (m + 3) eps of the column's
+    # scale (for the gap, that of sum |phi_j - X_j| |dL_j| <= (1 + R) TV).
+    paths = 3 if ineq_paths is None else ineq_paths
+    bundle = cli._build_bundle(load_config(conf))
+    cfg, n_grid = cli._build_scheme(load_config(conf), 5)
+    d_x, d_l, g, radius = kernel_drift(bundle.model, cfg, n_grid, bundle.x0, paths, AC_PATHS)
+    n, m, eps = AC_STEPS, bundle.model.space.n_coeffs, np.finfo(float).eps
+    got, want = (
+        np.loadtxt(tmp_path / d / "inequality.csv", delimiter=",", skiprows=1)
+        for d in ("all", "inequality")
+    )
+    assert np.array_equal(got[:, :2], want[:, :2])
+    tv_scale = np.max(want[:, 2])
+    bounds = [
+        n * d_l + n * (m + 3) * eps * tv_scale,
+        n * (d_x * g + (1 + radius) * d_l) + n * (m + 3) * eps * (1 + radius) * tv_scale,
+        n * (2 * d_x * g + d_l) + n * (m + 3) * eps * np.max(want[:, 4]),
+    ]
+    assert np.all(np.abs(got[:, 2:] - want[:, 2:]) <= bounds)
+
+
+def test_all_feeds_each_study_its_leading_paths(tmp_path):
+    # with more inequality paths than estimate paths the one stack holds the
+    # inequality's paths: its table is the inequality subcommand's, and the
+    # estimates and Cauchy gaps are those of the leading 12 paths of that stack
+    conf = ac_conf(tmp_path, 20)
+    assert run_cli(["all", "--config", conf, "--out", tmp_path / "all"]) == 0
+    assert run_cli(["inequality", "--config", conf, "--out", tmp_path / "ineq"]) == 0
+    name = "inequality.csv"
+    assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "ineq" / name).read_bytes()
+    config = load_config(conf)
+    bundle = cli._build_bundle(config)
+    cfg, n_grid = cli._build_scheme(config, 5)
+    feed = penalize._ensemble(bundle.model, cfg, n_grid, bundle.x0, 20)
+    [(estimates, cauchy)] = feed(_Estimates(bundle.model, cfg, n_grid, AC_PATHS, bundle.x0))
+    estimates.to_csv(tmp_path / "estimates.csv")
+    cauchy.to_csv(tmp_path / "cauchy.csv")
+    for name in ("estimates.csv", "cauchy.csv"):
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    lines = (tmp_path / "all" / "inequality.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * 20
+
+
+def test_all_reports_each_studys_failures(tmp_path, capsys):
+    # the one stack counts each study's failures on that study's own paths
+    conf = write_conf(tmp_path, BLOWUP_CONF.replace("run.n_grid = 1", "run.n_grid = 0.5, 1"))
+    single = []
+    for task in ("estimates", "cauchy", "inequality", "oracle1d"):
+        assert run_cli([task, "--config", conf, "--out", tmp_path / task]) == 3
+        single += capsys.readouterr().err.splitlines()
+    assert run_cli(["all", "--config", conf, "--out", tmp_path / "all"]) == 3
+    assert capsys.readouterr().err.splitlines() == single
+    for task in ("estimates", "cauchy", "inequality", "oracle1d"):
+        name = f"{task}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / task / name).read_bytes(), name

@@ -197,19 +197,21 @@ INSIDE = {  # bundles whose paths stay inside the ball for 30 steps of 0.01
     ids=["explicit", "splitting", "oracle-explicit", "oracle-splitting"],
 )
 def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, name, monkeypatch):
-    seen = {"norm_h": [], "penalty_gap": []}
+    seen = {"norm_h": [], "_gap_factor": []}
 
-    def counting(attr):
+    def counting(attr, rows):
         fn = getattr(penalize, attr)
 
-        def counted(space, x, *args):
-            seen[attr].append(int(np.prod(np.shape(x)[:-1])))
-            return fn(space, x, *args)
+        def counted(*args):
+            seen[attr].append(rows(*args))
+            return fn(*args)
 
         return counted
 
-    for attr in seen:
-        monkeypatch.setattr(penalize, attr, counting(attr))
+    # norm_h(space, x) reads rows of x; the explicit penalty's factor, a radius per row
+    rows_of_x = lambda _, x: int(np.prod(np.shape(x)[:-1]))  # noqa: E731
+    monkeypatch.setattr(penalize, "norm_h", counting("norm_h", rows_of_x))
+    monkeypatch.setattr(penalize, "_gap_factor", counting("_gap_factor", np.size))
     bundle = INSIDE[name]
     cfg = SchemeConfig(dt=0.01, steps=30, n=0.0, method=method, seed=3)
     kernel = _penalized_stack(bundle.model, cfg, [1.0, 4.0, 16.0], bundle.x0, range(4))
@@ -219,7 +221,7 @@ def test_penalty_and_divergence_norm_see_one_row_per_merged_path(method, name, m
     # x0's check, then the divergence norm (and under splitting |x-tilde|_H)
     norms_per_step = 1 if method == "explicit" else 2
     assert seen["norm_h"] == [1] + [4] * norms_per_step * cfg.steps
-    assert seen["penalty_gap"] == ([4] * cfg.steps if method == "explicit" else [])
+    assert seen["_gap_factor"] == ([4] * cfg.steps if method == "explicit" else [])
 
 
 @pytest.mark.parametrize("projection", [False, True], ids=["finite", "with-inf"])

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflectspde import penalize
@@ -77,14 +77,16 @@ STREAM_MODELS = {"oracle": make_oracle_1d(), "allen_cahn": make_allen_cahn(modes
 @settings(max_examples=20, deadline=None)
 @given(
     name=st.sampled_from(sorted(STREAM_MODELS)),
-    steps=st.sampled_from([1, 127, 128, 129, 300]),
+    steps=st.sampled_from([1, 127, 128, 129, 300, 342, 1025]),
     start=st.integers(0, 40),
     count=st.integers(1, 3),
     seed=st.integers(0, 2**16),
 )
+@example(name="oracle", steps=1025, start=3, count=2, seed=7)
 def test_kernel_noise_is_the_paths_increments(name, steps, start, count, seed):
-    # the kernel reads its noise in chunks of steps, path by path, from the
-    # keyed streams that brownian_increments reads whole
+    # the kernel reads its noise in chunks of 1024 values, path by path, from
+    # the keyed streams that brownian_increments reads whole: 1024 steps of
+    # the oracle's one mode, 341 of the Allen-Cahn stack's three
     bundle = STREAM_MODELS[name]
     seen, step = [], penalize.step_penalized
 

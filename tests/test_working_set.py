@@ -64,7 +64,7 @@ def test_explicit_step_scratch():
     levels, paths = np.array([1.0, 4.0, 16.0, 64.0, 256.0]), 200
     cfg = SchemeConfig(dt=1e-3, steps=1, n=0.0)
     # the kernel's row table with every path parted: 5 x 200 rows in use
-    table = _Rows(levels * cfg.dt, paths, model.space.n_coeffs)
+    table = _Rows(model, cfg, levels, paths)
     table.part(np.ones(paths, dtype=bool))
     rows = table.count
     states = table.x[:rows]
