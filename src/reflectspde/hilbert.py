@@ -5,10 +5,12 @@ orthonormal-in-H basis; the H inner product is a weighted dot product so a
 single code path covers plain L^2-type spaces (unit weights) and Sobolev-type
 spaces (polynomial weights).  All operations broadcast over leading axes.
 
-Each norm and inner product is one weighted contraction, a single einsum
-pass over the coefficients that forms no weighted or squared copy of x.
-norm_h sums again, scaled by a power of two, only the rows whose sum of
-squares underflows to 0 or overflows to inf.
+norm_h and norm_v are one weighted contraction each, a single einsum pass
+over the coefficients that forms no weighted or squared copy of x; norm_h
+sums again, scaled by a power of two, only the rows whose sum of squares
+underflows to 0 or overflows to inf.  inner_h and the quadratic v_energy,
+which the estimates take on every step, are one elementwise product and one
+matrix-vector product against the weights.
 """
 
 from __future__ import annotations
@@ -92,10 +94,11 @@ def _weighted_dot(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def inner_h(space: SpaceSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """H inner product, broadcasting over leading axes."""
+    """H inner product, broadcasting over leading axes: (x * y) @ w, which
+    forms the product of x and y."""
     x = space.check_coeffs(x)
     y = space.check_coeffs(y)
-    return _weighted_dot(x, space.h_weights, y)
+    return np.multiply(x, y) @ space.h_weights
 
 
 def norm_h(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
@@ -141,12 +144,12 @@ def norm_v(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
 
 
 def v_energy(space: SpaceSpec, x: np.ndarray, alpha: float) -> np.ndarray:
-    """||x||_V^alpha: one weighted contraction when V is quadratic and alpha
-    is 2, else norm_v ** alpha."""
+    """||x||_V^alpha: x**2 @ v_weights when V is quadratic and alpha is 2,
+    else norm_v ** alpha."""
     if space.v_weights is None or alpha != 2:
         return norm_v(space, x) ** alpha
     x = space.check_coeffs(x)
-    return _weighted_dot(x, space.v_weights, x)
+    return np.square(x) @ space.v_weights
 
 
 def project_ball(space: SpaceSpec, x: np.ndarray) -> np.ndarray:

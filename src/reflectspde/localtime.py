@@ -9,10 +9,12 @@ from the unit sphere.  Riemann-Stieltjes sums use left endpoints, as the
 stepper does.  The reflection mass over radii is one histogram over the
 same arrays: ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
 `inequality_study` takes the same sums as a running reduction over the
-steps of `penalize._ensemble`, which owns its paths, pre-step radii and final
-alive mask, against the test family's factors, and holds no time axis; the
-reduction reads the ensemble's leading paths, so one ensemble can feed it
-and the estimates together.
+steps of `penalize._ensemble`, which owns its paths and final alive mask,
+against the test family's factors, and holds one block of at most 32 steps:
+each full block, and the last, is summed by `total_variation`,
+`boundary_leak` and the factored cross term, so the left-endpoint sums are
+written once, here.  The reduction reads the ensemble's leading paths, so
+one ensemble can feed it and the estimates together.
 """
 
 from __future__ import annotations
@@ -181,35 +183,62 @@ def inequality_study(
     return feed(_Inequality(model, cfg, x0, n_grid, paths, test_count, delta))[0]
 
 
+# a block of the inequality table holds at most this many steps, and at most
+# this many values in each of its arrays unless one step holds more
+_BLOCK_STEPS, _BLOCK_VALUES = 32, 2**15
+
+
 class _Inequality:
     """inequality_study as a reduction over `penalize._ensemble`, on its
-    leading `paths` paths; its arguments are the study's."""
+    leading `paths` paths; its arguments are the study's.
 
-    reads_radii = True
+    Each step's increments and post-step states are copied into a block of
+    at most _BLOCK_STEPS steps and _BLOCK_VALUES values per array (one step
+    when a step's table is larger), whose sums total_variation,
+    boundary_leak and the factored cross term add to the totals once the
+    block is full, and at the end.  The block's first state is the pre-step
+    state of its first step, carried over from the block before."""
+
+    reads_radii = False
 
     def __init__(self, model, cfg, x0, n_grid, paths, test_count, delta):
         self.space, self.n_grid, self.paths, self.delta = model.space, n_grid, paths, delta
         times = np.arange(cfg.steps + 1) * cfg.dt
         self.shapes, self.coeffs = _test_factors(model.space, cfg.seed, test_count, times)
         shape = (len(n_grid), paths)
-        self.x = x0  # the pre-step stack; a failed row is zero
+        m = model.space.n_coeffs
+        block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (len(n_grid) * paths * m)))
+        self.dL = np.empty((block,) + shape + (m,))
+        self.x = np.empty((block + 1,) + shape + (m,))  # a failed row is zero
+        self.x[0] = x0
         self.tv, self.leak, self.own = np.zeros((3,) + shape)
         self.moment = np.zeros(shape + self.coeffs.shape[1:])
-        self.j = 0
+        self.j = 0  # the first step of the block
+        self.k = 0  # the steps in the block
 
-    def step(self, x_rows, dL_rows, put, r, _r):
-        delta = self.delta
-        dL = dL_rows[put]
-        size = norm_h(self.space, dL)
-        self.tv += size
-        self.leak += np.where(r < 1.0 - delta, (1.0 - delta - r) ** 2, 0.0) * size
-        w_dl = self.space.h_weights * dL
-        self.own += np.einsum("...m,...m->...", self.x, w_dl)
-        self.moment += self.shapes[self.j, :, None] * w_dl[..., None, :]
-        self.x = x_rows[put]
-        self.j += 1
+    def step(self, x_rows, dL_rows, put, _r_pre, _r):
+        k = self.k
+        np.take(dL_rows, put, axis=0, out=self.dL[k])
+        np.take(x_rows, put, axis=0, out=self.x[k + 1])
+        self.k = k + 1
+        if self.k == len(self.dL):
+            self._add_block()
+
+    def _add_block(self):
+        space, k = self.space, self.k
+        dL, x = self.dL[:k], self.x[: k + 1]
+        self.tv += total_variation(space, dL)
+        self.leak += boundary_leak(space, x, dL, self.delta)
+        w_dl = space.h_weights * dL
+        self.own += np.einsum("j...m,j...m->...", x[:-1], w_dl)
+        self.moment += np.einsum("js,j...m->...sm", self.shapes[self.j : self.j + k], w_dl)
+        self.x[0] = x[-1]
+        self.j += k
+        self.k = 0
 
     def result(self, alive) -> Report:
+        if self.k:
+            self._add_block()
         gaps = np.einsum("fsm,...sm->...f", self.coeffs, self.moment) - self.own[..., None]
         table = np.stack([self.tv, gaps.min(axis=-1), self.leak], axis=-1)
         table[~alive] = np.nan  # dead rows were pinned to zero by the kernel

@@ -172,25 +172,30 @@ class UniquenessReport:
 # standard errors
 
 
-def _batches(paths: int) -> list[np.ndarray]:
+def _batches(paths: int) -> np.ndarray:
+    """The first path of each of the at most _MAX_BATCHES contiguous path
+    slices, none empty, that np.array_split makes."""
     if paths < 2:
         raise ConfigurationError("need at least 2 paths for batch-mean standard errors")
-    parts = np.array_split(np.arange(paths), min(_MAX_BATCHES, paths))
-    return [p for p in parts if p.size]
+    return np.array([p[0] for p in np.array_split(np.arange(paths), min(_MAX_BATCHES, paths))])
 
 
-def _se_from_batch_means(means: list[float]) -> float:
+def _se_from_batch_means(means: np.ndarray) -> float:
     if len(means) < 2:
         return 0.0
     return float(np.std(means, ddof=1) / np.sqrt(len(means)))
 
 
-def _mean_and_se(values: np.ndarray, alive: np.ndarray, slices: list[np.ndarray]):
-    """Mean over surviving paths + standard error of the path-slice means."""
-    if not np.any(alive):
+def _mean_and_se(values: np.ndarray, alive: np.ndarray, starts: np.ndarray):
+    """Mean over surviving paths + standard error of the means of the path
+    slices that begin at starts, skipping the slices with no survivor; the
+    slices' survivor counts and sums are one reduceat each."""
+    counts = np.add.reduceat(alive, starts, dtype=np.intp)
+    if not counts.any():
         return float("nan"), float("nan")
-    means = [float(np.mean(values[b][alive[b]])) for b in slices if np.any(alive[b])]
-    return float(np.mean(values[alive])), _se_from_batch_means(means)
+    sums = np.add.reduceat(np.where(alive, values, 0.0), starts)
+    kept = counts > 0
+    return float(np.mean(values[alive])), _se_from_batch_means(sums[kept] / counts[kept])
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +211,7 @@ class _Estimates:
     def __init__(self, model: ModelSpec, cfg: SchemeConfig, n_grid, paths: int, x0):
         self.space, self.alpha, self.dt = model.space, model.alpha, cfg.dt
         self.n_grid, self.paths = n_grid, paths
-        self.slices = _batches(paths)
+        self.starts = _batches(paths)
         shape = (len(n_grid), paths)
         # pre-step ||X||_V^alpha per (level, path), the left-endpoint sums
         # (times dt at the end) and sup_t |X|_H from t = 0; fl(r - 1) is
@@ -236,7 +241,7 @@ class _Estimates:
             self.sup_diff2[:, parted] = np.maximum(sup, inner_h(self.space, diff, diff))
 
     def result(self, alive) -> tuple[Report, Report]:
-        n_grid, slices, dt = self.n_grid, self.slices, self.dt
+        n_grid, starts, dt = self.n_grid, self.starts, self.dt
         sup_h = np.maximum(self.sup_h, self.r)
         rows = []
         for i, n in enumerate(n_grid):
@@ -251,7 +256,7 @@ class _Estimates:
                 ("v_energy", dt * self.v_int[i], 1.0),
                 ("pen_sup4", np.maximum(sup_h[i] - 1.0, 0.0) ** 4, 1.0),
             ):
-                est, se = _mean_and_se(values, ok, slices)
+                est, se = _mean_and_se(values, ok, starts)
                 cells[f"est_{column}"], cells[f"se_{column}"] = scale * est, scale * se
             rows.append(EstimateRow(**cells))
         estimates = Report(tuple(rows), int(np.count_nonzero(~alive)))
@@ -259,7 +264,7 @@ class _Estimates:
         coupled = np.all(alive, axis=0)
         gaps = []
         for i in range(len(n_grid) - 1):
-            est, se = _mean_and_se(self.sup_diff2[i], coupled, slices)
+            est, se = _mean_and_se(self.sup_diff2[i], coupled, starts)
             gaps.append(CauchyRow(n_grid[i], n_grid[i + 1], est, se))
         return estimates, Report(tuple(gaps), int(np.count_nonzero(~coupled)))
 
@@ -362,7 +367,7 @@ class _Oracle:
 
     def __init__(self, n_grid, paths: int):
         self.n_grid, self.paths = n_grid, paths
-        self.slices = _batches(paths)
+        self.starts = _batches(paths)
         self.sup_diff = np.zeros((len(n_grid), paths))
         self.tv = np.zeros((len(n_grid) + 1, paths))
 
@@ -377,9 +382,9 @@ class _Oracle:
         tv_diff = np.abs(self.tv[:-1] - self.tv[-1])
         rows = []
         for i, n in enumerate(self.n_grid):
-            sd_est, sd_se = _mean_and_se(self.sup_diff[i], alive[i], self.slices)
-            tv_est, tv_se = _mean_and_se(tv_diff[i], alive[i], self.slices)
-            term_est, _ = _mean_and_se(self.terminal[i], alive[i], self.slices)
+            sd_est, sd_se = _mean_and_se(self.sup_diff[i], alive[i], self.starts)
+            tv_est, tv_se = _mean_and_se(tv_diff[i], alive[i], self.starts)
+            term_est, _ = _mean_and_se(self.terminal[i], alive[i], self.starts)
             rows.append(OracleRow(n, sd_est, sd_se, tv_est, tv_se, term_est))
         return Report(tuple(rows), int(np.count_nonzero(~alive)))
 

@@ -152,15 +152,108 @@ def brownian_increments(
     _check_count("path_index", path_index, 0)
     _check_count("mode_count", mode_count, 1)
     _check_count("steps", steps, 1)
-    dW = _path_generator(seed, path_index).standard_normal((steps, mode_count))
+    (generator,) = _path_generators(seed, range(path_index, path_index + 1))
+    dW = generator.standard_normal((steps, mode_count))
     dW *= np.sqrt(dt)
     return dW
 
 
-def _path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """The counter-based generator of path path_index's increments."""
-    key = np.random.SeedSequence((int(seed), int(path_index)))
-    return np.random.Generator(np.random.Philox(key))
+def _path_generators(seed: int, paths: range) -> list[np.random.Generator]:
+    """The counter-based generator of each path index in paths:
+    Generator(Philox(SeedSequence((seed, i)))), built from the keys of
+    `_path_keys`."""
+    keys = _path_keys(seed, paths)
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that knows only its Philox key: the answer of
+    SeedSequence.generate_state(2, np.uint64), which is all Philox asks."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key answers generate_state(2, np.uint64) only")
+        return self.key
+
+
+# numpy's SeedSequence hash on its pool of 4 words (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, that SeedSequence reads
+    from a nonnegative int: at least one."""
+    words = [n & 0xFFFFFFFF]
+    while n >= 2**32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _path_keys(seed: int, paths: range) -> np.ndarray:
+    """(len(paths), 2) uint64 keys: SeedSequence((seed, i)).generate_state(2,
+    np.uint64) for each i in the nonempty range paths, hashed for all paths
+    at once.  The entropy of (seed, i) is the words of seed then those of i,
+    so the paths are hashed in groups of one word count (i >= 2**32 takes
+    two)."""
+    seed_words = _words(int(seed))
+    top = max(paths[0], paths[-1])
+    index = np.arange(paths.start, paths.stop, paths.step, np.uint64 if top < 2**64 else object)
+    count = len(_words(top))
+    size = np.ones(len(index), dtype=int)
+    for w in range(1, count):
+        size += index >= 2 ** (32 * w)
+    keys = np.empty((len(index), 2), dtype=np.uint64)
+    for w in range(1, count + 1):
+        rows = np.flatnonzero(size == w)
+        entropy = np.empty((len(seed_words) + w, rows.size), dtype=np.uint32)
+        entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+        for k in range(w):
+            entropy[len(seed_words) + k] = (index[rows] >> (32 * k)) & 0xFFFFFFFF
+        keys[rows] = _seed_hash(entropy)
+    return keys
+
+
+def _seed_hash(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy[:, c]).generate_state(2, np.uint64) for every
+    column c of an (E, N) uint32 array, as an (N, 2) uint64 array."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A
+        value = value * const
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
+    with np.errstate(over="ignore"):  # uint32 products wrap, as the C hash's do
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        state = np.empty((entropy.shape[1], 4), dtype="<u4")
+        const = _INIT_B
+        for i in range(4):
+            value = pool[i] ^ const
+            const = const * _MULT_B
+            value = value * const
+            state[:, i] = value ^ (value >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
 
 
 # values of every path's noise that the kernel draws at once: 128 steps of
@@ -171,9 +264,10 @@ _CHUNK_VALUES = 1024
 def _brownian_stream(seed: int, paths: range, mode_count: int, steps: int, dt: float):
     """Yield each step's (len(paths), mode_count) increments of the path
     indices in paths: brownian_increments' draws, read from one generator per
-    path _CHUNK_VALUES values (whole steps, at least one) at a time.  A
+    path _CHUNK_VALUES values (whole steps, at least one) at a time.  The
+    generators' keys are hashed for all paths at once (`_path_keys`).  A
     yielded array is overwritten by a later chunk."""
-    streams = [_path_generator(seed, i) for i in paths]
+    streams = _path_generators(seed, paths)
     chunk_steps = max(1, _CHUNK_VALUES // mode_count)
     chunk = np.empty((len(paths), min(steps, chunk_steps), mode_count))
     for start in range(0, steps, chunk_steps):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflectspde.errors import ConfigurationError
@@ -215,20 +215,43 @@ def check_reductions(name, method, levels, paths, steps, seed, count):
             assert abs(leak[li, i] - want_leak) <= 1e-12 * want_leak
 
 
+@st.composite
+def method_and_levels(draw):
+    """A method and one to three of its levels, n = inf among them."""
+    method = draw(st.sampled_from(["explicit", "splitting"]))
+    level = EXPLICIT_LEVELS if method == "explicit" else SPLITTING_LEVELS
+    return method, draw(st.lists(st.one_of(level, st.just(np.inf)), min_size=1, max_size=3))
+
+
+# The study sums its table in blocks of at most 32 steps: horizons that end
+# on, just past, and a block past a block's end
 @REDUCTION_SETTINGS
 @given(
     name=st.sampled_from(sorted(BUNDLES)),
-    method=st.sampled_from(["explicit", "splitting"]),
-    data=st.data(),
+    case=method_and_levels(),
     paths=st.integers(1, 3),
-    steps=st.integers(1, 32),
+    steps=st.integers(1, 100),
     seed=st.integers(0, 2**16),
     count=st.integers(1, 9),
 )
-def test_streamed_study_equals_dense_reference(name, method, data, paths, steps, seed, count):
-    level = EXPLICIT_LEVELS if method == "explicit" else SPLITTING_LEVELS
-    levels = data.draw(st.lists(st.one_of(level, st.just(np.inf)), min_size=1, max_size=3))
-    bundle = BUNDLES[name]
+@example(name="allen_cahn", case=("explicit", [20.0, np.inf]), paths=3, steps=32, seed=1, count=5)
+@example(name="allen_cahn", case=("splitting", [4.0, 1e3]), paths=2, steps=33, seed=2, count=4)
+@example(name="oracle", case=("explicit", [50.0]), paths=3, steps=64, seed=3, count=3)
+@example(name="allen_cahn", case=("explicit", [1.0, 50.0]), paths=3, steps=65, seed=4, count=6)
+def test_streamed_study_equals_dense_reference(name, case, paths, steps, seed, count):
+    check_streamed(BUNDLES[name], *case, paths, steps, seed, count)
+
+
+def test_streamed_study_in_one_step_blocks():
+    # 2 levels x 65 paths x 256 coefficients exceed the 2**15 values of a
+    # block, so each block holds one step
+    bundle = make_allen_cahn(modes=256, mu=1.5)
+    levels, paths = [10.0, np.inf], 65
+    assert len(levels) * paths * bundle.space.n_coeffs > 2**15
+    check_streamed(bundle, "explicit", levels, paths, 8, 6, 4)
+
+
+def check_streamed(bundle, method, levels, paths, steps, seed, count):
     space = bundle.space
     cfg = SchemeConfig(dt=DT, steps=steps, n=levels[0], method=method, seed=seed)
     rows, failures = inequality_study(

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reflectspde.errors import BlowUpError, ConfigurationError
 from reflectspde.hilbert import norm_h, norm_v
@@ -20,6 +22,7 @@ from reflectspde.montecarlo import (
     uniqueness_check,
     write_csv,
 )
+from reflectspde.montecarlo import _batches, _mean_and_se
 from reflectspde.penalize import SchemeConfig, simulate_path
 
 
@@ -67,6 +70,86 @@ def test_trend_decreasing_with_se_slack():
     assert not trend_decreasing(vals, allowed_inversions=0)
     ses = [0.0, 0.6, 0.6, 0.0]  # the one rise sits inside its error bars
     assert trend_decreasing(vals, ses, allowed_inversions=0)
+
+
+# --------------------------------------------------------------------------
+# slice means and standard errors
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), u = eps / 2: a sum of k + 1 terms in any
+    order errs by at most gamma_k times the sum of their magnitudes."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def per_slice_reference(values, alive):
+    """Each path slice's survivors averaged alone; returns the mean over all
+    survivors, the standard error of the slice means, and the bound on how
+    far another summation order moves that error."""
+    u = np.finfo(float).eps / 2
+    paths = len(values)
+    slices = np.array_split(np.arange(paths), min(10, paths))
+    kept = [values[b][alive[b]] for b in slices if alive[b].any()]
+    if not kept:
+        return float("nan"), float("nan"), 0.0
+    means = np.array([np.mean(v) for v in kept])
+    k = len(means)
+    if k < 2:
+        return float(np.mean(values[alive])), 0.0, 0.0
+    se = np.std(means, ddof=1) / np.sqrt(k)
+    # A slice of c <= ceil(paths / 10) survivors is summed in two orders (the
+    # dead paths add exact zeros to one of them): each errs by at most
+    # gamma_{c-1} S, S the sum of magnitudes, and the quotient by c rounds by
+    # u, so the two means differ by at most
+    # (2 gamma_{c-1} + 2 u (1 + gamma_{c-1})) S / c.
+    g = np.array([gamma(v.size - 1) for v in kept])
+    magnitude = np.array([np.sum(np.abs(v)) / v.size for v in kept])
+    delta = (2 * g + 2 * u * (1 + g)) * magnitude
+    # The exact sample deviation is ||P m||_2 / sqrt(k - 1) with P the
+    # centring projection, so it moves by at most ||delta||_2 / sqrt(k - 1).
+    # Computing it (mean, deviations, squares, sum, root and the quotient by
+    # sqrt(k)) errs on either side by at most
+    # gamma_{k+2} max|m| / sqrt(k - 1) + gamma_{k+6} se.
+    rounding = gamma(k + 2) * np.max(np.abs(means)) / np.sqrt(k - 1) + gamma(k + 6) * se
+    bound = np.linalg.norm(delta) / np.sqrt(k * (k - 1)) + 2 * rounding
+    return float(np.mean(values[alive])), float(se), float(bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    paths=st.integers(2, 57),
+    seed=st.integers(0, 2**16),
+    dead=st.floats(0.0, 0.6),
+    dead_slice=st.booleans(),
+)
+@example(paths=23, seed=1, dead=0.0, dead_slice=True)
+@example(paths=200, seed=2, dead=0.1, dead_slice=False)
+def test_slice_means_equal_per_slice_reference(paths, seed, dead, dead_slice):
+    rng = np.random.default_rng(seed)
+    # magnitudes over six decades around an offset, so that the sums cancel
+    values = rng.uniform(-10, 10) + rng.standard_normal(paths) * 10.0 ** rng.uniform(-3, 3, paths)
+    alive = rng.random(paths) >= dead
+    starts = _batches(paths)
+    if dead_slice:  # the second slice has no survivor and is skipped
+        alive[starts[1] : starts[2] if len(starts) > 2 else paths] = False
+    mean, se = _mean_and_se(values, alive, starts)
+    want_mean, want_se, bound = per_slice_reference(values, alive)
+    if not alive.any():
+        assert np.isnan(mean) and np.isnan(se)
+        return
+    assert mean == want_mean
+    assert abs(se - want_se) <= bound, (se, want_se, bound)
+
+
+def test_all_dead_level_gives_nan():
+    starts = _batches(23)
+    mean, se = _mean_and_se(np.arange(23.0), np.zeros(23, dtype=bool), starts)
+    assert np.isnan(mean) and np.isnan(se)
+    # one survivor: its value, and no spread to take an error from
+    alive = np.zeros(23, dtype=bool)
+    alive[7] = True
+    assert _mean_and_se(np.arange(23.0), alive, starts) == (7.0, 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -105,6 +105,23 @@ def test_kernel_noise_is_the_paths_increments(name, steps, start, count, seed):
     assert np.array_equal(np.array(seen), np.stack(want, axis=1))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 11, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("paths", [range(0, 5), range(2**32 - 2, 2**32 + 2)])
+def test_path_keys_are_numpys_seed_sequence_keys(seed, paths):
+    # the keys are hashed for all paths at once, in groups of one word count
+    # (path indices from 2**32 take two words); each is the key numpy's
+    # SeedSequence gives Philox, and the generator built on it draws Philox's
+    keys = penalize._path_keys(seed, paths)
+    generators = penalize._path_generators(seed, paths)
+    for i, key, generator in zip(paths, keys, generators):
+        sequence = np.random.SeedSequence((seed, i))
+        assert np.array_equal(key, sequence.generate_state(2, np.uint64))
+        want = np.random.Generator(np.random.Philox(sequence)).standard_normal(1000)
+        assert np.array_equal(generator.standard_normal(1000), want)
+    with pytest.raises(ValueError):
+        generators[0].bit_generator.seed_seq.generate_state(4, np.uint32)
+
+
 # --------------------------------------------------------------------------
 # scheme config
 

@@ -141,10 +141,12 @@ def test_run_estimates_holds_one_chunk_of_noise():
 
 
 def test_inequality_study_holds_no_time_axis():
-    # the factored test family keeps the (steps+1, 5) time shapes; with the
-    # grid and the angle, building them (five columns and their stack, one
-    # doubled angle) or sizing the members (the shapes, one member's
-    # (steps+1, 6) curve and its squared radii) holds at most 14 columns
+    # the table is summed in blocks of at most 32 steps, whose buffers and
+    # sums are the same at either horizon; the factored test family keeps
+    # the (steps+1, 5) time shapes; with the grid and the angle, building
+    # them (five columns and their stack, one doubled angle) or sizing the
+    # members (the shapes, one member's (steps+1, 6) curve and its squared
+    # radii) holds at most 14 columns
     growth, allowed = horizon_growth(
         lambda b, cfg: inequality_study(b.model, cfg, b.x0, LEVELS, paths=2, test_count=20),
         2,
