@@ -26,16 +26,16 @@ byte-identical across reruns (reduction order is fixed).  ``--threads`` is
 accepted and validated (>= 1) but has no effect: every study runs in one
 thread, and no environment variable is read.  The seed, ``--seed`` or else
 ``scheme.seed``, must be >= 0 for every subcommand, and every level of
-``run.n_grid`` must be one that `SchemeConfig` accepts.  ``all`` steps two
-stacks: one coupled ensemble of the configured model on paths
-0..max(run.paths, run.ineq_paths)-1 feeds the estimates, the Cauchy gaps and
-the inequality table, each reading its leading paths (``run.ineq_paths`` is
-3 when unset), and the 1-D oracle comparison steps its own stack, which ends
-in the projection level.  Its ``estimates.csv`` and ``cauchy.csv`` are those of the
-``estimates`` and ``cauchy`` subcommands when ``run.ineq_paths`` is at most
-``run.paths``; its ``inequality.csv`` may differ from the ``inequality``
-subcommand's in the last digits, since the matrix products of the model's
-transforms round a row differently in a larger batch.
+``run.n_grid`` must be one that `SchemeConfig` accepts.  A run steps the
+configured model once, as one coupled ensemble that feeds each study it
+wants its leading paths: ``run.paths`` to the estimates and Cauchy gaps,
+``run.ineq_paths`` (3 when unset) to the inequality table.  The 1-D oracle
+comparison steps its own stack, which ends in the projection level.  So the
+``estimates.csv`` and ``cauchy.csv`` of ``all`` are the single subcommands'
+when ``run.ineq_paths`` is at most ``run.paths``; its ``inequality.csv`` may
+differ from the ``inequality`` subcommand's in the last digits, since the
+matrix products of the model's transforms round a row differently in a
+larger batch.
 Counts are checked before any study starts, and must be usable
 (``run.paths >= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0``
 with 0 meaning ``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``).
@@ -64,7 +64,7 @@ from .errors import ReflectSPDEError
 from .hypotheses import run_all_audits
 from .localtime import _Inequality, inequality_study
 from .models import REGISTRY, ModelBundle, build_model
-from .montecarlo import Report, _Estimates, oracle_compare_1d, run_estimates
+from .montecarlo import Report, _Estimates, oracle_compare_1d
 from .penalize import SchemeConfig, _ensemble
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "main"]
@@ -267,19 +267,6 @@ def _set_counts(config: ExperimentConfig, keywords: dict) -> dict:
     }
 
 
-def _one_ensemble(bundle, cfg, n_grid, paths: int, ineq: dict) -> tuple[Report, Report, Report]:
-    """(estimates, cauchy, inequality) from one coupled ensemble on paths
-    0..max(paths, the inequality's paths)-1, each reading its leading paths;
-    ineq holds the inequality study's keywords that the config sets."""
-    study = inspect.signature(inequality_study).bind(bundle.model, cfg, bundle.x0, n_grid, **ineq)
-    study.apply_defaults()
-    feed = _ensemble(bundle.model, cfg, n_grid, bundle.x0, max(paths, study.arguments["paths"]))
-    (estimates, cauchy), inequality = feed(
-        _Estimates(bundle.model, cfg, n_grid, paths, bundle.x0), _Inequality(**study.arguments)
-    )
-    return estimates, cauchy, inequality
-
-
 class AuditRow(NamedTuple):
     hypothesis: str
     margin: float
@@ -295,9 +282,11 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
     scheme, and `oracle1d` builds no bundle; it binds the oracle builder's
     arguments, from the `model.*` keys of an `oracle_1d` config, so that
     `estimates` steps the same oracle, and else from the `oracle.*` keys,
-    the builder's defaults filling in what is left out.  When estimates or
-    Cauchy gaps and the inequality table are all wanted, one ensemble
-    (`_one_ensemble`) serves the three.
+    the builder's defaults filling in what is left out.  The estimates and
+    Cauchy gaps (one `_Estimates`) and the inequality table (`_Inequality`,
+    bound from `inequality_study`'s signature) are reductions over one
+    ensemble of the model, opened on the paths of whichever reads more and
+    stepped once, when the first of them is called.
     """
     stepping = any(t != "hypotheses" for t in wanted)
     cfg, n_grid = _build_scheme(config, seed) if stepping else (None, None)
@@ -305,16 +294,12 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
         raise ConfigError("run.n_grid: the cauchy study needs at least 2 levels")
     bundle = _build_bundle(config) if any(t != "oracle1d" for t in wanted) else None
 
-    studies = {}
+    studies, reductions = {}, {}  # reductions: task -> (paths, builder)
     if "estimates" in wanted or "cauchy" in wanted:
         paths = _count(config, "run.paths", 2)
-
-        @functools.cache
-        def ensemble():  # one simulated ensemble serves estimates and cauchy
-            return run_estimates(bundle.model, cfg, n_grid, paths, x0=bundle.x0)
-
-        studies["estimates"] = lambda: ensemble()[0]
-        studies["cauchy"] = lambda: ensemble()[1]
+        reductions["estimates"] = paths, functools.partial(
+            _Estimates, bundle.model, cfg, n_grid, paths, bundle.x0
+        )
     if "inequality" in wanted:
         ineq = _set_counts(
             config, {"run.ineq_paths": ("paths", 1), "run.test_paths": ("test_count", 1)}
@@ -323,17 +308,24 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
             ineq["delta"] = delta = config.values["run.delta"]
             if not 0.0 < delta < 1.0:
                 raise ConfigError(f"run.delta: must lie in (0, 1), got {delta}")
-        if "estimates" in studies:  # one ensemble feeds estimates, cauchy and inequality
-            shared = functools.cache(
-                functools.partial(_one_ensemble, bundle, cfg, n_grid, paths, ineq)
-            )
-            studies["estimates"] = lambda: shared()[0]
-            studies["cauchy"] = lambda: shared()[1]
-            studies["inequality"] = lambda: shared()[2]
-        else:
-            studies["inequality"] = lambda: inequality_study(
-                bundle.model, cfg, bundle.x0, n_grid, **ineq
-            )
+        study = inspect.signature(inequality_study).bind(
+            bundle.model, cfg, bundle.x0, n_grid, **ineq
+        )
+        study.apply_defaults()
+        reductions["inequality"] = study.arguments["paths"], functools.partial(
+            _Inequality, **study.arguments
+        )
+    if reductions:
+
+        @functools.cache
+        def results():  # one ensemble feeds every reduction, built once it has opened
+            reach = max(lead for lead, _ in reductions.values())
+            feed = _ensemble(bundle.model, cfg, n_grid, bundle.x0, reach)
+            return dict(zip(reductions, feed(*(build() for _, build in reductions.values()))))
+
+        studies["estimates"] = lambda: results()["estimates"][0]
+        studies["cauchy"] = lambda: results()["estimates"][1]
+        studies["inequality"] = lambda: results()["inequality"]
     if "hypotheses" in wanted:
         # run.h1_samples = 0 passes h1_count 0, which run_all_audits reads as count
         sizes = _set_counts(
@@ -348,15 +340,20 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
         studies["hypotheses"] = audits
     if "oracle1d" in wanted:
         if config.get("model.name") == "oracle_1d":
-            given = _model_kwargs(config)[1]
+            given, keys = _model_kwargs(config)[1], "model.name"
         else:
             given = {
                 key.removeprefix("oracle."): value
                 for key, value in config.values.items()
                 if key.startswith("oracle.")
             }
+            keys = ", ".join(f"oracle.{keyword}" for keyword in given)
         oracle = inspect.signature(REGISTRY["oracle_1d"]).bind(**given)
         oracle.apply_defaults()
+        try:  # the oracle's declared constants are checked before any study runs
+            REGISTRY["oracle_1d"](**oracle.arguments)
+        except ReflectSPDEError as exc:
+            raise ConfigError(f"{keys}: cannot build 'oracle_1d': {exc}") from None
         kappa, sigma = oracle.arguments["kappa"], oracle.arguments["sigma"]
         paths = _count(config, "run.paths", 2)
         studies["oracle1d"] = lambda: oracle_compare_1d(kappa, sigma, cfg, n_grid, paths)

@@ -6,15 +6,18 @@ coefficients last.  Each functional reduces them for every batch row at
 once: the total variation of L^n, the variational-inequality functional
 against a family of ball-valued test paths, and the mass of reflection away
 from the unit sphere.  Riemann-Stieltjes sums use left endpoints, as the
-stepper does.  The reflection mass over radii is one histogram over the
-same arrays: ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
+explicit stepper does: its dL_j reads the pre-step state X_j, where the
+splitting stepper's acts on x-tilde.  The reflection mass over radii is one
+histogram over the same arrays:
+``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
 `inequality_study` takes the same sums as a running reduction over the
-steps of `penalize._ensemble`, which owns its paths and final alive mask,
-against the test family's factors, and holds one block of at most 32 steps:
-each full block, and the last, is summed by `total_variation`,
-`boundary_leak` and the factored cross term, so the left-endpoint sums are
-written once, here.  The reduction reads the ensemble's leading paths, so
-one ensemble can feed it and the estimates together.
+kernel's steps, which `penalize._ensemble`, the owner of its paths and final
+alive mask, hands it, against the test family's factors, and holds one
+block of at most 32 steps: each full block, and the last, is summed by
+`total_variation`, `boundary_leak` and the factored cross term, so the
+left-endpoint sums are written once, here.  The reduction reads the
+ensemble's leading paths, so one ensemble can feed it and the estimates
+together, as the CLI's does.
 """
 
 from __future__ import annotations
@@ -199,8 +202,6 @@ class _Inequality:
     block is full, and at the end.  The block's first state is the pre-step
     state of its first step, carried over from the block before."""
 
-    reads_radii = False
-
     def __init__(self, model, cfg, x0, n_grid, paths, test_count, delta):
         self.space, self.n_grid, self.paths, self.delta = model.space, n_grid, paths, delta
         times = np.arange(cfg.steps + 1) * cfg.dt
@@ -216,7 +217,7 @@ class _Inequality:
         self.j = 0  # the first step of the block
         self.k = 0  # the steps in the block
 
-    def step(self, x_rows, dL_rows, put, _r_pre, _r):
+    def step(self, x_rows, dL_rows, _r, _alive, put):
         k = self.k
         np.take(dL_rows, put, axis=0, out=self.dL[k])
         np.take(x_rows, put, axis=0, out=self.x[k + 1])

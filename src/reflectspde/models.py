@@ -151,15 +151,19 @@ def hs_diff_sq(space: SpaceSpec, noise: NoiseSpec, u: np.ndarray, v: np.ndarray)
     return np.sum(w * da * da, axis=-1)
 
 
+# the declared constants are products of Python floats, which overflow to inf
+# silently (** raises OverflowError, numpy warns); ModelSpec rejects an inf
 def noise_lip_sq(noise: NoiseSpec) -> float:
     """C with ||B(u)-B(v)||_HS^2 <= C |u-v|_H^2 (the clamp is 1-Lipschitz)."""
-    return float(noise.lam**2 * np.max(noise.q))
+    lam = float(noise.lam)
+    return lam * lam * float(np.max(noise.q))
 
 
 def noise_growth_sq(space: SpaceSpec, noise: NoiseSpec) -> float:
     """C with ||B(u)||_HS^2 <= C (1 + |u|_H^2)."""
     w = _noise_weights(space, noise)
-    return float(2.0 * noise.mu**2 * np.sum(w * noise.q) + 2.0 * noise.lam**2 * np.max(noise.q))
+    mu = float(noise.mu)
+    return 2.0 * (mu * mu) * float(np.sum(w * noise.q)) + 2.0 * noise_lip_sq(noise)
 
 
 # --------------------------------------------------------------------------
@@ -324,6 +328,9 @@ class ModelSpec:
     def __post_init__(self):
         if not (self.alpha > 1 and self.beta >= 0 and self.gamma >= 0):
             raise ConfigurationError("need alpha > 1, beta >= 0, gamma >= 0")
+        for name in ("c0", "growth_c", "noise_lip_sq"):  # a huge parameter overflows them
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"declared constant {name} is not finite")
         if not (self.c > 0 and self.c0 >= 0):
             raise ConfigurationError("need c > 0 and c0 >= 0")
         if self.noise_lip_sq > self.c0 + 1e-12:
@@ -482,6 +489,7 @@ def make_p_laplacian(
 
 
 def make_oracle_1d(kappa: float = 0.5, sigma: float = 0.5) -> ModelBundle:
+    kappa = float(kappa)
     space = SpaceSpec(h_weights=np.ones(1), v_weights=np.ones(1), wavenumbers=np.zeros(1))
     noise = NoiseSpec(q=np.ones(1), mu=float(sigma), lam=0.0)
     hsg = noise_growth_sq(space, noise)
@@ -489,13 +497,13 @@ def make_oracle_1d(kappa: float = 0.5, sigma: float = 0.5) -> ModelBundle:
         name="oracle_1d",
         space=space,
         noise=noise,
-        drift=lambda t, u: float(kappa) * np.asarray(u, dtype=float),
+        drift=lambda t, u: kappa * np.asarray(u, dtype=float),
         alpha=2.0,
         beta=0.0,
         gamma=0.0,
         c=1.0,
         c0=2.0 * abs(kappa) + 1.0 + hsg,
-        growth_c=kappa**2 + 1.0,
+        growth_c=kappa * kappa + 1.0,
         noise_lip_sq=noise_lip_sq(noise),
     )
     return ModelBundle(model=model, x0=np.array([0.5]))

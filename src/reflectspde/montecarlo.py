@@ -11,17 +11,21 @@ Estimator conventions (per penalization level n, horizon T, M paths):
 
 Radial identities make every integrand a function of r = |X|_H alone:
 |X - pi(X)| = (r-1)^+ and <X, X - pi(X)> = r (r-1)^+.  Time integrals use the
-left-endpoint rule on the scheme grid, matching the stepper's own quadrature.
+left-endpoint rule on the scheme grid.  That is the explicit stepper's own
+quadrature, whose penalty reads the pre-step state: there n dt sum_j (r_j-1)^+
+is sum_j |dL_j|_H.  Under splitting the penalty acts on x-tilde, and the same
+sum reads n dt / (e^{n dt} - 1) of sum_j |dL_j|_H (0.069 at n dt = 4.096).
 
 Coupling: every penalization level consumes the same per-path Brownian
 increments (common random numbers), which is what makes the Cauchy and oracle
 studies meaningful at modest path counts.  All levels and paths of a study
 advance together as one (levels, paths, coeffs) stack in `penalize._ensemble`,
-which owns the paths, the pre-step radii and the final alive mask, and whose
-kernel draws the noise step by step; each study is a thin wrapper over a
-private reduction that the ensemble feeds step by step.  One ensemble can
-feed several reductions, each reading its leading paths: the CLI's `all`
-feeds the estimates, the Cauchy gaps and the inequality table from one.
+which owns the paths and the final alive mask, and whose kernel draws the
+noise step by step; each study is a thin wrapper over a private reduction
+that the ensemble hands the kernel's own step.  The estimates keep their own
+pre-step radii per (level, path), a failed row reading 0.  One ensemble can
+feed several reductions, each reading its leading paths: every CLI run feeds
+the estimates, the Cauchy gaps and the inequality table it wants from one.
 The kernel yields one row per path while the path's levels coincide, and
 the studies reduce on those rows as they come, keeping no time axis: radii
 and V energies are taken per row, gathered through the kernel's map `put`
@@ -206,23 +210,25 @@ class _Estimates:
     """run_estimates as a reduction over `penalize._ensemble`: its result
     is the pair (estimates, cauchy) of its leading `paths` paths."""
 
-    reads_radii = True
-
     def __init__(self, model: ModelSpec, cfg: SchemeConfig, n_grid, paths: int, x0):
         self.space, self.alpha, self.dt = model.space, model.alpha, cfg.dt
         self.n_grid, self.paths = n_grid, paths
         self.starts = _batches(paths)
         shape = (len(n_grid), paths)
-        # pre-step ||X||_V^alpha per (level, path), the left-endpoint sums
-        # (times dt at the end) and sup_t |X|_H from t = 0; fl(r - 1) is
-        # monotone in r, so (sup_t r - 1)^+ is sup_t (r - 1)^+ exactly
+        # pre-step |X|_H and ||X||_V^alpha per (level, path), the
+        # left-endpoint sums (times dt at the end) and sup_t |X|_H from t = 0;
+        # fl(r - 1) is monotone in r, so (sup_t r - 1)^+ is sup_t (r - 1)^+ exactly
+        self.r = np.full(shape, norm_h(self.space, x0))
         self.energy = np.full(shape, v_energy(self.space, x0, model.alpha))
         self.pen, self.pen_sq, self.weighted_pen, self.v_int, self.sup_h = (
             np.zeros(shape) for _ in range(5)
         )
         self.sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
 
-    def step(self, x, _dL, put, r_pre, r):
+    def step(self, x, _dL, r, alive, put):
+        r_pre = self.r
+        # a failed row reads radius 0: the radius it died at may overflow r^3
+        self.r = np.take(np.where(alive, r, 0.0), put)
         excess = np.maximum(r_pre - 1.0, 0.0)
         self.pen += excess
         self.pen_sq += excess**2
@@ -230,7 +236,6 @@ class _Estimates:
         self.v_int += self.energy
         self.energy = np.take(v_energy(self.space, x, self.alpha), put)
         np.maximum(self.sup_h, r_pre, out=self.sup_h)
-        self.r = r  # the final state's radius, once the steps end
         # a merged path's level rows are one row, so its differences are
         # exactly 0; squared, by inner_h, to skip norm_h's underflow recheck
         parted = np.flatnonzero(put[0] != put[-1])
@@ -242,7 +247,7 @@ class _Estimates:
 
     def result(self, alive) -> tuple[Report, Report]:
         n_grid, starts, dt = self.n_grid, self.starts, self.dt
-        sup_h = np.maximum(self.sup_h, self.r)
+        sup_h = np.maximum(self.sup_h, self.r)  # with the final state's radius
         rows = []
         for i, n in enumerate(n_grid):
             ok = alive[i]
@@ -361,9 +366,7 @@ def oracle_compare_1d(
 
 class _Oracle:
     """oracle_compare_1d as a reduction over `penalize._ensemble`, whose
-    last level is n = inf; it reads no radii."""
-
-    reads_radii = False
+    last level is n = inf."""
 
     def __init__(self, n_grid, paths: int):
         self.n_grid, self.paths = n_grid, paths
@@ -371,7 +374,7 @@ class _Oracle:
         self.sup_diff = np.zeros((len(n_grid), paths))
         self.tv = np.zeros((len(n_grid) + 1, paths))
 
-    def step(self, x, dl, put, _r_pre, _r):
+    def step(self, x, dl, _r, _alive, put):
         self.tv += np.abs(np.take(dl[:, 0], put))
         stack = np.take(x[:, 0], put)
         self.terminal = np.abs(stack[:-1] - stack[-1])

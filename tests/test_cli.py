@@ -24,6 +24,7 @@ from reflectspde.cli import (
 )
 from reflectspde.errors import ConfigurationError
 from reflectspde.hilbert import norm_h
+from reflectspde.localtime import _Inequality, inequality_study
 from reflectspde.models import REGISTRY
 from reflectspde.montecarlo import _Estimates
 
@@ -262,15 +263,16 @@ def test_every_builder_keyword_has_a_config_key(name):
 def test_estimates_and_oracle1d_step_one_oracle(tmp_path, monkeypatch, lines):
     seen = {}
 
-    def estimates(model, *args, **kwargs):
-        kappa = float(model.drift(0.0, [1.0])[0])  # the oracle's drift is kappa u
-        seen["estimates"] = (kappa, model.noise.mu)
-        return None, None
+    class Estimates(_Estimates):
+        def __init__(self, model, *args):
+            kappa = float(model.drift(0.0, [1.0])[0])  # the oracle's drift is kappa u
+            seen["estimates"] = (kappa, model.noise.mu)
+            super().__init__(model, *args)
 
     def oracle1d(kappa, sigma, *args):
         seen["oracle1d"] = (kappa, sigma)
 
-    monkeypatch.setattr(cli, "run_estimates", estimates)
+    monkeypatch.setattr(cli, "_Estimates", Estimates)
     monkeypatch.setattr(cli, "oracle_compare_1d", oracle1d)
     scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2"]
     text = "\n".join(["model.name = oracle_1d", *lines, *scheme, ""])
@@ -313,24 +315,33 @@ def test_oracle1d_takes_the_oracle_builders_defaults(tmp_path, monkeypatch, give
 def test_studies_see_only_the_keywords_the_config_sets(
     tmp_path, monkeypatch, lines, inequality, audits
 ):
+    # the inequality table binds every keyword, taking inequality_study's
+    # default for each that the config leaves out
     seen = {}
 
-    def record(name, result):
-        def stand_in(*args, **kwargs):
-            seen[name] = kwargs
-            return result
+    class Inequality(_Inequality):
+        def __init__(self, model, cfg, x0, n_grid, **kwargs):
+            seen["inequality"] = kwargs
+            super().__init__(model, cfg, x0, n_grid, **kwargs)
 
-        return stand_in
+    def run_all_audits(*args, **kwargs):
+        seen["hypotheses"] = kwargs
+        return []
 
-    monkeypatch.setattr(cli, "inequality_study", record("inequality", None))
-    monkeypatch.setattr(cli, "run_all_audits", record("hypotheses", []))
+    monkeypatch.setattr(cli, "_Inequality", Inequality)
+    monkeypatch.setattr(cli, "run_all_audits", run_all_audits)
     # run.n_grid is the one run.* key the inequality study cannot do without
     scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4"]
     text = "\n".join(["model.name = oracle_1d", *scheme, *lines, ""])
     config = load_config(write_conf(tmp_path, text))
     for study in cli._studies(config, ("inequality", "hypotheses"), 0).values():
         study()
-    assert seen == {"inequality": inequality, "hypotheses": audits}
+    defaults = {
+        name: parameter.default
+        for name, parameter in inspect.signature(inequality_study).parameters.items()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    }
+    assert seen == {"inequality": {**defaults, **inequality}, "hypotheses": audits}
 
 
 def test_explicit_large_n_dt_rejected(tmp_path):
@@ -531,6 +542,30 @@ def test_exit_code_2_on_non_finite_float(tmp_path, capsys, key, value):
     assert not out.exists()  # rejected before any study ran
 
 
+NOISE_MODELS = sorted(n for n in REGISTRY if "mu" in inspect.signature(REGISTRY[n]).parameters)
+
+
+@pytest.mark.parametrize("value", ["1e200", "-1e200"])
+@pytest.mark.parametrize(
+    "name, key, reader",
+    [(name, key, "estimates") for name in NOISE_MODELS for key in ("noise.mu", "noise.lambda")]
+    + [("oracle_1d", f"model.{k}", "oracle1d") for k in ("kappa", "sigma")]
+    + [("allen_cahn", f"oracle.{k}", "oracle1d") for k in ("kappa", "sigma")],
+)
+def test_exit_code_2_on_an_overflowing_model_constant(tmp_path, capsys, name, key, reader, value):
+    # a finite parameter whose square overflows makes a declared constant inf
+    lines = [f"model.name = {name}", f"{key} = {value}", "scheme.dt = 0.01",
+             "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2", ""]
+    conf = write_conf(tmp_path, "\n".join(lines))
+    for subcommand in ("all", reader):
+        out = tmp_path / subcommand
+        assert run_cli([subcommand, "--config", conf, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert "is not finite" in err[0], err
+        assert not out.exists()  # rejected before any study ran
+
+
 @pytest.mark.parametrize(
     "subcommand, conf, args, key",
     [
@@ -653,9 +688,9 @@ def ac_conf(tmp_path, ineq_paths):
 @pytest.mark.parametrize("ineq_paths", [None, 2, 20], ids=["default", "fewer", "more"])
 def test_all_opens_one_kernel_per_model(tmp_path, monkeypatch, ineq_paths):
     # every kernel draws its noise through one stream, so the recorder sees
-    # each kernel the run opens: the Allen-Cahn stack once, on the paths of
+    # each kernel a run opens: the Allen-Cahn stack once, on the paths of
     # whichever of estimates and inequality reads more (3 when unset), and
-    # the oracle's once
+    # in `all` the oracle's once
     calls, draw = [], penalize._brownian_stream
 
     def counting(*args):
@@ -664,11 +699,18 @@ def test_all_opens_one_kernel_per_model(tmp_path, monkeypatch, ineq_paths):
 
     monkeypatch.setattr(penalize, "_brownian_stream", counting)
     conf = ac_conf(tmp_path, ineq_paths)
-    assert run_cli(["all", "--config", conf, "--out", tmp_path / "out"]) == 0
-    reach = max(AC_PATHS, 3 if ineq_paths is None else ineq_paths)
-    allen_cahn = (5, range(reach), 8, AC_STEPS, AC_DT)
+    ineq = 3 if ineq_paths is None else ineq_paths
     oracle = (5, range(AC_PATHS), 1, AC_STEPS, AC_DT)
-    assert calls == [allen_cahn, oracle]
+    for subcommand, reach, rest in [
+        ("all", max(AC_PATHS, ineq), [oracle]),
+        ("estimates", AC_PATHS, []),
+        ("cauchy", AC_PATHS, []),
+        ("inequality", ineq, []),
+    ]:
+        calls.clear()
+        assert run_cli([subcommand, "--config", conf, "--out", tmp_path / subcommand]) == 0
+        allen_cahn = (5, range(reach), 8, AC_STEPS, AC_DT)
+        assert calls == [allen_cahn, *rest], subcommand
 
 
 def kernel_drift(model, cfg, levels, x0, paths, reach):

@@ -314,6 +314,24 @@ def test_model_spec_rejects_understated_c0():
         )
 
 
+def test_overflowing_declared_constants_are_rejected():
+    # the squares overflow to inf without a warning (warnings are errors in
+    # this suite), and ModelSpec names the constant
+    huge = NoiseSpec(q=np.array([1.0, 0.5]), mu=1e200, lam=-1e200)
+    assert noise_lip_sq(huge) == np.inf
+    assert noise_growth_sq(make_oracle_1d().space, NoiseSpec(np.ones(1), 1e200, 0.0)) == np.inf
+    for kwargs, name in [
+        (dict(kappa=-1e200), "growth_c"),
+        (dict(sigma=1e200), "c0"),
+        (dict(kappa=np.float64(1e200)), "growth_c"),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"declared constant {name} is not finite"):
+            make_oracle_1d(**kwargs)
+    for build in (make_allen_cahn, make_p_laplacian):
+        with pytest.raises(ConfigurationError, match="declared constant c0 is not finite"):
+            build(modes=8, lam=1e200)
+
+
 def test_model_spec_exponent_validation():
     bundle = make_oracle_1d()
     m = bundle.model

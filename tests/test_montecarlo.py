@@ -294,6 +294,17 @@ def test_cauchy_drops_a_path_failing_at_any_level():
     assert np.isnan(cauchy.column("est_supdiff2")[0])
 
 
+def test_a_failed_row_reads_radius_zero():
+    # one step takes both paths to radius 0.5 (1 + 1e120) = 5e119, whose cube
+    # overflows: the estimates read a failed row's radius as 0 from that step
+    # on, so no overflow is raised (warnings are errors in this suite)
+    bundle = make_oracle_1d(kappa=1e120, sigma=0.0)
+    cfg = SchemeConfig(dt=1.0, steps=3, n=1.0, seed=0)
+    report, cauchy = run_estimates(bundle.model, cfg, [1.0, 1.0], paths=2, x0=bundle.x0)
+    assert [r.failures for r in report.rows] == [2, 2]
+    assert cauchy.failures == 2
+
+
 def test_oracle_counts_failed_paths():
     cfg = SchemeConfig(dt=1.0, steps=3, n=1.0, seed=0)
     report = oracle_compare_1d(1e6, 0.0, cfg, [0.5, 1.0], paths=3)
