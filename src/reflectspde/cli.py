@@ -19,27 +19,30 @@ A model takes a ``model.*`` or ``noise.*`` key exactly when its builder in
 ``oracle.*`` keys are an error on an ``oracle_1d`` config, whose ``model.*``
 keys the oracle1d study reads.  ``run.n_grid`` has no empty item.
 
+A run checks every input before any study starts: the seed (``--seed`` or
+else ``scheme.seed``, >= 0), every level of ``run.n_grid`` (one that
+`SchemeConfig` accepts), the model, each count a study reads (``run.paths
+>= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0`` with 0 meaning
+``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``) and the 1-D
+oracle.  A study is passed only the ``run.*`` values its config sets.  Then
+the studies run in order, and the output directory is made when the first
+report arrives, so a rejected run leaves none.  A run steps the configured
+model once, as one coupled ensemble that feeds each study it wants its
+leading paths: ``run.paths`` to the estimates and Cauchy gaps,
+``run.ineq_paths`` (3 when unset) to the inequality table; the 1-D oracle
+comparison steps the oracle's own, which ends in the projection level.  So
+the ``estimates.csv`` and ``cauchy.csv`` of ``all`` are the single
+subcommands' when ``run.ineq_paths`` is at most ``run.paths``; its
+``inequality.csv`` may differ from the ``inequality`` subcommand's in the
+last digits, since the matrix products of the model's transforms round a
+row differently in a larger batch.
+
 Each study returns one `montecarlo.Report`; a run writes ``<study>.csv``
 for each study it ran, plus ``manifest.json`` recording the config hash,
 effective seed, and per-artifact SHA-256 checksums.  Artifacts are
 byte-identical across reruns (reduction order is fixed).  ``--threads`` is
 accepted and validated (>= 1) but has no effect: every study runs in one
-thread, and no environment variable is read.  The seed, ``--seed`` or else
-``scheme.seed``, must be >= 0 for every subcommand, and every level of
-``run.n_grid`` must be one that `SchemeConfig` accepts.  A run steps the
-configured model once, as one coupled ensemble that feeds each study it
-wants its leading paths: ``run.paths`` to the estimates and Cauchy gaps,
-``run.ineq_paths`` (3 when unset) to the inequality table.  The 1-D oracle
-comparison steps its own stack, which ends in the projection level.  So the
-``estimates.csv`` and ``cauchy.csv`` of ``all`` are the single subcommands'
-when ``run.ineq_paths`` is at most ``run.paths``; its ``inequality.csv`` may
-differ from the ``inequality`` subcommand's in the last digits, since the
-matrix products of the model's transforms round a row differently in a
-larger batch.
-Counts are checked before any study starts, and must be usable
-(``run.paths >= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0``
-with 0 meaning ``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``).
-A study is passed only the ``run.*`` values its config sets.
+thread, and no environment variable is read.
 
 Exit codes: 0 success, 2 configuration error or an allocation that cannot be
 made, 3 numerical failure (a failed path in any study; every report is still
@@ -50,7 +53,6 @@ written, and each failing study gets one stderr line
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import inspect
 import json
@@ -64,7 +66,7 @@ from .errors import ReflectSPDEError
 from .hypotheses import run_all_audits
 from .localtime import _Inequality, inequality_study
 from .models import REGISTRY, ModelBundle, build_model
-from .montecarlo import Report, _Estimates, oracle_compare_1d
+from .montecarlo import Report, _Estimates, _Oracle
 from .penalize import SchemeConfig, _ensemble
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "main"]
@@ -274,32 +276,41 @@ class AuditRow(NamedTuple):
     seed: int
 
 
-def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
-    """Each wanted task's study as a call, built after the bundle, the scheme
-    and every count the task reads are checked.
+def _build_oracle(config: ExperimentConfig) -> ModelBundle:
+    """The 1-D oracle of a config whose model is another: its ``oracle.*``
+    keys, with the builder's defaults for those it leaves out."""
+    items = config.values.items()
+    given = {k.removeprefix("oracle."): v for k, v in items if k.startswith("oracle.")}
+    try:
+        return build_model("oracle_1d", **given)
+    except ReflectSPDEError as exc:
+        keys = ", ".join(f"oracle.{keyword}" for keyword in given)
+        raise ConfigError(f"{keys}: cannot build 'oracle_1d': {exc}") from None
 
-    The bundle and the scheme are built at most once: `hypotheses` builds no
-    scheme, and `oracle1d` builds no bundle; it binds the oracle builder's
-    arguments, from the `model.*` keys of an `oracle_1d` config, so that
-    `estimates` steps the same oracle, and else from the `oracle.*` keys,
-    the builder's defaults filling in what is left out.  The estimates and
-    Cauchy gaps (one `_Estimates`) and the inequality table (`_Inequality`,
-    bound from `inequality_study`'s signature) are reductions over one
-    ensemble of the model, opened on the paths of whichever reads more and
-    stepped once, when the first of them is called.
+
+def _reports(config: ExperimentConfig, wanted, seed: int):
+    """Yield (task, report) for each wanted task, in order, once every check
+    has passed: the scheme and the bundle (each built at most once; not the
+    scheme for `hypotheses` alone, nor the bundle for `oracle1d` alone on a
+    config whose model is another), each task's counts, and the oracle,
+    which on an `oracle_1d` config is the bundle, so that `estimates` and
+    `oracle1d` step one oracle.  Then each ensemble opens, checking its own
+    inputs.  The model's, on the paths of whichever of the estimates and the
+    inequality table reads more, is stepped once, for the first of its
+    studies; it feeds one `_Estimates` (estimates and Cauchy gaps) and the
+    `_Inequality` bound from `inequality_study`'s signature.  The oracle's,
+    on run.n_grid and the projection level, feeds `_Oracle`.
     """
     stepping = any(t != "hypotheses" for t in wanted)
     cfg, n_grid = _build_scheme(config, seed) if stepping else (None, None)
     if "cauchy" in wanted and len(n_grid) < 2:
         raise ConfigError("run.n_grid: the cauchy study needs at least 2 levels")
-    bundle = _build_bundle(config) if any(t != "oracle1d" for t in wanted) else None
+    on_oracle = config.get("model.name") == "oracle_1d"
+    bundle = _build_bundle(config) if on_oracle or any(t != "oracle1d" for t in wanted) else None
 
-    studies, reductions = {}, {}  # reductions: task -> (paths, builder)
+    leads = {}  # the leading paths of the model's ensemble each reduction reads
     if "estimates" in wanted or "cauchy" in wanted:
-        paths = _count(config, "run.paths", 2)
-        reductions["estimates"] = paths, functools.partial(
-            _Estimates, bundle.model, cfg, n_grid, paths, bundle.x0
-        )
+        leads["estimates"] = paths = _count(config, "run.paths", 2)
     if "inequality" in wanted:
         ineq = _set_counts(
             config, {"run.ineq_paths": ("paths", 1), "run.test_paths": ("test_count", 1)}
@@ -312,59 +323,49 @@ def _studies(config: ExperimentConfig, wanted, seed: int) -> dict:
             bundle.model, cfg, bundle.x0, n_grid, **ineq
         )
         study.apply_defaults()
-        reductions["inequality"] = study.arguments["paths"], functools.partial(
-            _Inequality, **study.arguments
-        )
-    if reductions:
-
-        @functools.cache
-        def results():  # one ensemble feeds every reduction, built once it has opened
-            reach = max(lead for lead, _ in reductions.values())
-            feed = _ensemble(bundle.model, cfg, n_grid, bundle.x0, reach)
-            return dict(zip(reductions, feed(*(build() for _, build in reductions.values()))))
-
-        studies["estimates"] = lambda: results()["estimates"][0]
-        studies["cauchy"] = lambda: results()["estimates"][1]
-        studies["inequality"] = lambda: results()["inequality"]
+        leads["inequality"] = study.arguments["paths"]
     if "hypotheses" in wanted:
         # run.h1_samples = 0 passes h1_count 0, which run_all_audits reads as count
         sizes = _set_counts(
             config, {"run.samples": ("count", 1), "run.h1_samples": ("h1_count", 0)}
         )
-
-        def audits():
-            reports = run_all_audits(bundle.model, seed=seed, **sizes)
-            rows = [AuditRow(r.hypothesis, r.worst_margin, r.constant, int(r.seed)) for r in reports]
-            return Report(tuple(rows), 0)
-
-        studies["hypotheses"] = audits
     if "oracle1d" in wanted:
-        if config.get("model.name") == "oracle_1d":
-            given, keys = _model_kwargs(config)[1], "model.name"
-        else:
-            given = {
-                key.removeprefix("oracle."): value
-                for key, value in config.values.items()
-                if key.startswith("oracle.")
-            }
-            keys = ", ".join(f"oracle.{keyword}" for keyword in given)
-        oracle = inspect.signature(REGISTRY["oracle_1d"]).bind(**given)
-        oracle.apply_defaults()
-        try:  # the oracle's declared constants are checked before any study runs
-            REGISTRY["oracle_1d"](**oracle.arguments)
-        except ReflectSPDEError as exc:
-            raise ConfigError(f"{keys}: cannot build 'oracle_1d': {exc}") from None
-        kappa, sigma = oracle.arguments["kappa"], oracle.arguments["sigma"]
+        oracle = bundle if on_oracle else _build_oracle(config)
         paths = _count(config, "run.paths", 2)
-        studies["oracle1d"] = lambda: oracle_compare_1d(kappa, sigma, cfg, n_grid, paths)
-    return {task: studies[task] for task in wanted}
+
+    if leads:
+        feed = _ensemble(bundle.model, cfg, n_grid, bundle.x0, max(leads.values()))
+    if "oracle1d" in wanted:
+        oracle_feed = _ensemble(oracle.model, cfg, n_grid + [math.inf], oracle.x0, paths)
+    reports = {}
+    for task in wanted:
+        if task == "hypotheses":
+            audits = run_all_audits(bundle.model, seed=seed, **sizes)
+            rows = (AuditRow(a.hypothesis, a.worst_margin, a.constant, int(a.seed)) for a in audits)
+            reports[task] = Report(tuple(rows), 0)
+        elif task == "oracle1d":
+            [reports[task]] = oracle_feed(_Oracle(n_grid, paths))
+        elif task not in reports:  # the first of the model's studies steps it for all
+            reductions = []
+            if "estimates" in leads:
+                reductions.append(_Estimates(bundle.model, cfg, n_grid, paths, bundle.x0))
+            if "inequality" in leads:
+                reductions.append(_Inequality(**study.arguments))
+            results = feed(*reductions)
+            if "estimates" in leads:
+                reports["estimates"], reports["cauchy"] = results[0]
+            if "inequality" in leads:
+                reports["inequality"] = results[-1]
+        yield task, reports[task]
 
 
 def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None):
     """Run one subcommand; returns (exit_code, artifact paths).
 
-    Every study writes `<study>.csv` and reports its failed paths; each
-    study with failures gets one line on stderr.
+    The output directory is made when the first report arrives, so a run
+    that a check rejects leaves none.  Every study writes `<study>.csv` as
+    its report arrives; each study with failed paths gets one line on
+    stderr, and the exit code is then 3.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
@@ -373,17 +374,17 @@ def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None
     seed = int(config.get("scheme.seed", 0) if seed is None else seed)
     if seed < 0:
         raise ConfigError(f"{key}: must be >= 0, got {seed}")
-    studies = _studies(config, wanted, seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts: list[Path] = []
-    failures = {}
-    for task, study in studies.items():
-        report = study()
+    code = 0
+    for task, report in _reports(config, wanted, seed):
+        out.mkdir(parents=True, exist_ok=True)
         path = out / f"{task}.csv"
         report.to_csv(path)
         artifacts.append(path)
-        failures[task] = report.failures
+        if report.failures:
+            print(f"numerical failure: {task}: {report.failures} failed paths", file=sys.stderr)
+            code = 3
 
     manifest = {
         "config_sha256": hashlib.sha256(config.raw_bytes).hexdigest(),
@@ -396,10 +397,7 @@ def run_experiment(config: ExperimentConfig, subcommand: str, out_dir, seed=None
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     artifacts.append(manifest_path)
-    for task, k in failures.items():
-        if k:
-            print(f"numerical failure: {task}: {k} failed paths", file=sys.stderr)
-    return (3 if any(failures.values()) else 0), artifacts
+    return code, artifacts
 
 
 def main(argv=None) -> int:

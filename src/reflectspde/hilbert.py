@@ -184,19 +184,15 @@ def _gap_factor(r: np.ndarray) -> np.ndarray:
     return 1.0 - 1.0 / np.maximum(r, 1.0)
 
 
-def penalty_gap(
-    space: SpaceSpec, x: np.ndarray, r: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def penalty_gap(space: SpaceSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(x - project_ball(x), half squared distance to the ball)``.
 
-    The gap is radial: lambda(r) * x with lambda(r) = 1 - 1/max(r, 1), so its
-    H norm is exactly (r - 1)_+ and the second output is (r - 1)_+^2 / 2.
-    r is |x|_H, computed from x when not given; a caller that already holds
-    the radius passes it to skip the norm.
+    The gap is radial: lambda(r) * x with lambda(r) = 1 - 1/max(r, 1) and
+    r = |x|_H, so its H norm is exactly (r - 1)_+ and the second output is
+    (r - 1)_+^2 / 2.
     """
     x = space.check_coeffs(x)
-    if r is None:
-        r = norm_h(space, x)
+    r = norm_h(space, x)
     excess = np.maximum(r - 1.0, 0.0)
     return _gap_factor(r)[..., None] * x, 0.5 * excess * excess
 

@@ -94,7 +94,8 @@ def geometric_noise(mode_count: int, mu: float, lam: float, decay: float = 2.0) 
     """q_k = (1 + k)^(-decay), k = 0..mode_count-1."""
     if mode_count < 1:
         raise ConfigurationError("mode_count must be positive")
-    q = (1.0 + np.arange(mode_count, dtype=float)) ** (-decay)
+    with np.errstate(over="ignore"):  # an overflowing weight is inf, which NoiseSpec rejects
+        q = (1.0 + np.arange(mode_count, dtype=float)) ** (-decay)
     return NoiseSpec(q=q, mu=float(mu), lam=float(lam))
 
 

@@ -344,7 +344,7 @@ def _nonlinear_hat(
     lattice: TamedLattice,
     spec: TamedSpec,
     uh: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Coefficients (rows, L, 3) of (u.grad)u + g_N(|u|^2)u up to a gradient,
     pseudo-spectral, with the convection in rotational form.
@@ -358,10 +358,10 @@ def _nonlinear_hat(
     grad u, through the box synthesis; omega x u plus the taming term, which
     reads the same grid values of u, is formed pointwise and comes back
     through the box analysis.  work is the (p1, p2) scratch of _workspace for
-    at least uh's rows, allocated here when absent; the result never views it.
+    at least uh's rows; the result never views it.
     """
     rows, g = uh.shape[0], lattice.grid_size
-    p1, p2 = _workspace(lattice, rows) if work is None else work
+    p1, p2 = work
     grid = _box_to_grid(lattice, _velocity_and_vorticity(lattice, uh, p2), p1, p2)
     u, omega = grid[:, :3], grid[:, 3:]
     w = _view(p2, (rows, _P2, g, g * g))

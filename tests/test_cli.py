@@ -1,5 +1,6 @@
 """Config parsing, experiment driver, artifact determinism, exit codes."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflectspde import cli, penalize
+from reflectspde import cli, models, montecarlo, penalize
 from reflectspde.cli import (
     _FLOAT,
     _INT,
@@ -26,7 +27,7 @@ from reflectspde.errors import ConfigurationError
 from reflectspde.hilbert import norm_h
 from reflectspde.localtime import _Inequality, inequality_study
 from reflectspde.models import REGISTRY
-from reflectspde.montecarlo import _Estimates
+from reflectspde.montecarlo import _Estimates, _Oracle
 
 ORACLE_CONF = """\
 # tiny deterministic-ish oracle study
@@ -256,30 +257,40 @@ def test_every_builder_keyword_has_a_config_key(name):
     assert keywords <= {keyword for keyword, _ in _MODEL_KEYS.values()}
 
 
+def record_ensembles(monkeypatch) -> dict:
+    """{reduction type: (kappa, sigma)} of the oracle whose ensemble fed it,
+    for every ensemble a run opens; the oracle's drift is kappa u and its
+    noise amplitude sigma."""
+    seen, ensemble = {}, penalize._ensemble
+
+    def recording(model, *args):
+        feed = ensemble(model, *args)
+
+        def feed_recorded(*reductions):
+            for reduction in reductions:
+                seen[type(reduction)] = (float(model.drift(0.0, [1.0])[0]), model.noise.mu)
+            return feed(*reductions)
+
+        return feed_recorded
+
+    monkeypatch.setattr(cli, "_ensemble", recording)
+    return seen
+
+
+SCHEME_LINES = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2"]
+
+
 @pytest.mark.parametrize(
     "lines",
     [[], ["model.kappa = 2.5"], ["model.sigma = 0.3"], ["model.kappa = -1.0", "model.sigma = 0.7"]],
 )
 def test_estimates_and_oracle1d_step_one_oracle(tmp_path, monkeypatch, lines):
-    seen = {}
-
-    class Estimates(_Estimates):
-        def __init__(self, model, *args):
-            kappa = float(model.drift(0.0, [1.0])[0])  # the oracle's drift is kappa u
-            seen["estimates"] = (kappa, model.noise.mu)
-            super().__init__(model, *args)
-
-    def oracle1d(kappa, sigma, *args):
-        seen["oracle1d"] = (kappa, sigma)
-
-    monkeypatch.setattr(cli, "_Estimates", Estimates)
-    monkeypatch.setattr(cli, "oracle_compare_1d", oracle1d)
-    scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2"]
-    text = "\n".join(["model.name = oracle_1d", *lines, *scheme, ""])
+    seen = record_ensembles(monkeypatch)
+    text = "\n".join(["model.name = oracle_1d", *lines, *SCHEME_LINES, ""])
     config = load_config(write_conf(tmp_path, text))
-    for study in cli._studies(config, ("estimates", "oracle1d"), 0).values():
-        study()
-    assert seen["estimates"] == seen["oracle1d"], seen
+    tasks = [task for task, _ in cli._reports(config, ("estimates", "oracle1d"), 0)]
+    assert tasks == ["estimates", "oracle1d"]
+    assert seen.keys() == {_Estimates, _Oracle} and seen[_Estimates] == seen[_Oracle], seen
 
 
 @pytest.mark.parametrize(
@@ -287,16 +298,37 @@ def test_estimates_and_oracle1d_step_one_oracle(tmp_path, monkeypatch, lines):
 )
 def test_oracle1d_takes_the_oracle_builders_defaults(tmp_path, monkeypatch, given):
     # a non-oracle config: an oracle.* key it leaves out is make_oracle_1d's default
-    seen = []
-    monkeypatch.setattr(cli, "oracle_compare_1d", lambda *args: seen.append(args[:2]))
+    seen = record_ensembles(monkeypatch)
     lines = [f"oracle.{keyword} = {value}" for keyword, value in given.items()]
-    scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4", "run.paths = 2"]
-    text = "\n".join(["model.name = allen_cahn", *lines, *scheme, ""])
+    text = "\n".join(["model.name = allen_cahn", *lines, *SCHEME_LINES, ""])
     config = load_config(write_conf(tmp_path, text))
-    cli._studies(config, ("oracle1d",), 0)["oracle1d"]()
+    [(task, _)] = cli._reports(config, ("oracle1d",), 0)
     defaults = inspect.signature(REGISTRY["oracle_1d"]).parameters
     want = {k: given.get(k, defaults[k].default) for k in ("kappa", "sigma")}
-    assert seen == [(want["kappa"], want["sigma"])]
+    assert task == "oracle1d" and seen == {_Oracle: (want["kappa"], want["sigma"])}
+
+
+@pytest.mark.parametrize("name", ["oracle_1d", "allen_cahn"])
+def test_oracle1d_and_all_build_the_oracle_once(tmp_path, monkeypatch, name):
+    # every binding of the oracle's builder counts its calls; the wrapper
+    # keeps the builder's signature, from which a config's keys are read
+    builds, build = [], models.make_oracle_1d
+
+    @functools.wraps(build)
+    def counting(**kwargs):
+        builds.append(kwargs)
+        return build(**kwargs)
+
+    monkeypatch.setitem(models.REGISTRY, "oracle_1d", counting)
+    monkeypatch.setattr(models, "make_oracle_1d", counting)
+    monkeypatch.setattr(montecarlo, "make_oracle_1d", counting)
+    key = "model" if name == "oracle_1d" else "oracle"
+    lines = [f"model.name = {name}", f"{key}.kappa = 1.5", *SCHEME_LINES, "run.samples = 4", ""]
+    conf = write_conf(tmp_path, "\n".join(lines))
+    for subcommand in ("oracle1d", "all"):
+        builds.clear()
+        assert run_cli([subcommand, "--config", conf, "--out", tmp_path / subcommand]) == 0
+        assert builds == [{"kappa": 1.5}], subcommand
 
 
 @pytest.mark.parametrize(
@@ -334,8 +366,8 @@ def test_studies_see_only_the_keywords_the_config_sets(
     scheme = ["scheme.dt = 0.01", "scheme.t_final = 0.1", "run.n_grid = 1, 4"]
     text = "\n".join(["model.name = oracle_1d", *scheme, *lines, ""])
     config = load_config(write_conf(tmp_path, text))
-    for study in cli._studies(config, ("inequality", "hypotheses"), 0).values():
-        study()
+    tasks = [task for task, _ in cli._reports(config, ("inequality", "hypotheses"), 0)]
+    assert tasks == ["inequality", "hypotheses"]
     defaults = {
         name: parameter.default
         for name, parameter in inspect.signature(inequality_study).parameters.items()
@@ -584,6 +616,9 @@ def test_exit_code_2_on_an_overflowing_model_constant(tmp_path, capsys, name, ke
          "scheme.t_final"),
         ("all", conf_with("run.n_grid", "1,,16"), [], "run.n_grid"),
         ("all", conf_with("run.n_grid", "1, 4,"), [], "run.n_grid"),
+        # (1 + k)^1000 overflows to an infinite noise weight, with no warning
+        ("all", "\n".join(["model.name = allen_cahn", "noise.q_decay = -1000", *SCHEME_LINES, ""]),
+         [], "model.name"),
     ],
     ids=[
         "not utf-8",
@@ -600,6 +635,7 @@ def test_exit_code_2_on_an_overflowing_model_constant(tmp_path, capsys, name, ke
         "step count overflow",
         "empty level",
         "trailing comma",
+        "overflowing noise weight",
     ],
 )
 def test_exit_code_2_names_the_key(tmp_path, capsys, subcommand, conf, args, key):
@@ -685,12 +721,8 @@ def ac_conf(tmp_path, ineq_paths):
     return write_conf(tmp_path, AC_CONF + line)
 
 
-@pytest.mark.parametrize("ineq_paths", [None, 2, 20], ids=["default", "fewer", "more"])
-def test_all_opens_one_kernel_per_model(tmp_path, monkeypatch, ineq_paths):
-    # every kernel draws its noise through one stream, so the recorder sees
-    # each kernel a run opens: the Allen-Cahn stack once, on the paths of
-    # whichever of estimates and inequality reads more (3 when unset), and
-    # in `all` the oracle's once
+def record_streams(monkeypatch) -> list:
+    """The arguments of every noise stream a run opens: one per kernel."""
     calls, draw = [], penalize._brownian_stream
 
     def counting(*args):
@@ -698,6 +730,16 @@ def test_all_opens_one_kernel_per_model(tmp_path, monkeypatch, ineq_paths):
         return draw(*args)
 
     monkeypatch.setattr(penalize, "_brownian_stream", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ineq_paths", [None, 2, 20], ids=["default", "fewer", "more"])
+def test_all_opens_one_kernel_per_model(tmp_path, monkeypatch, ineq_paths):
+    # every kernel draws its noise through one stream, so the recorder sees
+    # each kernel a run opens: the Allen-Cahn stack once, on the paths of
+    # whichever of estimates and inequality reads more (3 when unset), and
+    # in `all` the oracle's once
+    calls = record_streams(monkeypatch)
     conf = ac_conf(tmp_path, ineq_paths)
     ineq = 3 if ineq_paths is None else ineq_paths
     oracle = (5, range(AC_PATHS), 1, AC_STEPS, AC_DT)
@@ -711,6 +753,21 @@ def test_all_opens_one_kernel_per_model(tmp_path, monkeypatch, ineq_paths):
         assert run_cli([subcommand, "--config", conf, "--out", tmp_path / subcommand]) == 0
         allen_cahn = (5, range(reach), 8, AC_STEPS, AC_DT)
         assert calls == [allen_cahn, *rest], subcommand
+
+
+def test_a_check_of_the_last_task_fails_before_any_kernel_steps(tmp_path, capsys, monkeypatch):
+    # oracle1d is the last task of `all`: its oracle's check fails before the
+    # Allen-Cahn ensemble, which the first task reads, draws any noise
+    calls = record_streams(monkeypatch)
+    conf = write_conf(tmp_path, AC_CONF + "oracle.kappa = 1e200\n")
+    out = tmp_path / "out"
+    assert run_cli(["all", "--config", conf, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "config error: oracle.kappa: cannot build 'oracle_1d': "
+        "declared constant growth_c is not finite"
+    ], err
+    assert calls == [] and not out.exists()
 
 
 def kernel_drift(model, cfg, levels, x0, paths, reach):

@@ -332,6 +332,13 @@ def test_overflowing_declared_constants_are_rejected():
             build(modes=8, lam=1e200)
 
 
+def test_an_overflowing_noise_weight_is_rejected_without_a_warning():
+    # warnings are errors in this suite: (1 + k)^1000 overflows to inf silently
+    for build in (make_allen_cahn, make_p_laplacian):
+        with pytest.raises(ConfigurationError, match="q weights must be finite"):
+            build(modes=8, q_decay=-1000)
+
+
 def test_model_spec_exponent_validation():
     bundle = make_oracle_1d()
     m = bundle.model

@@ -339,7 +339,8 @@ def test_nonlinearity_matches_full_complex_reference(
     uh = scale * leray_project(lattice, raw * keep[:, None]) / np.sqrt(lattice.n_half)
     spec = TamedSpec(nu=1.0, taming_n=taming_n)
     # in storage form: the polarization projection drops the gradient part
-    got = state_from_uhat(lattice, _nonlinear_hat(lattice, spec, uh))
+    work = tamednse._workspace(lattice, rows)
+    got = state_from_uhat(lattice, _nonlinear_hat(lattice, spec, uh, work))
     want = state_from_uhat(lattice, full_complex_nonlinear_hat(lattice, spec, uh))
     # relative to the size of the grid products, which can cancel to rounding
     # (a single shear mode has no convection); the absolute floor covers tiny
@@ -395,7 +396,8 @@ def test_drift_result_never_views_the_workspace(lattice):
     kept = hat.copy()
     _nonlinear_hat(lattice, spec, uh[1], work)
     assert np.array_equal(hat, kept)
-    assert np.array_equal(kept, _nonlinear_hat(lattice, spec, uh[0]))
+    fresh = tamednse._workspace(lattice, 2)
+    assert np.array_equal(kept, _nonlinear_hat(lattice, spec, uh[0], fresh))
 
 
 # --------------------------------------------------------------------------
