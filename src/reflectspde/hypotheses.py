@@ -118,7 +118,7 @@ def h1_jump_and_margin(
 
 def _jump_from_profile(f: np.ndarray) -> tuple[float, float, float]:
     def max_abs(a: np.ndarray) -> float:
-        return float(np.max(np.abs(a)))
+        return float(np.abs(a).max())  # the array method, not np.max's wrapper
 
     m_fine = max_abs(np.diff(f))  # spacing 2^-10
     m_half = max_abs(np.diff(f[::2]))  # spacing 2^-9

@@ -2,7 +2,7 @@
 
 The continuous model adds a penalty drift -n (X - pi(X)) to the SPDE; its
 running integral L^n(t) = -n \\int_0^t (X^n - pi(X^n)) ds approximates the
-reflection process.  Two steppers are provided:
+reflection process.  `step_penalized` takes one step by either method:
 
 explicit
     Euler-Maruyama transcription; the penalty increment is evaluated at the
@@ -13,7 +13,7 @@ splitting
     Drift+noise move to an intermediate state, then the exact flow of
     r' = -n (r - 1)_+ applied to the H radius; stable for arbitrary n dt.
 
-At n = inf both steppers are the projection scheme: x-tilde is mapped onto
+At n = inf both methods are the projection scheme: x-tilde is mapped onto
 the ball by the clamp of hilbert.project_ball, which leaves no row above
 radius 1 (the splitting step at exp(-n dt) = 0).  An explicit stack may hold
 this level next to its finite ones: its rows take the clamp, every other row
@@ -32,12 +32,15 @@ with the horizon; `simulate_path` is its one-level, one-path case.  The
 studies are reductions fed by `_ensemble`, the one owner of their paths and
 of the final alive mask, which hands each the kernel's own step; one
 ensemble can feed several studies, each reading its leading paths.
-What stays fixed for a run is computed once, when the kernel opens: the
-Lawson factor exp(symbol dt), whether a level is n = inf, and each row's
-penalty factor (-n dt for an explicit level, 0 at n = inf, and exp(-n dt)
-for a splitting level), which a row's copies take when its path parts; the
-noise amplitudes sqrt(q) are the NoiseSpec's own.  The explicit penalty is
-then one scaled pass over the rows, x * (lambda(r) * factor).
+What stays fixed for a run is computed once, when the kernel opens its row
+table `_Rows`, the one place these constants are made: the Lawson factor
+exp(symbol dt), whether a level is n = inf, and each row's penalty factor
+(-n dt for an explicit level, 0 at n = inf, and exp(-n dt) for a splitting
+level), which a row's copies take when its path parts; the noise amplitudes
+sqrt(q) are the NoiseSpec's own.  The explicit penalty is then one scaled
+pass over the rows, x * (lambda(r) * factor).  `step_penalized` has one
+body, which steps the rows of a table: the kernel's, or, for a call without
+one, a one-level table of the call's own broadcast rows.
 Each explicit step reads the pre-step radius that the kernel's divergence
 check computed, so it computes one H norm per row per step; a splitting step,
 or an explicit step of a stack that holds n = inf, computes two, of x-tilde
@@ -316,15 +319,6 @@ def _move(model, t, dt, state, dW, lawson):
     return apply_noise(model.noise, state, dW, out=moved)
 
 
-def _penalty_factor(method: str, rate):
-    """The factor a level's penalty scales by, from its n dt: -n dt for an
-    explicit level, 0 at n = inf (the clamp then acts; inf * 0 is NaN), and
-    exp(-n dt) for a splitting level."""
-    if method == "splitting":
-        return np.exp(-rate)
-    return np.where(np.isinf(rate), 0.0, -rate)
-
-
 def step_penalized(
     state: np.ndarray,
     t: float,
@@ -336,53 +330,60 @@ def step_penalized(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance one step at level cfg.n; returns (state', dL).
 
-    state and dW broadcast against each other.  r is the pre-step radius
+    state, dW and r broadcast against each other.  r is the pre-step radius
     |state|_H, which the explicit step's penalty reads; it is computed from
     state when not given, and the splitting step, whose penalty acts on
     x-tilde, ignores it.  At n = inf either method takes x-tilde onto the
     ball by the clamp of project_ball.  No divergence check here:
     `_penalized_stack` makes it once per step for every row.
 
-    rows is the kernel's row table, and state its rows in use: row q reads
-    dW[rows.path[q]] and its own level's n dt, and cfg.n is not read; the
-    table holds the run's constants.  After the move, the merged paths on
-    which the penalty is about to act are parted, so state' and dL have one
-    row per row in use after parting, and state' is written into the table.
+    Every step is a step of a row table.  rows is the kernel's, and state
+    its rows in use: row q reads dW[rows.path[q]] and its own level's n dt,
+    and cfg.n is not read; the table holds the run's constants.  After the
+    move, the merged paths on which the penalty is about to act are parted,
+    so state' and dL have one row per row in use after parting, and state'
+    is written into the table.  Without rows, the broadcast state, dW and r
+    are flattened to the rows of a one-level table of their own at cfg.n,
+    and state' and dL come back in the broadcast shape.
     """
+    if rows is not None:
+        return _step_rows(state, t, cfg, model, dW, r, rows)
+    state, dW = np.asarray(state, dtype=float), np.asarray(dW, dtype=float)
+    batch = np.broadcast_shapes(state.shape[:-1], dW.shape[:-1], np.shape(r))
+    state = np.broadcast_to(state, batch + state.shape[-1:]).reshape(-1, state.shape[-1])
+    dW = np.broadcast_to(dW, batch + dW.shape[-1:]).reshape(-1, dW.shape[-1])
+    r = norm_h(model.space, state) if r is None else np.broadcast_to(r, batch).reshape(-1)
+    rows = _Rows(model, cfg, np.array([cfg.n], dtype=float), len(state))
+    new, dL = _step_rows(state, t, cfg, model, dW, r, rows)
+    return new.reshape(batch + new.shape[-1:]), dL.reshape(batch + dL.shape[-1:])
+
+
+def _step_rows(state, t, cfg, model, dW, r, rows):
+    """step_penalized on the rows in use of the table rows."""
     space = model.space
-    if rows is None:
-        lawson, projection = _lawson_factor(model, cfg.dt), np.isinf(cfg.n)
-        rate, out = np.multiply(cfg.n, cfg.dt), None
-        factor = _penalty_factor(cfg.method, rate)
-    else:
-        lawson, projection = rows.lawson, rows.projection
-        dW = np.take(dW, rows.path[: len(state)], axis=0)
-    x_tilde = _move(model, t, cfg.dt, state, dW, lawson)
+    dW = np.take(dW, rows.path[: len(state)], axis=0)
+    x_tilde = _move(model, t, cfg.dt, state, dW, rows.lawson)
     if cfg.method == "splitting":
         r_tilde = norm_h(space, x_tilde)
-        if rows is not None:
-            r_tilde, x_tilde = rows.part(r_tilde > 1.0, r_tilde, x_tilde)
-            rate, factor, out = rows.in_use()
+        r_tilde, x_tilde = rows.part(r_tilde > 1.0, r_tilde, x_tilde)
+        rate, factor, out = rows.in_use()
         excess = np.maximum(r_tilde - 1.0, 0.0)
         scale = (1.0 + excess * factor) / np.maximum(r_tilde, 1.0)
         new = np.multiply(x_tilde, scale[..., None], out=out)
         dL = new - x_tilde
     else:
-        if r is None:
-            r = norm_h(space, state)
         arrays, acting = (state, r, x_tilde), r > 1.0
         # of the explicit levels only the projection level reads |x-tilde|_H
-        if projection:
+        if rows.projection:
             r_tilde = norm_h(space, x_tilde)
             arrays, acting = arrays + (r_tilde,), acting | (r_tilde > 1.0)
-        if rows is not None:
-            arrays = rows.part(acting, *arrays)
-            rate, factor, out = rows.in_use()
-        state, r, x_tilde, r_tilde = arrays if projection else arrays + (None,)
+        arrays = rows.part(acting, *arrays)
+        rate, factor, out = rows.in_use()
+        state, r, x_tilde, r_tilde = arrays if rows.projection else arrays + (None,)
         # dL = -n dt (x - pi(x)), in one pass; the projection level's factor is 0
         dL = np.multiply(state, (_gap_factor(r) * factor)[..., None])
         new = np.add(x_tilde, dL, out=out)
-    if projection:  # the splitting step at exp(-inf) = 0: x-tilde onto the ball
+    if rows.projection:  # the splitting step at exp(-inf) = 0: x-tilde onto the ball
         clamp = np.isinf(rate)
         # radius 1 leaves the rows of the other levels unmoved and unguarded
         onto = _clamp(space, x_tilde, np.where(clamp, r_tilde, 1.0))
@@ -408,7 +409,11 @@ class _Rows:
         rates = levels * cfg.dt
         self.lawson = _lawson_factor(model, cfg.dt)
         self.projection = bool(np.isinf(rates).any())
-        self.level_rate, self.level_factor = rates, _penalty_factor(cfg.method, rates)
+        # each level's penalty factor: -n dt for an explicit level, 0 at n = inf
+        # (the clamp then acts; inf * 0 is NaN), and exp(-n dt) for a splitting level
+        splitting = cfg.method == "splitting"
+        self.level_rate = rates
+        self.level_factor = np.exp(-rates) if splitting else np.where(np.isinf(rates), 0.0, -rates)
         self.x = np.empty((levels.size * paths, model.space.n_coeffs))
         self.alive = np.ones(levels.size * paths, dtype=bool)
         self.rate = np.repeat(rates, paths)

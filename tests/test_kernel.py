@@ -141,6 +141,46 @@ def test_step_reads_the_given_radius_and_writes_no_input(name, method, levels, r
         assert np.array_equal(state, inputs[0]) and np.array_equal(dW, inputs[1])
 
 
+@SETTINGS
+@given(
+    name=st.sampled_from(sorted(MODELS) + ["echo"]),
+    method=st.sampled_from(["explicit", "splitting"]),
+    n=st.sampled_from([0.0, 16.0, np.inf]),
+    state_batch=st.sampled_from([(), (4,), (2, 4)]),
+    noise_batch=st.sampled_from([(), (4,)]),
+    given_r=st.booleans(),
+    radius=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**16),
+)
+def test_a_step_without_a_table_is_a_one_level_table_step(
+    name, method, n, state_batch, noise_batch, given_r, radius, seed
+):
+    # the kernel's body steps the broadcast rows as a table of one level
+    model = ECHO if name == "echo" else MODELS[name].model
+    space = model.space
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(state_batch + (space.n_coeffs,))
+    state *= radius / np.maximum(norm_h(space, state), 1e-300)[..., None]
+    dW = np.sqrt(0.02) * rng.standard_normal(noise_batch + (model.noise.mode_count,))
+    r = norm_h(space, state) if given_r else None
+    inputs = state.copy(), dW.copy(), None if r is None else r.copy()
+    cfg = SchemeConfig(dt=0.02, steps=1, n=n, method=method)
+    new, dL = step_penalized(state, 0.0, cfg, model, dW, r)
+    batch = np.broadcast_shapes(state_batch, noise_batch)
+    assert new.shape == dL.shape == batch + (space.n_coeffs,)
+    assert np.array_equal(state, inputs[0]) and np.array_equal(dW, inputs[1])
+    assert r is None or np.array_equal(r, inputs[2])
+    # the reference holds its rows in the table, as the kernel does
+    count = int(np.prod(batch))
+    table = penalize._Rows(model, cfg, np.array([n]), count)
+    table.x[:] = np.broadcast_to(state, new.shape).reshape(count, -1)
+    rows_r = norm_h(space, table.x) if r is None else np.broadcast_to(r, batch).reshape(count)
+    rows_dW = np.broadcast_to(dW, batch + dW.shape[-1:]).reshape(count, -1)
+    want = step_penalized(table.x, 0.0, cfg, model, rows_dW, rows_r, table)
+    assert np.array_equal(new.reshape(count, -1), want[0])
+    assert np.array_equal(dL.reshape(count, -1), want[1])
+
+
 # --------------------------------------------------------------------------
 # a path's level rows coincide until its first nonzero penalty increment
 
