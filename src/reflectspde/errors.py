@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for counts."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ReflectSPDEError(Exception):
@@ -13,6 +15,13 @@ class DimensionMismatchError(ReflectSPDEError):
 
 class ConfigurationError(ReflectSPDEError, ValueError):
     """Raised for an invalid scheme, experiment or study argument."""
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """A count is an int or numpy integer >= least; a float or a bool is
+    rejected, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
 class UnsupportedParameterError(ReflectSPDEError):

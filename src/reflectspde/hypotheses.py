@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelEvaluationError
+from .errors import ConfigurationError, ModelEvaluationError, _check_count
 from .hilbert import SpaceSpec, norm_h, norm_v
 from .models import ModelSpec, dual_pairing, hs_diff_sq, hs_norm_sq, vstar_norm
 
@@ -77,6 +77,7 @@ class FieldSampler:
         self.amp = (1.0 + k) ** (-decay)
 
     def sample(self, count: int) -> np.ndarray:
+        _check_count("count", count, 1)
         raw = self.rng.standard_normal((count, self.space.n_coeffs)) * self.amp
         radii = np.asarray([self.RADII[i % len(self.RADII)] for i in range(count)])
         r = norm_h(self.space, raw)
@@ -318,10 +319,8 @@ def run_all_audits(
     H2-H5 sample count fields each; H1 samples h1_count triples, or count
     when h1_count is 0 (its default).
     """
-    if count < 1:
-        raise ConfigurationError(f"count: need at least 1 sample, got {count}")
-    if h1_count < 0:
-        raise ConfigurationError(f"h1_count: need 0 or more samples, got {h1_count}")
+    _check_count("count", count, 1)
+    _check_count("h1_count", h1_count, 0)
     h1 = check_hemicontinuity(model, _sampler(model, seed, "H1"), h1_count or count)
     h2 = check_local_monotonicity(model, _sampler(model, seed, "H2"), count)
     h3 = check_coercivity(model, _sampler(model, seed, "H3"), count)
@@ -350,8 +349,10 @@ def constant_stability(
     handful of rows can round differently, which moves a constant by
     rounding.
     """
-    if not counts or min(counts) < 1:
-        raise ConfigurationError(f"counts: need one or more counts of at least 1, got {counts}")
+    if not counts:
+        raise ConfigurationError("counts: need one or more counts")
+    for i, count in enumerate(counts):
+        _check_count(f"counts[{i}]", count, 1)
     unknown = sorted(set(hypotheses) - {"H2", "H3", "H4", "H5"})
     if unknown:
         raise ConfigurationError(f"hypotheses: unknown {unknown}, choose from H2-H5")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_count
 from .hilbert import SpaceSpec, norm_h
 from .montecarlo import Report
 from .penalize import _ensemble
@@ -110,8 +110,6 @@ def boundary_leak(
 def _test_factors(space: SpaceSpec, seed: int, count: int, times: np.ndarray):
     """make_test_paths' family as (shapes (len(times), 5), coeffs (count, 5, m)):
     member f is shapes @ coeffs[f], drawn in make_test_paths' order."""
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
     times = np.asarray(times, dtype=float)
     m = space.n_coeffs
     coeffs = np.zeros((count, 5, m))
@@ -148,6 +146,7 @@ def make_test_paths(space: SpaceSpec, seed: int, count: int, times: np.ndarray) 
     curves rescaled to a random sup radius <= 1.  Values at grid points lie
     in the ball, hence so does the piecewise-linear interpolant (convexity).
     """
+    _check_count("count", count, 1)
     return np.matmul(*_test_factors(space, seed, count, times))
 
 
@@ -204,6 +203,7 @@ class _Inequality:
 
     def __init__(self, model, cfg, x0, n_grid, paths, test_count, delta):
         self.space, self.n_grid, self.paths, self.delta = model.space, n_grid, paths, delta
+        _check_count("test_count", test_count, 1)
         times = np.arange(cfg.steps + 1) * cfg.dt
         self.shapes, self.coeffs = _test_factors(model.space, cfg.seed, test_count, times)
         shape = (len(n_grid), paths)

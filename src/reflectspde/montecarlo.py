@@ -187,6 +187,8 @@ def _batches(paths: int) -> np.ndarray:
 def _se_from_batch_means(means: np.ndarray) -> float:
     if len(means) < 2:
         return 0.0
+    if np.isinf(means).any():  # a mean that overflowed a double has no spread to read
+        return float("nan")
     return float(np.std(means, ddof=1) / np.sqrt(len(means)))
 
 
@@ -253,10 +255,12 @@ class _Estimates:
             ok = alive[i]
             cells = {"n": n, "failures": int(np.count_nonzero(~ok))}
             n_scale = n if np.isfinite(n) else np.nan  # inf * 0 at the projection level
+            with np.errstate(over="ignore"):  # a square past the largest double reads inf
+                var2 = (n_scale * (dt * self.pen[i])) ** 2
             for column, values, scale in (
                 ("sup4", sup_h[i] ** 4, 1.0),
                 ("weighted_pen", dt * self.weighted_pen[i], n_scale),
-                ("var2", (n_scale * (dt * self.pen[i])) ** 2, 1.0),
+                ("var2", var2, 1.0),
                 ("pen_l2", dt * self.pen_sq[i], n_scale),
                 ("v_energy", dt * self.v_int[i], 1.0),
                 ("pen_sup4", np.maximum(sup_h[i] - 1.0, 0.0) ** 4, 1.0),

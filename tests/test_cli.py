@@ -675,6 +675,34 @@ def test_nan_level_rejected_and_inf_level_kept(tmp_path, capsys):
         assert run_cli(["oracle1d", "--config", conf, "--out", tmp_path / method]) == 0
 
 
+HUGE_LEVEL_CONF = """\
+model.name     = allen_cahn
+model.modes    = 8
+noise.mu       = 1.5
+scheme.method  = splitting
+scheme.dt      = 0.5
+scheme.t_final = 1
+scheme.seed    = 11
+run.n_grid     = 0, 1e300, inf
+run.paths      = 200
+run.samples    = 16
+run.h1_samples = 2
+"""
+
+
+def test_a_cell_that_overflows_reads_inf_with_a_nan_se(tmp_path, capsys):
+    # (n dt pen)^2 at n = 1e300 passes the largest double: the cell reads inf
+    # and its SE nan, with no numpy warning on stderr
+    conf = write_conf(tmp_path, HUGE_LEVEL_CONF)
+    out = tmp_path / "out"
+    assert run_cli(["all", "--config", conf, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = [line.split(",") for line in (out / "estimates.csv").read_text().splitlines()]
+    huge = dict(zip(header, rows[1]))
+    assert float(huge["n"]) == 1e300
+    assert (huge["est_var2"], huge["se_var2"]) == ("inf", "nan")
+
+
 def test_cauchy_needs_two_levels(tmp_path):
     cfg = load_config(write_conf(tmp_path, BLOWUP_CONF))
     with pytest.raises(ConfigError, match="run.n_grid"):

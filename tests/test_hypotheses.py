@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reflectspde.cli import main
 from reflectspde.errors import ConfigurationError, ModelEvaluationError
 from reflectspde.hilbert import norm_h
+from reflectspde.localtime import inequality_study, make_test_paths
 from reflectspde.hypotheses import (
     _LAM_GRID,
     EVALUATORS,
@@ -32,6 +33,7 @@ from reflectspde.models import (
     make_oracle_1d,
     make_p_laplacian,
 )
+from reflectspde.penalize import SchemeConfig
 from reflectspde.tamednse import make_tamed_nse
 
 
@@ -363,9 +365,30 @@ def test_h4_requires_probes_for_nonquadratic_v():
 )
 def test_bad_audit_arguments_raise_before_any_drift(name, call):
     model, seen = row_counting(make_allen_cahn(modes=8).model)
-    with pytest.raises(ConfigurationError, match=f"^{name}:"):
+    with pytest.raises(ConfigurationError, match=rf"^{name}\b"):
         call(model)
     assert seen == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: run_all_audits(m, count=10.0),
+        lambda m: run_all_audits(m, count=True),
+        lambda m: run_all_audits(m, count=10, h1_count=2.5),
+        lambda m: constant_stability(m, counts=(5.0, 10.0)),
+        lambda m: inequality_study(
+            m, SchemeConfig(dt=0.01, steps=2, n=1.0), np.zeros(8), [1.0], test_count=2.0
+        ),
+        lambda m: make_test_paths(m.space, 0, 3.0, np.linspace(0.0, 1.0, 5)),
+        lambda m: FieldSampler(m.space, 0).sample(2.0),
+    ],
+    ids=["count", "bool_count", "h1_count", "counts", "test_count", "test_paths", "sample"],
+)
+def test_every_count_is_a_whole_number(call):
+    # the one count rule of the package: a float or a bool is rejected, not rounded
+    with pytest.raises(ConfigurationError, match="must be a whole number"):
+        call(make_allen_cahn(modes=8).model)
 
 
 @pytest.mark.parametrize("builder", [make_allen_cahn, make_p_laplacian])
