@@ -17,20 +17,25 @@ lines ignored:
 A model takes a ``model.*`` or ``noise.*`` key exactly when its builder in
 ``models.REGISTRY`` has the keyword the key maps to; any other is an error.
 ``oracle.*`` keys are an error on an ``oracle_1d`` config, whose ``model.*``
-keys the oracle1d study reads.  ``run.n_grid`` has no empty item.
+keys the oracle1d study reads.  ``run.n_grid`` has no empty item, and an
+item that overflows a double, such as ``1e400``, is an error: the
+projection level is spelled ``inf``.
 
-A run checks every input before any study starts: the seed (``--seed`` or
-else ``scheme.seed``, >= 0), every level of ``run.n_grid`` (one that
-`SchemeConfig` accepts), the model, each count a study reads (``run.paths
->= 2``, ``run.samples >= 1``, ``run.h1_samples >= 0`` with 0 meaning
-``run.samples``, ``run.ineq_paths``, ``run.test_paths >= 1``) and the 1-D
-oracle.  A study is passed only the ``run.*`` values its config sets.  Then
-the studies run in order, and the output directory is made when the first
-report arrives, so a rejected run leaves none.  A run steps the configured
-model once, as one coupled ensemble that feeds each study it wants its
-leading paths: ``run.paths`` to the estimates and Cauchy gaps,
-``run.ineq_paths`` (3 when unset) to the inequality table; the 1-D oracle
-comparison steps the oracle's own, which ends in the projection level.  So
+A run checks every input before any study starts: the output directory
+(``--out`` or else ``run.out``, whose nearest existing ancestor must be a
+directory), the seed (``--seed`` or else ``scheme.seed``, >= 0), every level
+of ``run.n_grid`` (one that `SchemeConfig` accepts), the model, each count a
+study reads (``run.paths >= 2``, ``run.samples >= 1``, ``run.h1_samples >=
+0`` with 0 meaning ``run.samples``, ``run.ineq_paths``, ``run.test_paths >=
+1``) and the 1-D oracle, and it builds each study's reduction.  A study is
+passed only the ``run.*`` values its config sets.  Then the studies run in
+order, and the output directory is made when the first report arrives, so a
+rejected run leaves none.  Each model's reductions go to one
+`penalize._ensemble`, which steps exactly them: the configured model's
+(``run.paths`` paths for the estimates and Cauchy gaps, ``run.ineq_paths``,
+3 when unset, for the inequality table) once, for the first of its studies,
+and the 1-D oracle's, whose reduction ends its levels in the projection
+level.  So
 the ``estimates.csv`` and ``cauchy.csv`` of ``all`` are the single
 subcommands' when ``run.ineq_paths`` is at most ``run.paths``; its
 ``inequality.csv`` may differ from the ``inequality`` subcommand's in the
@@ -44,8 +49,8 @@ byte-identical across reruns (reduction order is fixed).  ``--threads`` is
 accepted and validated (>= 1) but has no effect: every study runs in one
 thread, and no environment variable is read.
 
-Exit codes: 0 success, 2 configuration error or an allocation that cannot be
-made, 3 numerical failure (a failed path in any study; every report is still
+Exit codes: 0 success, 2 configuration error, or an allocation or an
+artifact write that fails, 3 numerical failure (a failed path in any study; every report is still
 written, and each failing study gets one stderr line
 ``numerical failure: <study>: <k> failed paths``).
 """
@@ -87,9 +92,13 @@ def _FLOAT(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
+    """Floats with no empty item; inf is spelled, not an item that overflows."""
     items = [t.strip() for t in text.split(",")]
     if "" in items:
         raise ValueError("empty item")
+    for item in items:
+        if math.isinf(float(item)) and item.lstrip("+-").lower() not in ("inf", "infinity"):
+            raise ValueError(f"{item} overflows a double")
     return [float(t) for t in items]
 
 
@@ -292,14 +301,13 @@ def _reports(config: ExperimentConfig, wanted, seed: int):
     """Yield (task, report) for each wanted task, in order, once every check
     has passed: the scheme and the bundle (each built at most once; not the
     scheme for `hypotheses` alone, nor the bundle for `oracle1d` alone on a
-    config whose model is another), each task's counts, and the oracle,
-    which on an `oracle_1d` config is the bundle, so that `estimates` and
-    `oracle1d` step one oracle.  Then each ensemble opens, checking its own
-    inputs.  The model's, on the paths of whichever of the estimates and the
-    inequality table reads more, is stepped once, for the first of its
-    studies; it feeds one `_Estimates` (estimates and Cauchy gaps) and the
-    `_Inequality` bound from `inequality_study`'s signature.  The oracle's,
-    on run.n_grid and the projection level, feeds `_Oracle`.
+    config whose model is another), each task's counts, each study's
+    reduction, and the oracle, which on an `oracle_1d` config is the bundle,
+    so that `estimates` and `oracle1d` step one oracle.  Then each model's
+    ensemble opens on the reductions it steps, checking its own inputs: the
+    model's on one `_Estimates` (estimates and Cauchy gaps) and the
+    `_Inequality` bound from `inequality_study`'s signature, stepped once,
+    for the first of its studies; the oracle's on `_Oracle`.
     """
     stepping = any(t != "hypotheses" for t in wanted)
     cfg, n_grid = _build_scheme(config, seed) if stepping else (None, None)
@@ -308,9 +316,9 @@ def _reports(config: ExperimentConfig, wanted, seed: int):
     on_oracle = config.get("model.name") == "oracle_1d"
     bundle = _build_bundle(config) if on_oracle or any(t != "oracle1d" for t in wanted) else None
 
-    leads = {}  # the leading paths of the model's ensemble each reduction reads
+    studies = {}  # the model's reductions, by the first task each reports
     if "estimates" in wanted or "cauchy" in wanted:
-        leads["estimates"] = paths = _count(config, "run.paths", 2)
+        studies["estimates"] = _Estimates(bundle.model, cfg, n_grid, _count(config, "run.paths", 2))
     if "inequality" in wanted:
         ineq = _set_counts(
             config, {"run.ineq_paths": ("paths", 1), "run.test_paths": ("test_count", 1)}
@@ -319,11 +327,9 @@ def _reports(config: ExperimentConfig, wanted, seed: int):
             ineq["delta"] = delta = config.values["run.delta"]
             if not 0.0 < delta < 1.0:
                 raise ConfigError(f"run.delta: must lie in (0, 1), got {delta}")
-        study = inspect.signature(inequality_study).bind(
-            bundle.model, cfg, bundle.x0, n_grid, **ineq
-        )
+        study = inspect.signature(inequality_study).bind_partial(**ineq)
         study.apply_defaults()
-        leads["inequality"] = study.arguments["paths"]
+        studies["inequality"] = _Inequality(bundle.model, cfg, n_grid, **study.arguments)
     if "hypotheses" in wanted:
         # run.h1_samples = 0 passes h1_count 0, which run_all_audits reads as count
         sizes = _set_counts(
@@ -332,11 +338,9 @@ def _reports(config: ExperimentConfig, wanted, seed: int):
     if "oracle1d" in wanted:
         oracle = bundle if on_oracle else _build_oracle(config)
         paths = _count(config, "run.paths", 2)
+        oracle_results = _ensemble(oracle.model, cfg, oracle.x0, _Oracle(n_grid, paths))
+    results = _ensemble(bundle.model, cfg, bundle.x0, *studies.values()) if studies else None
 
-    if leads:
-        feed = _ensemble(bundle.model, cfg, n_grid, bundle.x0, max(leads.values()))
-    if "oracle1d" in wanted:
-        oracle_feed = _ensemble(oracle.model, cfg, n_grid + [math.inf], oracle.x0, paths)
     reports = {}
     for task in wanted:
         if task == "hypotheses":
@@ -344,18 +348,11 @@ def _reports(config: ExperimentConfig, wanted, seed: int):
             rows = (AuditRow(a.hypothesis, a.worst_margin, a.constant, int(a.seed)) for a in audits)
             reports[task] = Report(tuple(rows), 0)
         elif task == "oracle1d":
-            [reports[task]] = oracle_feed(_Oracle(n_grid, paths))
+            [reports[task]] = oracle_results
         elif task not in reports:  # the first of the model's studies steps it for all
-            reductions = []
-            if "estimates" in leads:
-                reductions.append(_Estimates(bundle.model, cfg, n_grid, paths, bundle.x0))
-            if "inequality" in leads:
-                reductions.append(_Inequality(**study.arguments))
-            results = feed(*reductions)
-            if "estimates" in leads:
-                reports["estimates"], reports["cauchy"] = results[0]
-            if "inequality" in leads:
-                reports["inequality"] = results[-1]
+            reports.update(zip(studies, results))
+            if "estimates" in studies:
+                reports["estimates"], reports["cauchy"] = reports["estimates"]
         yield task, reports[task]
 
 
@@ -423,12 +420,17 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.threads < 1:  # accepted for compatibility; it changes nothing
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-        out_dir = args.out or config.get("run.out", ".")
+        out_dir = Path(args.out or config.get("run.out", "."))
+        # checked before any study runs: the directory can be made
+        existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            key = "--out" if args.out else "run.out"
+            raise ConfigError(f"{key}: {existing} is not a directory")
         code, _ = run_experiment(config, args.subcommand, out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ReflectSPDEError, MemoryError) as exc:
+    except (ReflectSPDEError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

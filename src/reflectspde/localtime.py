@@ -11,13 +11,13 @@ splitting stepper's acts on x-tilde.  The reflection mass over radii is one
 histogram over the same arrays:
 ``np.histogram(norm_h(space, states[:-1]), weights=norm_h(space, dL))``.
 `inequality_study` takes the same sums as a running reduction over the
-kernel's steps, which `penalize._ensemble`, the owner of its paths and final
-alive mask, hands it, against the test family's factors, and holds one
-block of at most 32 steps: each full block, and the last, is summed by
+kernel's steps, which `penalize._ensemble`, the owner of the final alive
+mask, hands it, against the test family's factors, and holds one block of
+at most 32 steps: each full block, and the last, is summed by
 `total_variation`, `boundary_leak` and the factored cross term, so the
-left-endpoint sums are written once, here.  The reduction reads the
-ensemble's leading paths, so one ensemble can feed it and the estimates
-together, as the CLI's does.
+left-endpoint sums are written once, here.  The reduction checks the
+study's arguments and reads the ensemble's leading paths, so one ensemble
+can feed it and the estimates together, as the CLI's does.
 """
 
 from __future__ import annotations
@@ -178,11 +178,8 @@ def inequality_study(
     The sums run over the kernel's steps; per row, the moment sum_j shapes(t_j)
     (x) w dL_j gives each test member's cross term in one contraction.
     """
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
-    n_grid = [float(n) for n in n_grid]
-    feed = _ensemble(model, cfg, n_grid, x0, paths)  # checks x0 before it is read
-    return feed(_Inequality(model, cfg, x0, n_grid, paths, test_count, delta))[0]
+    reduction = _Inequality(model, cfg, n_grid, paths=paths, test_count=test_count, delta=delta)
+    return next(_ensemble(model, cfg, x0, reduction))
 
 
 # a block of the inequality table holds at most this many steps, and at most
@@ -192,7 +189,8 @@ _BLOCK_STEPS, _BLOCK_VALUES = 32, 2**15
 
 class _Inequality:
     """inequality_study as a reduction over `penalize._ensemble`, on its
-    leading `paths` paths; its arguments are the study's.
+    leading `paths` paths; its arguments are the study's but x0, which the
+    ensemble starts it at.
 
     Each step's increments and post-step states are copied into a block of
     at most _BLOCK_STEPS steps and _BLOCK_VALUES values per array (one step
@@ -201,14 +199,19 @@ class _Inequality:
     block is full, and at the end.  The block's first state is the pre-step
     state of its first step, carried over from the block before."""
 
-    def __init__(self, model, cfg, x0, n_grid, paths, test_count, delta):
-        self.space, self.n_grid, self.paths, self.delta = model.space, n_grid, paths, delta
+    def __init__(self, model, cfg, n_grid, *, paths, test_count, delta):
+        if not 0.0 < delta < 1.0:
+            raise ConfigurationError("delta must lie in (0, 1)")
+        _check_count("paths", paths, 1)
         _check_count("test_count", test_count, 1)
+        self.space, self.delta = model.space, delta
+        self.levels, self.paths = [float(n) for n in n_grid], paths
         times = np.arange(cfg.steps + 1) * cfg.dt
         self.shapes, self.coeffs = _test_factors(model.space, cfg.seed, test_count, times)
-        shape = (len(n_grid), paths)
-        m = model.space.n_coeffs
-        block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (len(n_grid) * paths * m)))
+
+    def start(self, x0):
+        shape, m = (len(self.levels), self.paths), self.space.n_coeffs
+        block = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // (shape[0] * shape[1] * m)))
         self.dL = np.empty((block,) + shape + (m,))
         self.x = np.empty((block + 1,) + shape + (m,))  # a failed row is zero
         self.x[0] = x0
@@ -245,7 +248,7 @@ class _Inequality:
         table[~alive] = np.nan  # dead rows were pinned to zero by the kernel
         rows = [
             InequalityRow(n, i, *map(float, table[li, i]))
-            for li, n in enumerate(self.n_grid)
+            for li, n in enumerate(self.levels)
             for i in range(self.paths)
         ]
         return Report(tuple(rows), int(np.count_nonzero(~alive)))

@@ -20,12 +20,14 @@ Coupling: every penalization level consumes the same per-path Brownian
 increments (common random numbers), which is what makes the Cauchy and oracle
 studies meaningful at modest path counts.  All levels and paths of a study
 advance together as one (levels, paths, coeffs) stack in `penalize._ensemble`,
-which owns the paths and the final alive mask, and whose kernel draws the
-noise step by step; each study is a thin wrapper over a private reduction
-that the ensemble hands the kernel's own step.  The estimates keep their own
-pre-step radii per (level, path), a failed row reading 0.  One ensemble can
-feed several reductions, each reading its leading paths: every CLI run feeds
-the estimates, the Cauchy gaps and the inequality table it wants from one.
+which owns the final alive mask, and whose kernel draws the noise step by
+step.  Each study is a private reduction, which names its levels and its
+leading paths and checks its own arguments, and the public function builds
+it and hands it to `_ensemble`.  The estimates keep their own pre-step radii
+per (level, path), a failed row reading 0.  One ensemble can feed several
+reductions on one level grid, each reading its leading paths: every CLI run
+feeds the estimates, the Cauchy gaps and the inequality table it wants from
+one.
 The kernel yields one row per path while the path's levels coincide, and
 the studies reduce on those rows as they come, keeping no time axis: radii
 and V energies are taken per row, gathered through the kernel's map `put`
@@ -59,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_count
 from .hilbert import inner_h, norm_h, v_energy
 from .models import ModelSpec, make_oracle_1d
 from .penalize import SchemeConfig, _ensemble, simulate_path
@@ -178,9 +180,9 @@ class UniquenessReport:
 
 def _batches(paths: int) -> np.ndarray:
     """The first path of each of the at most _MAX_BATCHES contiguous path
-    slices, none empty, that np.array_split makes."""
-    if paths < 2:
-        raise ConfigurationError("need at least 2 paths for batch-mean standard errors")
+    slices, none empty, that np.array_split makes; batch-mean standard
+    errors need 2 paths."""
+    _check_count("paths", paths, 2)
     return np.array([p[0] for p in np.array_split(np.arange(paths), min(_MAX_BATCHES, paths))])
 
 
@@ -212,20 +214,22 @@ class _Estimates:
     """run_estimates as a reduction over `penalize._ensemble`: its result
     is the pair (estimates, cauchy) of its leading `paths` paths."""
 
-    def __init__(self, model: ModelSpec, cfg: SchemeConfig, n_grid, paths: int, x0):
+    def __init__(self, model: ModelSpec, cfg: SchemeConfig, n_grid, paths: int):
         self.space, self.alpha, self.dt = model.space, model.alpha, cfg.dt
-        self.n_grid, self.paths = n_grid, paths
+        self.levels, self.paths = [float(n) for n in n_grid], paths
         self.starts = _batches(paths)
-        shape = (len(n_grid), paths)
+
+    def start(self, x0):
+        shape = (len(self.levels), self.paths)
         # pre-step |X|_H and ||X||_V^alpha per (level, path), the
         # left-endpoint sums (times dt at the end) and sup_t |X|_H from t = 0;
         # fl(r - 1) is monotone in r, so (sup_t r - 1)^+ is sup_t (r - 1)^+ exactly
         self.r = np.full(shape, norm_h(self.space, x0))
-        self.energy = np.full(shape, v_energy(self.space, x0, model.alpha))
+        self.energy = np.full(shape, v_energy(self.space, x0, self.alpha))
         self.pen, self.pen_sq, self.weighted_pen, self.v_int, self.sup_h = (
             np.zeros(shape) for _ in range(5)
         )
-        self.sup_diff2 = np.zeros((len(n_grid) - 1, paths))  # sup_t |X^lo - X^hi|_H^2
+        self.sup_diff2 = np.zeros((shape[0] - 1, shape[1]))  # sup_t |X^lo - X^hi|_H^2
 
     def step(self, x, _dL, r, alive, put):
         r_pre = self.r
@@ -248,10 +252,10 @@ class _Estimates:
             self.sup_diff2[:, parted] = np.maximum(sup, inner_h(self.space, diff, diff))
 
     def result(self, alive) -> tuple[Report, Report]:
-        n_grid, starts, dt = self.n_grid, self.starts, self.dt
+        levels, starts, dt = self.levels, self.starts, self.dt
         sup_h = np.maximum(self.sup_h, self.r)  # with the final state's radius
         rows = []
-        for i, n in enumerate(n_grid):
+        for i, n in enumerate(levels):
             ok = alive[i]
             cells = {"n": n, "failures": int(np.count_nonzero(~ok))}
             n_scale = n if np.isfinite(n) else np.nan  # inf * 0 at the projection level
@@ -272,9 +276,9 @@ class _Estimates:
 
         coupled = np.all(alive, axis=0)
         gaps = []
-        for i in range(len(n_grid) - 1):
+        for i in range(len(levels) - 1):
             est, se = _mean_and_se(self.sup_diff2[i], coupled, starts)
-            gaps.append(CauchyRow(n_grid[i], n_grid[i + 1], est, se))
+            gaps.append(CauchyRow(levels[i], levels[i + 1], est, se))
         return estimates, Report(tuple(gaps), int(np.count_nonzero(~coupled)))
 
 
@@ -289,9 +293,7 @@ def run_estimates(
     """Moment/variation estimators over a penalization grid on coupled noise,
     and the consecutive-level Cauchy gaps of the same ensemble: returns the
     pair (estimates, cauchy)."""
-    n_grid = [float(n) for n in n_grid]
-    feed = _ensemble(model, cfg, n_grid, x0, paths)
-    return feed(_Estimates(model, cfg, n_grid, paths, x0))[0]
+    return next(_ensemble(model, cfg, x0, _Estimates(model, cfg, n_grid, paths)))
 
 
 def cauchy_study(
@@ -360,23 +362,23 @@ def oracle_compare_1d(
     one stack whose last level is n = inf.
 
     Its failures are the failed (level, path) pairs."""
-    n_grid = [float(n) for n in n_grid]
-    if not n_grid:
-        raise ConfigurationError("oracle study needs at least 1 penalization level")
     bundle = make_oracle_1d(kappa=kappa, sigma=sigma)
-    feed = _ensemble(bundle.model, cfg, n_grid + [np.inf], bundle.x0, paths)
-    return feed(_Oracle(n_grid, paths))[0]
+    return next(_ensemble(bundle.model, cfg, bundle.x0, _Oracle(n_grid, paths)))
 
 
 class _Oracle:
-    """oracle_compare_1d as a reduction over `penalize._ensemble`, whose
-    last level is n = inf."""
+    """oracle_compare_1d as a reduction over `penalize._ensemble`: its
+    levels are n_grid and then the projection level n = inf."""
 
     def __init__(self, n_grid, paths: int):
-        self.n_grid, self.paths = n_grid, paths
-        self.starts = _batches(paths)
-        self.sup_diff = np.zeros((len(n_grid), paths))
-        self.tv = np.zeros((len(n_grid) + 1, paths))
+        self.levels = [float(n) for n in n_grid] + [np.inf]
+        if len(self.levels) < 2:
+            raise ConfigurationError("oracle study needs at least 1 penalization level")
+        self.paths, self.starts = paths, _batches(paths)
+
+    def start(self, _x0):
+        self.sup_diff = np.zeros((len(self.levels) - 1, self.paths))
+        self.tv = np.zeros((len(self.levels), self.paths))
 
     def step(self, x, dl, _r, _alive, put):
         self.tv += np.abs(np.take(dl[:, 0], put))
@@ -388,7 +390,7 @@ class _Oracle:
         alive = alive[:-1] & alive[-1]
         tv_diff = np.abs(self.tv[:-1] - self.tv[-1])
         rows = []
-        for i, n in enumerate(self.n_grid):
+        for i, n in enumerate(self.levels[:-1]):
             sd_est, sd_se = _mean_and_se(self.sup_diff[i], alive[i], self.starts)
             tv_est, tv_se = _mean_and_se(tv_diff[i], alive[i], self.starts)
             term_est, _ = _mean_and_se(self.terminal[i], alive[i], self.starts)

@@ -28,10 +28,12 @@ levels, the initial state (in the closed unit ball) and the range of path
 indices, raising ConfigurationError, then advances a (levels, paths, coeffs)
 stack.  It draws the noise itself, keyed on (seed, path) and shared by all
 levels, in chunks of 1024 values per path, so that nothing it holds grows
-with the horizon; `simulate_path` is its one-level, one-path case.  The
-studies are reductions fed by `_ensemble`, the one owner of their paths and
-of the final alive mask, which hands each the kernel's own step; one
-ensemble can feed several studies, each reading its leading paths.
+with the horizon; `simulate_path` is its one-level, one-path case.  Every
+study is a reduction that names the levels the kernel must step and the
+leading paths it reads, and checks its own arguments.  `_ensemble` is the
+one door into a study: it steps exactly the reductions it is handed, on
+their one level grid and the most paths any of them reads, owns the final
+alive mask, and hands each the kernel's own step.
 What stays fixed for a run is computed once, when the kernel opens its row
 table `_Rows`, the one place these constants are made: the Lawson factor
 exp(symbol dt), whether a level is n = inf, and each row's penalty factor
@@ -405,29 +407,36 @@ def _advance(model, cfg, levels, x0, paths, r0):
         yield x, dL, r, alive, rows.put
 
 
-def _ensemble(model, cfg, levels, x0, paths):
-    """The coupled ensemble of one or more studies: the kernel on paths
-    0..paths-1, opened here so that its inputs are checked before a study
-    reads x0.  Returns feed(*reductions), which steps the kernel once and
-    returns the list of each reduction's result.
+def _ensemble(model, cfg, x0, *reductions):
+    """The coupled ensemble of one or more studies, each a reduction that
+    names the `levels` it reads and its leading `paths`: the kernel on
+    their one level grid and on paths 0..max(paths)-1, opened here so that
+    every input is checked before anything runs.  Raises
+    ConfigurationError when the reductions' levels differ.  Returns an
+    iterator that steps the kernel once and then yields each reduction's
+    result, in order.
 
-    A reduction reads its leading `paths` paths, at most the ensemble's.
-    After each step, feed calls its step(x, dL, r, alive, put): what the
-    kernel yields, with put cut to the (L, paths) map from the reduction's
-    leading paths to the rows.  At the end feed calls result(alive) of each,
+    Before the first step each reduction is handed start(x0), the state
+    the kernel checked.  After each step it is handed step(x, dL, r, alive,
+    put): what the kernel yields, with put cut to the (L, paths) map from
+    its leading paths to the rows.  At the end it returns result(alive),
     with alive its final (L, paths) mask of the rows that stayed finite."""
-    _check_count("paths", paths, 1)
-    kernel = _penalized_stack(model, cfg, levels, x0, range(paths))
+    levels = reductions[0].levels
+    if any(reduction.levels != levels for reduction in reductions):
+        raise ConfigurationError("the reductions of one ensemble must read one level grid")
+    paths = range(max(reduction.paths for reduction in reductions))
+    kernel = _penalized_stack(model, cfg, levels, x0, paths)
 
-    def feed(*reductions):
-        leads = [np.s_[:, : reduction.paths] for reduction in reductions]
+    def run():
+        for reduction in reductions:
+            reduction.start(x0)
         for x, dL, r, alive, put in kernel:
-            for reduction, lead in zip(reductions, leads):
-                reduction.step(x, dL, r, alive, put[lead])
-        final = alive[put]
-        return [reduction.result(final[lead]) for reduction, lead in zip(reductions, leads)]
+            for reduction in reductions:
+                reduction.step(x, dL, r, alive, put[:, : reduction.paths])
+        for reduction in reductions:
+            yield reduction.result(alive[put[:, : reduction.paths]])
 
-    return feed
+    return run()
 
 
 def _trajectory(model, cfg, levels, x0, paths):

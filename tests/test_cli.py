@@ -263,15 +263,10 @@ def record_ensembles(monkeypatch) -> dict:
     noise amplitude sigma."""
     seen, ensemble = {}, penalize._ensemble
 
-    def recording(model, *args):
-        feed = ensemble(model, *args)
-
-        def feed_recorded(*reductions):
-            for reduction in reductions:
-                seen[type(reduction)] = (float(model.drift(0.0, [1.0])[0]), model.noise.mu)
-            return feed(*reductions)
-
-        return feed_recorded
+    def recording(model, cfg, x0, *reductions):
+        for reduction in reductions:
+            seen[type(reduction)] = (float(model.drift(0.0, [1.0])[0]), model.noise.mu)
+        return ensemble(model, cfg, x0, *reductions)
 
     monkeypatch.setattr(cli, "_ensemble", recording)
     return seen
@@ -352,9 +347,9 @@ def test_studies_see_only_the_keywords_the_config_sets(
     seen = {}
 
     class Inequality(_Inequality):
-        def __init__(self, model, cfg, x0, n_grid, **kwargs):
+        def __init__(self, model, cfg, n_grid, **kwargs):
             seen["inequality"] = kwargs
-            super().__init__(model, cfg, x0, n_grid, **kwargs)
+            super().__init__(model, cfg, n_grid, **kwargs)
 
     def run_all_audits(*args, **kwargs):
         seen["hypotheses"] = kwargs
@@ -561,6 +556,50 @@ def test_exit_code_2_on_an_allocation_that_cannot_be_made(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (out / "inequality.csv").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a file", "under a file"])
+@pytest.mark.parametrize("key", ["--out", "run.out"])
+def test_exit_code_2_on_an_output_directory_that_cannot_be_made(
+    tmp_path, capsys, monkeypatch, key, under
+):
+    def ensemble(*args):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(cli, "_ensemble", ensemble)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / under if under else taken
+    text = ORACLE_CONF + (f"run.out = {out}\n" if key == "run.out" else "")
+    args = ["all", "--config", write_conf(tmp_path, text)]
+    assert run_cli(args + (["--out", out] if key == "--out" else [])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {key}: {taken} is not a directory"
+    ]
+    assert taken.read_text() == "a file\n"
+
+
+def test_exit_code_2_on_an_artifact_that_cannot_be_written(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "estimates.csv").mkdir(parents=True)
+    assert run_cli(["estimates", "--config", write_conf(tmp_path, ORACLE_CONF), "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "estimates.csv" in err[0]
+
+
+@pytest.mark.parametrize("item", ["1e400", "-1e400", "1e309"])
+def test_a_level_that_overflows_a_double_is_not_the_projection_level(tmp_path, capsys, item):
+    conf = write_conf(tmp_path, conf_with("run.n_grid", f"1, {item}"))
+    out = tmp_path / "out"
+    assert run_cli(["estimates", "--config", conf, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: run.n_grid: cannot parse '1, {item}' ({item} overflows a double)"
+    ]
+    assert not out.exists()
+    for spelled in ("inf", "Infinity", "+INF"):  # the projection level, spelled
+        config = load_config(write_conf(tmp_path, conf_with("run.n_grid", f"1, {spelled}")))
+        assert config.get("run.n_grid") == [1.0, np.inf]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -863,8 +902,9 @@ def test_all_feeds_each_study_its_leading_paths(tmp_path):
     config = load_config(conf)
     bundle = cli._build_bundle(config)
     cfg, n_grid = cli._build_scheme(config, 5)
-    feed = penalize._ensemble(bundle.model, cfg, n_grid, bundle.x0, 20)
-    [(estimates, cauchy)] = feed(_Estimates(bundle.model, cfg, n_grid, AC_PATHS, bundle.x0))
+    # the second reduction reads all 20 paths, so the kernel steps 20
+    leading, whole = (_Estimates(bundle.model, cfg, n_grid, paths) for paths in (AC_PATHS, 20))
+    (estimates, cauchy), _ = penalize._ensemble(bundle.model, cfg, bundle.x0, leading, whole)
     estimates.to_csv(tmp_path / "estimates.csv")
     cauchy.to_csv(tmp_path / "cauchy.csv")
     for name in ("estimates.csv", "cauchy.csv"):

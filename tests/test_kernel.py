@@ -11,11 +11,18 @@ from hypothesis import strategies as st
 from reflectspde import hilbert, penalize
 from reflectspde.errors import ConfigurationError
 from reflectspde.hilbert import _clamp, norm_h, norm_v, project_ball
-from reflectspde.localtime import inequality_study
+from reflectspde.localtime import _Inequality, inequality_study
 from reflectspde.models import decay_profile_x0, make_allen_cahn, make_oracle_1d
-from reflectspde.montecarlo import cauchy_study, oracle_compare_1d, run_estimates
+from reflectspde.montecarlo import (
+    _Estimates,
+    _Oracle,
+    cauchy_study,
+    oracle_compare_1d,
+    run_estimates,
+)
 from reflectspde.penalize import (
     SchemeConfig,
+    _ensemble,
     _penalized_stack,
     _trajectory,
     brownian_increments,
@@ -529,8 +536,8 @@ STUDIES = {
     "cauchy_study": lambda x0, grid, paths=2: cauchy_study(
         TINY.model, TINY_CFG, grid, paths, x0=x0
     ),
-    "inequality_study": lambda x0, grid, paths=1: inequality_study(
-        TINY.model, TINY_CFG, x0, grid, paths=paths, test_count=2
+    "inequality_study": lambda x0, grid, paths=1, **delta: inequality_study(
+        TINY.model, TINY_CFG, x0, grid, paths=paths, test_count=2, **delta
     ),
     "oracle_compare_1d": lambda x0, grid, paths=2: oracle_compare_1d(
         0.5, 0.5, TINY_CFG, grid, paths
@@ -538,6 +545,15 @@ STUDIES = {
     "_penalized_stack": lambda x0, grid, paths=range(2): list(
         _penalized_stack(TINY.model, TINY_CFG, grid, x0, paths)
     ),
+}
+# the reduction each study builds, as a call on (level grid, path count)
+REDUCTIONS = {
+    "run_estimates": lambda grid, paths=2: _Estimates(TINY.model, TINY_CFG, grid, paths),
+    "cauchy_study": lambda grid, paths=2: _Estimates(TINY.model, TINY_CFG, grid, paths),
+    "inequality_study": lambda grid, paths=1, delta=0.1: _Inequality(
+        TINY.model, TINY_CFG, grid, paths=paths, test_count=2, delta=delta
+    ),
+    "oracle_compare_1d": lambda grid, paths=2: _Oracle(grid, paths),
 }
 # the ones that take an initial state, and simulate_path, which takes one level
 STEPPERS = {
@@ -583,14 +599,53 @@ def test_empty_level_grid_is_rejected(study):
         STUDIES[study](TINY.x0, [])
 
 
-@pytest.mark.parametrize("study", sorted(set(STUDIES) - {"_penalized_stack"}))
+@pytest.mark.parametrize("study", sorted(REDUCTIONS))
 def test_study_path_count_is_a_whole_number(study):
-    # the kernel takes a range (checked below); a study's count is rejected,
-    # not rounded or passed to range() raw
-    for paths in (3.0, 2.5, True, np.float64(2)):
-        with pytest.raises(ConfigurationError, match="paths must be a whole number"):
-            STUDIES[study](TINY.x0, [1.0, 4.0], paths=paths)
+    # the kernel takes a range (checked below); a study's count is rejected
+    # by its reduction, not rounded or passed to range() raw
+    for paths in (3.0, 2.5, True, np.float64(2), 0):
+        for call in (REDUCTIONS[study], functools.partial(STUDIES[study], TINY.x0)):
+            with pytest.raises(ConfigurationError, match="paths must be a whole number"):
+                call([1.0, 4.0], paths=paths)
     STUDIES[study](TINY.x0, [1.0, 4.0], paths=np.int64(2))
+
+
+@pytest.mark.parametrize(
+    "study, arguments, match",
+    [
+        ("run_estimates", {"paths": 1}, "paths must be a whole number >= 2"),
+        ("oracle_compare_1d", {"paths": 1}, "paths must be a whole number >= 2"),
+        ("oracle_compare_1d", {"grid": []}, "at least 1 penalization level"),
+        *[("inequality_study", {"delta": d}, "delta must lie in") for d in (0.0, 1.0, np.nan)],
+    ],
+)
+def test_each_reduction_checks_its_own_arguments(study, arguments, match, monkeypatch):
+    # the reduction rejects the argument before the kernel opens, and the
+    # public study raises the same ConfigurationError
+    monkeypatch.setattr(penalize, "_penalized_stack", None)  # not reached
+    arguments = {"grid": [1.0, 4.0], **arguments}
+    with pytest.raises(ConfigurationError, match=match):
+        REDUCTIONS[study](**arguments)
+    with pytest.raises(ConfigurationError, match=match):
+        STUDIES[study](TINY.x0, **arguments)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("run_estimates", [1.0, 4.0]), ("inequality_study", [1.0, 16.0])),
+        (("run_estimates", [1.0, 4.0]), ("inequality_study", [1.0])),
+        (("inequality_study", [1.0, 4.0]), ("oracle_compare_1d", [1.0, 4.0])),
+    ],
+)
+def test_an_ensemble_steps_one_level_grid(first, second, monkeypatch):
+    # reductions on different grids are refused before any step: no noise drawn
+    draws = []
+    monkeypatch.setattr(penalize, "_brownian_stream", lambda *args: draws.append(args))
+    reductions = [REDUCTIONS[study](grid) for study, grid in (first, second)]
+    with pytest.raises(ConfigurationError, match="one level grid"):
+        _ensemble(TINY.model, TINY_CFG, TINY.x0, *reductions)
+    assert draws == []
 
 
 @pytest.mark.parametrize(
